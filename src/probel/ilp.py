@@ -1,13 +1,26 @@
 """Exact 0/1 integer linear programming for clause constraints.
 
 Violated ground clauses translate into the three linear constraint forms
-(positive, negative and infinite weight); an internal depth-first
-branch-and-bound maximizer with unit propagation returns the optimum as an
-exact rational, breaking ties toward the lexicographically smallest
-assignment in declared variable order.
+(positive, negative and infinite weight). The internal solver maximizes
+the objective exactly and deterministically:
+
+- The weights are scaled once to integers by the least common multiple of
+  their denominators; only the returned optimum is a ``Fraction``.
+- Constraints are kept in ``>=`` form with a slack counter each and are
+  propagated through per-variable occurrence lists, so assigning a
+  variable revisits only the constraints it can tighten (counter-based
+  pseudo-Boolean propagation, Chai & Kuehlmann 2003). The objective bound
+  is kept up to date the same way. Assignments go on a trail that is
+  undone on backtracking, and an explicit stack replaces recursion.
+- The program is split into connected components of its constraint graph,
+  each solved on its own: branch and bound finds a component's optimum,
+  then one descent in declared order finds its lexicographically smallest
+  optimal assignment. Components share no variable, so these combine into
+  the smallest optimal assignment of the whole program (see ``solve``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -143,163 +156,232 @@ def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozen
 # Solver
 # ---------------------------------------------------------------------------
 
+_CORE_LIMIT = 160  # deletion filtering is quadratic; larger components keep every constraint
+
+
 class _Search:
-    """Depth-first branch and bound over the binary variables."""
+    """Branch and bound with counter-based propagation over one 0/1 program.
 
-    def __init__(self, program: IlpProgram):
-        self.vars = list(program.variables)
-        self.index = {v: i for i, v in enumerate(self.vars)}
-        self.n = len(self.vars)
-        self.cons = [
-            (tuple((self.index[v], c) for v, c in con.terms), con.relation, con.bound)
-            for con in program.constraints
-        ]
-        self.obj = [Fraction(0)] * self.n
-        for v, w in program.objective:
-            self.obj[self.index[v]] += w
-        # branch on large coefficients first, 1 before 0
-        self.branch_order = sorted(range(self.n), key=lambda i: (-self.obj[i], i))
+    A constraint's slack is the largest left-hand side the partial
+    assignment still allows, minus the bound; ``occ[value][var]`` lists the
+    constraints (and amounts) whose slack drops when var takes value.
+    ``ub`` is the scaled value of the variables set to 1 plus the free
+    positive weight of the component being solved.
+    """
 
-    def propagate(self, values: list) -> bool:
-        """Fix variables forced by the constraints; False on a dead end."""
-        changed = True
-        while changed:
-            changed = False
-            for terms, relation, bound in self.cons:
-                lo = hi = 0
-                free = []
-                for vi, c in terms:
-                    v = values[vi]
-                    if v is None:
-                        free.append((vi, c))
-                        if c > 0:
-                            hi += c
-                        else:
-                            lo += c
-                    else:
-                        lo += c * v
-                        hi += c * v
-                if relation == ">=":
-                    if hi < bound:
-                        return False
-                    if lo >= bound:
-                        continue
-                    for vi, c in free:
-                        # best value for >= is 1 when c>0 else 0; forced when
-                        # the worst value kills the constraint
-                        if hi - abs(c) < bound:
-                            values[vi] = 1 if c > 0 else 0
-                            changed = True
-                else:
-                    if lo > bound:
-                        return False
-                    if hi <= bound:
-                        continue
-                    for vi, c in free:
-                        if lo + abs(c) > bound:
-                            values[vi] = 0 if c > 0 else 1
-                            changed = True
+    def __init__(self, variables: List[str], constraints: List[LinearConstraint], objective):
+        n = len(variables)
+        index = {v: i for i, v in enumerate(variables)}
+        weights = [Fraction(0)] * n
+        for v, w in objective:
+            weights[index[v]] += w
+        self.scale = math.lcm(*(w.denominator for w in weights))
+        self.weight = [w.numerator * (self.scale // w.denominator) for w in weights]
+        # loss[value][var]: how much ub drops when var takes value
+        self.loss = ([max(w, 0) for w in self.weight], [max(-w, 0) for w in self.weight])
+        self.terms: List[list] = []  # per constraint: (var, |coefficient|, good value), largest first
+        self.slack: List[int] = []
+        self.occ = ([[] for _ in range(n)], [[] for _ in range(n)])
+        for j, con in enumerate(constraints):
+            sign = 1 if con.relation == ">=" else -1
+            merged: Dict[int, int] = {}
+            for v, c in con.terms:
+                i = index[v]
+                merged[i] = merged.get(i, 0) + sign * c
+            terms = sorted(((i, abs(c), int(c > 0)) for i, c in merged.items() if c),
+                           key=lambda t: -t[1])
+            self.terms.append(terms)
+            self.slack.append(sum(a for _, a, good in terms if good) - sign * con.bound)
+            for i, a, good in terms:
+                self.occ[1 - good][i].append((j, a))
+        self.value = [-1] * n  # -1 free, else 0 or 1
+        self.trail: List[int] = []
+        self.head = 0  # trail entries before head have been propagated
+        self.ub = 0
+
+    def components(self) -> List[Tuple[List[int], List[int]]]:
+        """(variables, constraints) of each connected component, in declared order.
+
+        A constraint whose terms all cancel touches no variable and forms a
+        component of its own.
+        """
+        root = list(range(len(self.value)))
+
+        def find(i):
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            return i
+
+        for terms in self.terms:
+            first = find(terms[0][0]) if terms else None
+            for i, _, _ in terms[1:]:
+                other = find(i)
+                if other != first:
+                    root[other] = first
+        groups: Dict[int, Tuple[list, list]] = {}
+        for i in range(len(self.value)):
+            groups.setdefault(find(i), ([], []))[0].append(i)
+        empty = []
+        for j, terms in enumerate(self.terms):
+            if terms:
+                groups[find(terms[0][0])][1].append(j)
+            else:
+                empty.append(([], [j]))
+        return list(groups.values()) + empty
+
+    def _assign(self, i: int, v: int):
+        self.value[i] = v
+        self.trail.append(i)
+        self.ub -= self.loss[v][i]
+        slack = self.slack
+        for j, a in self.occ[v][i]:
+            slack[j] -= a
+
+    def _undo(self, mark: int):
+        trail, value, slack, occ, loss = self.trail, self.value, self.slack, self.occ, self.loss
+        while len(trail) > mark:
+            i = trail.pop()
+            v = value[i]
+            value[i] = -1
+            self.ub += loss[v][i]
+            for j, a in occ[v][i]:
+                slack[j] += a
+        self.head = mark
+
+    def _force(self, j: int):
+        """Set the free terms of constraint j that its slack cannot afford to lose."""
+        s = self.slack[j]
+        value = self.value
+        for k, a, good in self.terms[j]:
+            if a <= s:
+                break
+            if value[k] < 0:
+                self._assign(k, good)
+
+    def _propagate(self) -> bool:
+        """Propagate the unprocessed trail entries; False on a conflict."""
+        trail, value, slack, occ = self.trail, self.value, self.slack, self.occ
+        while self.head < len(trail):
+            i = trail[self.head]
+            self.head += 1
+            for j, _ in occ[value[i]][i]:
+                if slack[j] < 0:
+                    return False
+                self._force(j)
         return True
 
-    def value_of(self, values: list) -> Fraction:
-        return sum((self.obj[i] for i, v in enumerate(values) if v == 1), Fraction(0))
-
-    def check(self, values: list) -> bool:
-        for terms, relation, bound in self.cons:
-            lhs = sum(c * values[vi] for vi, c in terms)
-            if (relation == ">=" and lhs < bound) or (relation == "<=" and lhs > bound):
+    def _root(self, variables: List[int], constraints: List[int]) -> bool:
+        """Start a component from scratch; False when it is infeasible outright."""
+        self.trail, self.head = [], 0
+        self.ub = sum(self.loss[0][i] for i in variables)
+        for j in constraints:
+            if self.slack[j] < 0:
                 return False
-        return True
+            self._force(j)
+        return self._propagate()
 
-    def _bound(self, values: list) -> Fraction:
-        total = Fraction(0)
-        for i, v in enumerate(values):
-            if v == 1:
-                total += self.obj[i]
-            elif v is None and self.obj[i] > 0:
-                total += self.obj[i]
-        return total
+    def _dfs(self, order: List[int], first: int, floor: int, first_leaf: bool) -> Optional[int]:
+        """Depth-first search over ``order``, ``first`` value first, pruning ub < floor.
 
-    def maximize(self, values: list) -> Optional[Fraction]:
-        """Optimal objective over completions of ``values``; None if infeasible."""
-        self._best: Optional[Fraction] = None
-        self._dfs(values)
-        return self._best
+        Returns the best leaf value found, raising the floor past each leaf,
+        or the value of the first leaf when ``first_leaf`` is set (its
+        assignment is then left in place). None when no leaf reaches the floor.
+        """
+        value, trail = self.value, self.trail
+        stack = []  # (trail mark, variable, position in order, value still to try or -1)
+        best = None
+        ok, pos = True, 0
+        while True:
+            if ok and self.ub >= floor:
+                while pos < len(order) and value[order[pos]] >= 0:
+                    pos += 1
+                if pos < len(order):
+                    var = order[pos]
+                    stack.append((len(trail), var, pos, 1 - first))
+                    self._assign(var, first)
+                    ok = self._propagate()
+                    continue
+                best = self.ub  # every variable is set, so ub is the value
+                if first_leaf:
+                    return best
+                floor = best + 1
+            while stack:
+                mark, var, pos, other = stack.pop()
+                self._undo(mark)
+                if other >= 0:
+                    stack.append((mark, var, pos, -1))
+                    self._assign(var, other)
+                    ok = self._propagate()
+                    break
+            else:
+                return best
 
-    def _dfs(self, values: list):
-        values = list(values)
-        if not self.propagate(values):
-            return
-        if self._best is not None and self._bound(values) <= self._best:
-            return
-        pick = next((i for i in self.branch_order if values[i] is None), None)
-        if pick is None:
-            if self.check(values):
-                value = self.value_of(values)
-                if self._best is None or value > self._best:
-                    self._best = value
-            return
-        for choice in (1, 0):
-            values[pick] = choice
-            self._dfs(values)
-        values[pick] = None
-
-    def attains(self, values: list, target: Fraction) -> bool:
-        """Is there a feasible completion with objective >= target?"""
-        values = list(values)
-        if not self.propagate(values):
-            return False
-        if self._bound(values) < target:
-            return False
-        pick = next((i for i in self.branch_order if values[i] is None), None)
-        if pick is None:
-            return self.check(values) and self.value_of(values) >= target
-        for choice in (1, 0):
-            trial = list(values)
-            trial[pick] = choice
-            if self.attains(trial, target):
-                return True
-        return False
+    def solve(self) -> Tuple[Optional[List[int]], int]:
+        """(values, scaled optimum), or (None, constraints of an infeasible component)."""
+        weight = self.weight
+        total = 0
+        for variables, constraints in self.components():
+            if not self._root(variables, constraints):
+                return None, constraints
+            branch_order = sorted(variables, key=lambda i: (-weight[i], i))
+            optimum = self._dfs(branch_order, 1, -math.inf, False)
+            if optimum is None:
+                return None, constraints
+            self._dfs(variables, 0, optimum, True)
+            total += optimum
+        return self.value, total
 
 
 def solve(program: IlpProgram) -> Tuple[Dict[str, int], Fraction]:
     """Maximize the objective; exact rational value, deterministic assignment.
 
-    Among optima the lexicographically smallest assignment (in declared
-    variable order, 0 before 1) is returned, established by a second descent
-    that re-proves attainability of the optimum after each tentative 0.
+    The objective is scaled to integers by the least common multiple of the
+    weight denominators, so the search does integer arithmetic only and the
+    optimum is returned as an exact ``Fraction``. Constraints propagate
+    through per-variable occurrence lists and slack counters, with an
+    explicit decision stack and an assignment trail undone on backtracking;
+    no recursion grows with the program.
+
+    The program splits into connected components of its constraint graph
+    (variables sharing a constraint), and each component is solved on its
+    own: a branch-and-bound pass (largest weight first, 1 before 0) finds
+    its optimum, then one descent in declared variable order, 0 before 1,
+    pruned wherever the optimum is out of reach, stops at the first leaf:
+    the component's lexicographically smallest optimal assignment. The
+    components share no variable or constraint, so an assignment is optimal
+    exactly when each component's part is, and comparing two optimal
+    assignments in declared order is comparing their component parts. Hence
+    the union of each component's smallest optimum is the lexicographically
+    smallest optimal assignment of the whole program, in declared variable
+    order with 0 before 1.
     """
-    search = _Search(program)
-    if search.n == 0:
-        return {}, Fraction(0)
-    optimum = search.maximize([None] * search.n)
-    if optimum is None:
-        raise Infeasible(_minimize_core(program))
-    values: list = [None] * search.n
-    for i in range(search.n):
-        if values[i] is not None:
-            continue
-        values[i] = 0
-        if not search.attains(values, optimum):
-            values[i] = 1
-        implied = list(values)
-        if search.propagate(implied):  # adopt feasibility-forced consequences
-            values = implied
-    assignment = {v: values[i] for i, v in enumerate(search.vars)}
-    assert search.check(values) and search.value_of(values) == optimum
+    search = _Search(program.variables, program.constraints, program.objective)
+    values, result = search.solve()
+    if values is None:
+        raise Infeasible(_minimize_core([program.constraints[j] for j in result]))
+    assignment = dict(zip(program.variables, values))
+    optimum = Fraction(result, search.scale)
+    assert all(_holds(con, assignment) for con in program.constraints)
+    assert sum((w for v, w in program.objective if assignment[v]), Fraction(0)) == optimum
     return assignment, optimum
 
 
-def _minimize_core(program: IlpProgram) -> list:
-    """Best-effort irreducible infeasible subset by deletion filtering."""
-    core = list(program.constraints)
-    if len(core) > 160:
+def _holds(con: LinearConstraint, assignment: Dict[str, int]) -> bool:
+    lhs = sum(c * assignment[v] for v, c in con.terms)
+    return lhs >= con.bound if con.relation == ">=" else lhs <= con.bound
+
+
+def _minimize_core(core: List[LinearConstraint]) -> list:
+    """Best-effort irreducible infeasible subset of one infeasible component,
+    by deletion filtering (kept whole past ``_CORE_LIMIT`` constraints)."""
+    if len(core) > _CORE_LIMIT:
         return core
+    variables = list(dict.fromkeys(v for con in core for v, _ in con.terms))
     i = 0
     while i < len(core):
         trial = core[:i] + core[i + 1:]
-        probe = IlpProgram(variables=list(program.variables), constraints=trial)
-        if _Search(probe).maximize([None] * len(probe.variables)) is None:
+        if _Search(variables, trial, ()).solve()[0] is None:
             core = trial
         else:
             i += 1

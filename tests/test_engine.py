@@ -137,6 +137,17 @@ class TestEdgeCases:
             map_inference(kb)
         assert [ws.statement for ws in err.value.core] == [Gci("A", BOT)]
 
+    def test_many_independent_statements(self):
+        # 1500 disconnected ILP components; a search whose depth grows with
+        # the program raises RecursionError here
+        n = 1500
+        concepts = [f"A{i}" for i in range(n)] + [f"B{i}" for i in range(n)]
+        sig = make_signature(concepts=concepts)
+        unc = tuple(WeightedStatement(Gci(f"A{i}", f"B{i}"), Fraction(1, 2)) for i in range(n))
+        result = map_inference(KnowledgeBase(sig, (), unc))
+        assert result.objective == 750
+        assert len(result.selected) == n
+
     def test_enumeration_cap(self):
         sig = make_signature(concepts=("A", "B"))
         unc = tuple(

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -102,6 +103,21 @@ class TestSolve:
             solve(program)
         assert len(err.value.core) == 2  # q's constraint is filtered out
 
+    def test_core_is_minimized_within_the_infeasible_component(self):
+        # 202 constraints in all, but the conflict lies in p's component alone
+        program = IlpProgram()
+        translate_clause(clause(["p"], [], INFINITE), program, frozenset())
+        translate_clause(clause([], ["p"], INFINITE), program, frozenset())
+        for i in range(200):
+            translate_clause(clause([f"q{i}"], [f"r{i}"], INFINITE), program, frozenset())
+        with pytest.raises(Infeasible) as err:
+            solve(program)
+        x_p = program.atom_var(atom("p"))
+        assert err.value.core == (
+            LinearConstraint(((x_p, 1),), ">=", 1),
+            LinearConstraint(((x_p, -1),), ">=", 0),
+        )
+
     def test_lexicographic_tie_break(self):
         # two optima: {a=1,b=0} and {a=0,b=1}; a declared first, so 0 wins there
         program = IlpProgram()
@@ -146,14 +162,48 @@ def _random_program(rng: random.Random):
     return program
 
 
+def _disjoint_union(first: IlpProgram, second: IlpProgram) -> IlpProgram:
+    """``first`` and a renamed copy of ``second``, variables interleaved in declared order."""
+    rename = {v: "b_" + v for v in second.variables}
+    pairs = itertools.zip_longest(first.variables, [rename[v] for v in second.variables])
+    return IlpProgram(
+        variables=[v for pair in pairs for v in pair if v is not None],
+        constraints=first.constraints + [
+            LinearConstraint(tuple((rename[v], c) for v, c in con.terms), con.relation, con.bound)
+            for con in second.constraints
+        ],
+        objective=first.objective + [(rename[v], w) for v, w in second.objective],
+    )
+
+
+def _assert_union_matches(first, second):
+    """Solve the disjoint union of two (program, optimum or None) parts against enumeration."""
+    union = _disjoint_union(first[0], second[0])
+    assert len(union.variables) <= 20
+    expected = enumerate_solve(union)
+    if first[1] is None or second[1] is None:
+        assert expected is None
+        with pytest.raises(Infeasible):
+            solve(union)
+        return
+    assert solve(union) == expected
+    assert expected[1] == first[1] + second[1]
+
+
 def test_matches_enumeration_on_random_programs():
     rng = random.Random(99)
-    checked = 0
+    checked = unions = 0
+    previous = None
     for _ in range(40):
         program = _random_program(rng)
         if len(program.variables) > 15:
             continue
         expected = enumerate_solve(program)
+        part = (program, expected and expected[1])
+        if previous is not None and len(previous[0].variables) + len(program.variables) <= 20:
+            _assert_union_matches(previous, part)
+            unions += 1
+        previous = part
         try:
             got = solve(program)
         except Infeasible:
@@ -164,11 +214,13 @@ def test_matches_enumeration_on_random_programs():
         assert got[0] == expected[0]
         checked += 1
     assert checked >= 25
+    assert unions >= 10
 
 
 def test_matches_enumeration_on_adversarial_programs():
     # dense clauses, repeated atoms, all-negative and tie-heavy objectives
     rng = random.Random(2718)
+    previous = None
     for round_ in range(30):
         program = IlpProgram()
         names = [f"t{i}" for i in range(rng.randint(2, 6))]
@@ -195,6 +247,10 @@ def test_matches_enumeration_on_adversarial_programs():
         if len(program.variables) > 18:
             continue
         expected = enumerate_solve(program)
+        part = (program, expected and expected[1])
+        if previous is not None and len(previous[0].variables) + len(program.variables) <= 20:
+            _assert_union_matches(previous, part)
+        previous = part
         try:
             got = solve(program)
         except Infeasible:
