@@ -37,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", choices=("text", "json"), default="text")
         sub.add_argument("--max-worlds", type=int, default=16, metavar="N",
                          help="enumeration cap on the number of uncertain statements (default 16)")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="reserved; inference is deterministic")
         sub.add_argument("--domain", choices=("real", "integer"), default="real",
                          help="value domain for datatype comparisons")
         return sub
@@ -55,11 +53,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_kb(path: str):
+def _read(path: str):
+    """The text of a UTF-8 file, or None after reporting why it cannot be read."""
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read {path}: {err}", file=sys.stderr)
+        return None
+
+
+def _load_kb(path: str):
+    text = _read(path)
+    if text is None:
         return None
     result = parse_kb(text)
     if result.kb is None:
@@ -138,10 +143,8 @@ def _cmd_prob(args) -> int:
     kb = _load_kb(args.kb)
     if kb is None:
         return EXIT_INVALID
-    try:
-        text = Path(args.query).read_text()
-    except OSError as err:
-        print(f"cannot read {args.query}: {err}", file=sys.stderr)
+    text = _read(args.query)
+    if text is None:
         return EXIT_INVALID
     parsed = parse_kb(text)
     if parsed.kb is None:
@@ -194,10 +197,8 @@ def _cmd_dump_ilp(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        text = Path(args.kb).read_text()
-    except OSError as err:
-        print(f"cannot read {args.kb}: {err}", file=sys.stderr)
+    text = _read(args.kb)
+    if text is None:
         return EXIT_INVALID
     result = parse_kb(text)
     if result.kb is None:

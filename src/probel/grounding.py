@@ -1,4 +1,14 @@
-"""Violated-clause detection with on-demand evaluation of datatype predicates.
+"""Grounding of the completion rules, with on-demand evaluation of datatype
+predicates.
+
+One join (``_join_fixed``) matches a rule body against indexed atoms in a
+fixed order. Two callers use it:
+
+- find_violated() grounds every template over an assignment and reports the
+  groundings it falsifies, for the cutting-plane loop.
+- extend_closure() is the semi-naive chase behind every deterministic
+  closure: saturate() runs it from the empty base, the enumeration oracle
+  from a closed one.
 
 eval atoms are never stored or turned into ILP variables: each grounding of a
 template with an eval literal either evaluates it to true (the literal is
@@ -210,18 +220,6 @@ def _instantiate(pattern: PatternAtom, binding: dict) -> Atom:
 _EMPTY = ()
 
 
-def _bound_positions(pattern: PatternAtom, binding: dict) -> int:
-    count = 0
-    for arg in pattern.args:
-        if isinstance(arg, Var):
-            count += arg.name in binding
-        elif isinstance(arg, NomOf):
-            count += arg.var.name in binding
-        elif not isinstance(arg, SuccessorOf):
-            count += 1
-    return count
-
-
 def _candidates(pattern: PatternAtom, binding: dict, index):
     """The smallest candidate atom list, probing per bound argument position."""
     by_pred, by_pos = index
@@ -248,29 +246,42 @@ def _candidates(pattern: PatternAtom, binding: dict, index):
     return best
 
 
-def _bindings(template: ClauseTemplate, index):
-    body = [p for p in template.body if p.pred != "eval"]
-
-    def extend(remaining, binding: dict):
-        if not remaining:
-            yield binding
-            return
-        pick = 0
-        if len(remaining) > 1:
-            pick = max(range(len(remaining)), key=lambda i: _bound_positions(remaining[i], binding))
-        pattern = remaining[pick]
-        rest = remaining[:pick] + remaining[pick + 1:]
-        for atom in _candidates(pattern, binding, index):
-            new = _unify(pattern, atom, binding)
-            if new is not None:
-                yield from extend(rest, new)
-
-    for seed in template.seeds:
-        yield from extend(body, dict(seed) if seed else {})
+def _index(atoms) -> tuple:
+    by_pred: dict = {}
+    by_pos: dict = {}
+    for atom in atoms:
+        by_pred.setdefault(atom.pred, []).append(atom)
+        for i, arg in enumerate(atom.args):
+            by_pos.setdefault((atom.pred, i, arg), []).append(atom)
+    return by_pred, by_pos
 
 
-def _eval_value(arg, binding):
-    return binding[arg.name] if isinstance(arg, Var) else arg
+def _join_fixed(plan, binding: dict, k: int = 0):
+    """Every extension of ``binding`` that matches each (pattern, index) of
+    ``plan`` against its own index, joined in plan order."""
+    if k == len(plan):
+        yield binding
+        return
+    pattern, index = plan[k]
+    for atom in _candidates(pattern, binding, index):
+        new = _unify(pattern, atom, binding)
+        if new is not None:
+            yield from _join_fixed(plan, new, k + 1)
+
+
+def _evals_hold(evals, binding: dict, domain: str) -> bool:
+    return all(
+        eval_op(*(binding[a.name] if isinstance(a, Var) else a for a in ev.args), domain=domain)
+        for ev in evals
+    )
+
+
+def _split_body(template: ClauseTemplate) -> tuple:
+    """(stored body patterns, eval literals) of a template."""
+    return (
+        [p for p in template.body if p.pred != "eval"],
+        [p for p in template.body if p.pred == "eval"],
+    )
 
 
 def find_violated(
@@ -286,31 +297,24 @@ def find_violated(
     true atoms only, never by cross product. Results come back in canonical
     order (template id, then atom order) so callers are deterministic.
     """
-    by_pred: dict = {}
-    by_pos: dict = {}
-    for atom in current:
-        by_pred.setdefault(atom.pred, []).append(atom)
-        for i, arg in enumerate(atom.args):
-            by_pos.setdefault((atom.pred, i, arg), []).append(atom)
-    index = (by_pred, by_pos)
-
+    index = _index(current)
     found = set()
     for template in templates:
-        evals = [p for p in template.body if p.pred == "eval"]
-        for binding in _bindings(template, index):
-            if template.head is not None:
-                head = _instantiate(template.head, binding)
-                if head in current:
+        body, evals = _split_body(template)
+        plan = [(p, index) for p in body]
+        for seed in template.seeds:
+            for binding in _join_fixed(plan, dict(seed) if seed else {}):
+                if template.head is not None:
+                    head = _instantiate(template.head, binding)
+                    if head in current:
+                        continue
+                    positive = frozenset((head,))
+                else:
+                    positive = frozenset()
+                if evals and not _evals_hold(evals, binding, domain):
                     continue
-                positive = frozenset((head,))
-            else:
-                positive = frozenset()
-            if evals and not all(
-                eval_op(*(_eval_value(a, binding) for a in ev.args), domain=domain) for ev in evals
-            ):
-                continue
-            negative = frozenset(_instantiate(p, binding) for p in template.body if p.pred != "eval")
-            found.add(ViolatedClause(positive, negative, template.weight, template.id))
+                negative = frozenset(_instantiate(p, binding) for p in body)
+                found.add(ViolatedClause(positive, negative, template.weight, template.id))
 
     for ev in evidence:
         if is_infinite(ev.weight) or ev.weight > 0:
@@ -325,59 +329,35 @@ def find_violated(
     return sorted(found, key=ViolatedClause.sort_key)
 
 
-def _index(atoms) -> tuple:
-    by_pred: dict = {}
-    by_pos: dict = {}
-    for atom in atoms:
-        by_pred.setdefault(atom.pred, []).append(atom)
-        for i, arg in enumerate(atom.args):
-            by_pos.setdefault((atom.pred, i, arg), []).append(atom)
-    return by_pred, by_pos
-
-
-def _join_fixed(plan, binding: dict, k: int = 0):
-    if k == len(plan):
-        yield binding
-        return
-    pattern, index = plan[k]
-    for atom in _candidates(pattern, binding, index):
-        new = _unify(pattern, atom, binding)
-        if new is not None:
-            yield from _join_fixed(plan, new, k + 1)
-
-
 def extend_closure(
     templates: Sequence[ClauseTemplate],
     base: frozenset,
     new_atoms: Iterable[Atom],
     domain: str = REAL,
 ) -> frozenset:
-    """Close ``base | new_atoms`` under the head-producing rules, assuming
-    ``base`` is already closed.
+    """Close ``base | new_atoms`` under the hard rules with a non-empty body.
 
-    Semi-naive: each pass grounds only substitutions that touch at least one
-    atom derived in the previous pass, which is exhaustive over a closed
-    base. Equals saturate() on the same inputs; the enumeration oracle leans
-    on this for its subset lattice walk.
+    ``base`` must already be closed under them, as the empty set and every
+    closure this module returns are. The chase is semi-naive: each pass
+    grounds only substitutions that touch at least one atom derived in the
+    previous pass, which is exhaustive over a closed base.
     """
     current = set(base)
     delta = set(new_atoms) - current
-    bodies = [
-        (t, [p for p in t.body if p.pred != "eval"], [p for p in t.body if p.pred == "eval"])
-        for t in templates
-        if t.head is not None and t.body
-    ]
+    rules = [(t, *_split_body(t)) for t in templates if t.head is not None and t.body]
+    old_idx = _index(current)
     while delta:
         current |= delta
-        old_idx = _index(current - delta)
         cur_idx = _index(current)
         delta_idx = _index(delta)
         heads = set()
-        for template, body, evals in bodies:
+        for template, body, evals in rules:
             for j, anchor in enumerate(body):
                 # anchor binds from the delta; earlier positions stay in the
                 # old atoms, later ones range over everything: each new
                 # grounding is produced exactly once
+                if anchor.pred not in delta_idx[0]:
+                    continue
                 plan = [(anchor, delta_idx)]
                 plan += [(p, old_idx if i < j else cur_idx) for i, p in enumerate(body) if i != j]
                 for seed in template.seeds:
@@ -385,12 +365,11 @@ def extend_closure(
                         head = _instantiate(template.head, binding)
                         if head in current or head in heads:
                             continue
-                        if evals and not all(
-                            eval_op(*(_eval_value(a, binding) for a in ev.args), domain=domain)
-                            for ev in evals
-                        ):
+                        if evals and not _evals_hold(evals, binding, domain):
                             continue
                         heads.add(head)
+        # the old atoms of the next pass are this pass's current ones
+        old_idx = cur_idx
         delta = heads - current
     return frozenset(current)
 
@@ -402,23 +381,20 @@ def saturate(
 ) -> tuple:
     """Deterministic closure: chase the hard rules to a fixpoint.
 
-    Returns (closure, coherence_violations) where the violations are the
-    groundings of the FALSE-headed coherence rule that hold in the closure.
+    The chase (extend_closure) starts from the empty base with ``atoms`` and
+    the instances of the empty-body seed rules (F1, F2, UNA). Returns
+    (closure, coherence_violations) where the violations are the groundings
+    of the FALSE-headed coherence rule that hold in the closure.
     """
-    current = set(atoms)
-    conflicts = []
-    while True:
-        new_atoms = set()
-        conflicts = []
-        for clause in find_violated(templates, (), frozenset(current), domain=domain):
-            if clause.positive:
-                new_atoms.update(clause.positive)
-            else:
-                conflicts.append(clause)
-        new_atoms -= current
-        if not new_atoms:
-            return frozenset(current), conflicts
-        current |= new_atoms
+    seeds = {
+        _instantiate(t.head, seed or {})
+        for t in templates
+        if t.head is not None and not t.body
+        for seed in t.seeds
+    }
+    closure = extend_closure(templates, frozenset(), set(atoms) | seeds, domain)
+    conflicts = find_violated([t for t in templates if t.head is None], (), closure, domain)
+    return closure, conflicts
 
 
 def incoherence_atoms(closure: frozenset) -> list:

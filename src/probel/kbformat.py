@@ -95,8 +95,11 @@ def _tokenize(line: str) -> List[_Token]:
     return tokens
 
 
-def _parse_number(text: str) -> Fraction:
-    return Fraction(text)
+def _parse_number(token: _Token) -> Fraction:
+    try:
+        return Fraction(token.value)
+    except ZeroDivisionError:
+        raise _LineSyntax(token.column, f"zero denominator in {token.value!r}") from None
 
 
 class _LineParser:
@@ -133,7 +136,7 @@ class _LineParser:
     def statement(self) -> Tuple[Axiom, Optional[Fraction]]:
         weight = None
         if self.peek().kind == "number":
-            weight = _parse_number(self.take().value)
+            weight = _parse_number(self.take())
         token = self.peek()
         if token.kind == "keyword" and token.value == "ROLECHAIN":
             axiom = self.role_inclusion()
@@ -166,7 +169,7 @@ class _LineParser:
             self.take()
             token = self.peek()
             if token.kind == "number":
-                value = _parse_number(self.take().value)
+                value = _parse_number(self.take())
                 self.expect("punct", ")")
                 return FeatureAssertion(predicate, subject, value)
             obj = self.name("individual name")
@@ -200,7 +203,7 @@ class _LineParser:
                 number = self.peek()
                 if number.kind != "number":
                     raise _LineSyntax(number.column, "expected a numeric value")
-                value = _parse_number(self.take().value)
+                value = _parse_number(self.take())
                 self.expect("punct", ")")
                 return DataSome(name, Restriction(op, value))
             self.take()

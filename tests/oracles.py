@@ -125,6 +125,19 @@ def naive_find_violated(templates, evidence, current, sig, domain="real"):
     return found
 
 
+def naive_saturate(templates, atoms, sig, domain="real"):
+    """Naive fixpoint of the hard rules: re-ground everything by cross product
+    until no pass adds a head. Returns (closure, set of FALSE-headed clauses
+    that hold in it)."""
+    current = frozenset(atoms)
+    while True:
+        violated = naive_find_violated(templates, (), current, sig, domain)
+        heads = {atom for clause in violated for atom in clause.positive}
+        if not heads:
+            return current, {clause for clause in violated if not clause.positive}
+        current |= heads
+
+
 # ---------------------------------------------------------------------------
 # exhaustive 0/1 program enumeration
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ from probel.model import (
     TOP,
     make_signature,
 )
+from probel.kbformat import parse_kb
 from probel.randgen import random_kb
 from probel.translate import Atom, phi, rule_templates
 
-from oracles import naive_find_violated
+from oracles import naive_find_violated, naive_saturate
 
 
 def _toddler_inference_setup():
@@ -228,14 +229,31 @@ class TestNaiveOracleEquivalence:
 
 
 def test_extend_closure_matches_full_saturation():
+    # the reference is the independent cross-product fixpoint, not the chase;
+    # the fixed KB is incoherent over the integers only, so both domains and
+    # a non-empty conflict list are always exercised
+    snap = parse_kb(
+        "A SUBCLASSOF f SOME (>, 1)\n0.5 f SOME (>=, 2) SUBCLASSOF B\n"
+        "0.5 A AND B SUBCLASSOF BOT\n0.5 A(a)\n"
+    ).kb
     rng = random.Random(5)
-    for _ in range(20):
-        kb = random_kb(rng, max_concepts=4, max_individuals=2, max_uncertain=6)
-        templates = rule_templates(kb.signature)
-        det = [phi(ws.statement) for ws in kb.deterministic]
-        base, _ = saturate(templates, det)
-        for ws in kb.uncertain:
-            atom = phi(ws.statement)
-            fast = extend_closure(templates, base, (atom,))
-            slow, _ = saturate(templates, set(base) | {atom})
-            assert fast == slow
+    for domain in ("real", "integer"):
+        kbs = [snap] + [
+            random_kb(rng, max_concepts=4, max_individuals=2, max_uncertain=6) for _ in range(10)
+        ]
+        for kb in kbs:
+            templates = rule_templates(kb.signature)
+            det = [phi(ws.statement) for ws in kb.deterministic]
+            unc = [phi(ws.statement) for ws in kb.uncertain]
+            for atoms in (det, det + unc):
+                closure, conflicts = saturate(templates, atoms, domain=domain)
+                assert (closure, set(conflicts)) == naive_saturate(
+                    templates, atoms, kb.signature, domain
+                )
+            if kb is snap:  # conflicts of det + unc
+                assert bool(conflicts) == (domain == "integer")
+            base, _ = saturate(templates, det, domain=domain)
+            for atom in unc:
+                fast = extend_closure(templates, base, (atom,), domain=domain)
+                slow, _ = naive_saturate(templates, det + [atom], kb.signature, domain)
+                assert fast == slow
