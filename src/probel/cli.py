@@ -18,7 +18,7 @@ from pathlib import Path
 from . import engine, ilp
 from .engine import ReasonerConfig
 from .kbformat import parse_kb, render_statement, render_axiom
-from .model import format_value
+from .model import format_value, validate
 from .translate import NotNormal
 
 EXIT_OK = 0
@@ -62,7 +62,8 @@ def _read(path: str):
         return None
 
 
-def _load_kb(path: str):
+def _load(path: str):
+    """The parse result of a KB file, or None after reporting why it has no KB."""
     text = _read(path)
     if text is None:
         return None
@@ -71,7 +72,7 @@ def _load_kb(path: str):
         for problem in result.errors:
             print(f"{path}:{problem}", file=sys.stderr)
         return None
-    return result.kb
+    return result
 
 
 def _emit(report: dict, fmt: str):
@@ -104,11 +105,11 @@ def _config(args) -> ReasonerConfig:
 
 
 def _cmd_solve(args) -> int:
-    kb = _load_kb(args.kb)
-    if kb is None:
+    source = _load(args.kb)
+    if source is None:
         return EXIT_INVALID
     config = _config(args)
-    result = engine.map_inference(kb, config)
+    result = engine.map_inference(source.kb, config)
     report = {
         "objective": format_value(result.objective),
         "coherent": result.coherent,
@@ -124,32 +125,27 @@ def _cmd_solve(args) -> int:
                 "selected": entry.selected,
                 "delta": "incoherent" if entry.delta is None else format_value(entry.delta),
             }
-            for entry in engine.explain_selection(kb, result, config)
+            for entry in engine.explain_selection(source.kb, result, config)
         ]
     _emit(report, args.format)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    kb = _load_kb(args.kb)
-    if kb is None:
+    source = _load(args.kb)
+    if source is None:
         return EXIT_INVALID
-    classified = engine.classify_deterministic(kb, _config(args))
+    classified = engine.classify_deterministic(source.kb, _config(args))
     _emit({"coherent": True, "classified": [render_axiom(ax) for ax in classified]}, args.format)
     return EXIT_OK
 
 
 def _cmd_prob(args) -> int:
-    kb = _load_kb(args.kb)
-    if kb is None:
+    source = _load(args.kb)
+    if source is None:
         return EXIT_INVALID
-    text = _read(args.query)
-    if text is None:
-        return EXIT_INVALID
-    parsed = parse_kb(text)
-    if parsed.kb is None:
-        for problem in parsed.errors:
-            print(f"{args.query}:{problem}", file=sys.stderr)
+    parsed = _load(args.query)
+    if parsed is None:
         return EXIT_INVALID
     if parsed.name_map:
         # splitting a query into normal statements is exact, but fresh names
@@ -160,7 +156,7 @@ def _cmd_prob(args) -> int:
         )
         return EXIT_INVALID
     query = [ws.statement for ws in parsed.kb.deterministic + parsed.kb.uncertain]
-    probability = engine.probability_of(kb, query, _config(args))
+    probability = engine.probability_of(source.kb, query, _config(args))
     _emit({
         "query": [render_axiom(ax) for ax in query],
         "probability": _probability_repr(probability),
@@ -169,10 +165,10 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    kb = _load_kb(args.kb)
-    if kb is None:
+    source = _load(args.kb)
+    if source is None:
         return EXIT_INVALID
-    distribution = engine.brute_force_distribution(kb, _config(args))
+    distribution = engine.brute_force_distribution(source.kb, _config(args))
     report = {
         "worlds": [
             {
@@ -188,10 +184,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_dump_ilp(args) -> int:
-    kb = _load_kb(args.kb)
-    if kb is None:
+    source = _load(args.kb)
+    if source is None:
         return EXIT_INVALID
-    program = engine.first_iteration_program(kb, _config(args))
+    program = engine.first_iteration_program(source.kb, _config(args))
     sys.stdout.write(ilp.dump(program))
     return EXIT_OK
 
@@ -204,8 +200,6 @@ def _cmd_check(args) -> int:
     if result.kb is None:
         _emit({"ok": False, "diagnostics": [str(p) for p in result.errors]}, args.format)
         return EXIT_INVALID
-    from .model import validate
-
     diagnostics = validate(result.kb)
     report = {"ok": not diagnostics, "diagnostics": [str(d) for d in diagnostics]}
     _emit(report, args.format)

@@ -1,18 +1,24 @@
 """Cutting-plane MAP inference and the exhaustive distribution oracle.
 
-The engine starts from the deterministic evidence, repeatedly grounds only
-the clauses violated by the current solution, translates them into the ILP
-and re-solves, until no new violated clause exists. The final assignment is
-the most probable coherent deductively closed world; its probability-side
-counterpart is computed by the subset-enumeration oracle, with scores kept
-as exact rationals inside formal sums of exponentials.
+Every entry point compiles the KB once (``_compile``): it validates it,
+builds the rule templates and the evidence atoms, and closes the
+deterministic part, which must be coherent. MAP inference then starts from
+the deterministic evidence, repeatedly grounds only the clauses violated by
+the current solution, translates them into the ILP and re-solves, until no
+new violated clause exists (``_cutting_planes``). The final assignment is
+the most probable coherent deductively closed world. ``explain_selection``
+runs the same loop once per uncertain statement, from a program holding one
+FORCE clause that flips it. The probability-side counterpart is computed by
+the subset-enumeration oracle, with scores kept as exact rationals inside
+formal sums of exponentials.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence
 
 from . import ilp
 from .grounding import (
@@ -25,7 +31,7 @@ from .grounding import (
     saturate,
 )
 from .model import INFINITE, KnowledgeBase, WeightedStatement, validate
-from .translate import Atom, atom_sort_key, phi, phi_inverse, rule_templates
+from .translate import atom_sort_key, phi, phi_inverse, rule_templates
 
 _MAX_ITERATIONS = 100_000
 
@@ -136,23 +142,35 @@ class MapResult:
     coherent: bool
 
 
-def _evidence(kb: KnowledgeBase):
-    det_atoms = []
-    units = []
-    for index, ws in enumerate(kb.deterministic):
-        det_atoms.append(phi(ws.statement))
-    for index, ws in enumerate(kb.uncertain):
-        units.append(EvidenceAtom(phi(ws.statement), ws.weight, index))
-    return frozenset(det_atoms), tuple(units)
+@dataclass(frozen=True)
+class _CompiledKB:
+    """A validated KB: its rule templates, the deterministic and uncertain
+    evidence atoms, and the coherent closure of the deterministic part."""
+
+    templates: list
+    det_atoms: frozenset
+    units: tuple
+    closure: frozenset
 
 
-def _gate_deterministic(kb, templates, det_atoms, domain):
-    closure, _ = saturate(templates, det_atoms, domain=domain)
+def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = None) -> _CompiledKB:
+    """Validate the KB, check the enumeration cap if one is given, build the
+    templates and the evidence, and close and gate the deterministic part."""
+    diagnostics = validate(kb)
+    if diagnostics:
+        raise ValidationFailed(diagnostics)
+    if cap is not None and len(kb.uncertain) > cap:
+        raise EnumerationCapExceeded(len(kb.uncertain), cap)
+    templates = rule_templates(kb.signature)
+    det_atoms = frozenset(phi(ws.statement) for ws in kb.deterministic)
+    units = tuple(
+        EvidenceAtom(phi(ws.statement), ws.weight, index) for index, ws in enumerate(kb.uncertain)
+    )
+    closure, _ = saturate(templates, det_atoms, domain=config.domain)
     bad = incoherence_atoms(closure)
     if bad:
-        core = _minimize_incoherent_core(kb, templates, domain)
-        raise IncoherentDeterministic(core, bad)
-    return closure
+        raise IncoherentDeterministic(_minimize_incoherent_core(kb, templates, config.domain), bad)
+    return _CompiledKB(templates, det_atoms, units, closure)
 
 
 def _minimize_incoherent_core(kb, templates, domain):
@@ -168,40 +186,22 @@ def _minimize_incoherent_core(kb, templates, domain):
     return core
 
 
-def map_inference(
-    kb: KnowledgeBase,
-    config: ReasonerConfig = DEFAULT_CONFIG,
-    forced: Sequence[Tuple[Atom, bool]] = (),
+def _statements(atoms) -> tuple:
+    return tuple(phi_inverse(a) for a in sorted(atoms, key=atom_sort_key))
+
+
+def _cutting_planes(
+    kb: KnowledgeBase, compiled: _CompiledKB, config: ReasonerConfig, program: ilp.IlpProgram
 ) -> MapResult:
-    """The most probable coherent classified ontology of a weighted KB.
-
-    Runs the cutting-plane loop: find violated ground clauses, add their ILP
-    constraints, re-solve, and stop when every violated clause is already
-    accounted for. The objective is the exact sum of the weights of the
-    uncertain statements the returned world entails.
-    """
-    diagnostics = validate(kb)
-    if diagnostics:
-        raise ValidationFailed(diagnostics)
-    templates = rule_templates(kb.signature)
-    det_atoms, units = _evidence(kb)
-    _gate_deterministic(kb, templates, det_atoms, config.domain)
-
-    program = ilp.IlpProgram()
-    for atom, value in forced:
-        clause = ViolatedClause(
-            frozenset((atom,)) if value else frozenset(),
-            frozenset() if value else frozenset((atom,)),
-            INFINITE,
-            "FORCE",
-        )
-        ilp.translate_clause(clause, program, det_atoms)
-
+    """Run the cutting-plane loop from ``program``: find violated clauses,
+    add their constraints, re-solve, and stop when every violated clause is
+    already accounted for."""
+    det_atoms = compiled.det_atoms
     added = set()
-    current = set(det_atoms)
+    current = det_atoms
     iterations = 0
     while True:
-        violated = find_violated(templates, units, frozenset(current), domain=config.domain)
+        violated = find_violated(compiled.templates, compiled.units, current, domain=config.domain)
         fresh = [g for g in violated if g not in added]
         if not fresh:
             break
@@ -212,52 +212,50 @@ def map_inference(
             added.add(clause)
             ilp.translate_clause(clause, program, det_atoms)
         assignment, _ = ilp.solve(program)
-        current = set(det_atoms) | program.true_atoms(assignment)
+        current = det_atoms | program.true_atoms(assignment)
 
-    final = frozenset(current)
     selected, rejected = [], []
     objective = Fraction(0)
-    for ws in kb.uncertain:
-        if phi(ws.statement) in final:
+    for ws, unit in zip(kb.uncertain, compiled.units):
+        if unit.atom in current:
             selected.append(ws)
             objective += ws.weight
         else:
             rejected.append(ws)
-    classified = tuple(phi_inverse(a) for a in sorted(final, key=atom_sort_key))
     return MapResult(
-        atoms=final,
+        atoms=current,
         selected=tuple(selected),
         rejected=tuple(rejected),
         objective=objective,
-        classified=classified,
+        classified=_statements(current),
         iterations=iterations,
         coherent=True,
     )
 
 
+def map_inference(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_CONFIG) -> MapResult:
+    """The most probable coherent classified ontology of a weighted KB.
+
+    Runs the cutting-plane loop from an empty program. The objective is the
+    exact sum of the weights of the uncertain statements the returned world
+    entails.
+    """
+    return _cutting_planes(kb, _compile(kb, config), config, ilp.IlpProgram())
+
+
 def first_iteration_program(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_CONFIG) -> ilp.IlpProgram:
     """The ILP after translating the first round of violated clauses."""
-    diagnostics = validate(kb)
-    if diagnostics:
-        raise ValidationFailed(diagnostics)
-    templates = rule_templates(kb.signature)
-    det_atoms, units = _evidence(kb)
-    _gate_deterministic(kb, templates, det_atoms, config.domain)
+    compiled = _compile(kb, config)
     program = ilp.IlpProgram()
-    for clause in find_violated(templates, units, det_atoms, domain=config.domain):
+    det_atoms = compiled.det_atoms
+    for clause in find_violated(compiled.templates, compiled.units, det_atoms, domain=config.domain):
         ilp.translate_clause(clause, program, det_atoms)
     return program
 
 
 def classify_deterministic(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_CONFIG):
     """Saturate the deterministic part only; the uncertain part is ignored."""
-    diagnostics = validate(kb)
-    if diagnostics:
-        raise ValidationFailed(diagnostics)
-    templates = rule_templates(kb.signature)
-    det_atoms, _ = _evidence(kb)
-    closure = _gate_deterministic(kb, templates, det_atoms, config.domain)
-    return tuple(phi_inverse(a) for a in sorted(closure, key=atom_sort_key))
+    return _statements(_compile(kb, config).closure)
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +284,10 @@ def brute_force_distribution(
     deduplicate by closure, and score each world by the weights of all
     uncertain statements its closure entails.
     """
-    diagnostics = validate(kb)
-    if diagnostics:
-        raise ValidationFailed(diagnostics)
-    count = len(kb.uncertain)
-    if count > config.enumeration_cap:
-        raise EnumerationCapExceeded(count, config.enumeration_cap)
-    templates = rule_templates(kb.signature)
-    det_atoms, units = _evidence(kb)
-    base = _gate_deterministic(kb, templates, det_atoms, config.domain)
-
-    closures = {0: base}
+    compiled = _compile(kb, config, cap=config.enumeration_cap)
+    templates, units = compiled.templates, compiled.units
+    count = len(units)
+    closures = {0: compiled.closure}
     for mask in range(1, 1 << count):
         low = mask & -mask
         parent = closures[mask ^ low]
@@ -317,18 +308,18 @@ def brute_force_distribution(
             seen[closure] = score
 
     partition = ExpSum.of(seen.values())
-    worlds = []
+    ranked = []
     for closure, score in seen.items():
-        worlds.append(
-            World(
-                statements=tuple(phi_inverse(a) for a in sorted(closure, key=atom_sort_key)),
-                score=score,
-                probability=Probability(ExpSum.of([score]), partition),
-                atoms=closure,
-            )
+        keyed = sorted(((atom_sort_key(a), a) for a in closure), key=itemgetter(0))
+        world = World(
+            statements=tuple(phi_inverse(a) for _, a in keyed),
+            score=score,
+            probability=Probability(ExpSum.of([score]), partition),
+            atoms=closure,
         )
-    worlds.sort(key=lambda w: (-w.score, tuple(atom_sort_key(a) for a in sorted(w.atoms, key=atom_sort_key))))
-    return WorldDistribution(tuple(worlds), partition)
+        ranked.append(((-score, tuple(key for key, _ in keyed)), world))
+    ranked.sort(key=itemgetter(0))
+    return WorldDistribution(tuple(world for _, world in ranked), partition)
 
 
 def probability_of(
@@ -357,13 +348,18 @@ class ExplainEntry:
 
 def explain_selection(kb: KnowledgeBase, result: MapResult, config: ReasonerConfig = DEFAULT_CONFIG):
     """Re-solve once per uncertain statement with its selection flipped."""
+    compiled = _compile(kb, config)
     entries = []
-    for ws in kb.uncertain:
-        atom = phi(ws.statement)
-        selected = atom in result.atoms
+    for ws, unit in zip(kb.uncertain, compiled.units):
+        selected = unit.atom in result.atoms
+        atoms = frozenset((unit.atom,))
+        force = ViolatedClause(
+            frozenset() if selected else atoms, atoms if selected else frozenset(), INFINITE, "FORCE"
+        )
+        program = ilp.IlpProgram()
         try:
-            flipped = map_inference(kb, config, forced=((atom, not selected),))
-            delta = result.objective - flipped.objective
+            ilp.translate_clause(force, program, compiled.det_atoms)
+            delta = result.objective - _cutting_planes(kb, compiled, config, program).objective
         except (ilp.HardConflict, ilp.Infeasible):
             delta = None
         entries.append(ExplainEntry(ws, selected, delta))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .model import BOT, INFINITE, OPERATORS, Nominal, is_infinite
+from .model import BOT, OPERATORS, Nominal, is_infinite
 from .translate import (
     Atom,
     ClauseTemplate,

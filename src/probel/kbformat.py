@@ -26,9 +26,9 @@ from .model import (
     Exists,
     FeatureAssertion,
     Gci,
+    INFINITE,
     KnowledgeBase,
     Nominal,
-    OPERATORS,
     RESERVED_PREFIX,
     Restriction,
     RoleAssertion,
@@ -36,7 +36,6 @@ from .model import (
     WeightedStatement,
     axiom_names,
     format_value,
-    format_weight,
     is_infinite,
     is_ref,
     make_signature,
@@ -242,7 +241,6 @@ def parse_kb(text: str) -> ParseResult:
     axioms: List[Tuple[Axiom, object]] = []
     lines: List[int] = []
     errors: List[ParseError] = []
-    from .model import INFINITE
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()

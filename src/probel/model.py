@@ -234,10 +234,6 @@ def format_value(value: Fraction) -> str:
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}" if shift else f"{sign}{digits}"
 
 
-def format_weight(weight: Weight) -> str:
-    return "INF" if is_infinite(weight) else format_value(weight)
-
-
 # ---------------------------------------------------------------------------
 # Signature and knowledge base
 # ---------------------------------------------------------------------------

@@ -22,12 +22,10 @@ from .model import (
     Equiv,
     Exists,
     DataSome,
-    FeatureAssertion,
     Gci,
+    INFINITE,
     KnowledgeBase,
-    Nominal,
     RESERVED_PREFIX,
-    RoleAssertion,
     RoleInclusion,
     Signature,
     Weight,
@@ -103,8 +101,6 @@ class _Rewriter:
         return self.cache[key]
 
     def define_left(self, expr: Concept, target):
-        from .model import INFINITE
-
         if isinstance(expr, And):
             refs = [self.left_ref(p) for p in expr.parts]
             acc = refs[0]
@@ -134,8 +130,6 @@ class _Rewriter:
         return self.cache[key]
 
     def define_right(self, source, expr: Concept):
-        from .model import INFINITE
-
         if isinstance(expr, And):
             for part in expr.parts:
                 self.define_right(source, part)
@@ -185,8 +179,6 @@ def normalize(
     signature. Already-normal axioms pass through unchanged; equivalences
     contribute their weight to both directions.
     """
-    from .model import INFINITE
-
     rewriter = _Rewriter(sig)
     diagnostics = []
 

@@ -226,6 +226,20 @@ class TestExitCodes:
         code, _ = run_cli("oracle", str(kb), "--max-worlds", "4")
         assert code == 3
 
+    def test_enumeration_cap_is_checked_after_validation_and_before_coherence(
+        self, tmp_path, toddler_query_path
+    ):
+        dup = tmp_path / "dup.kb"
+        dup.write_text("A SUBCLASSOF B\n0.5 A SUBCLASSOF B\n0.5 C SUBCLASSOF D\n")
+        incoherent = tmp_path / "incoherent.kb"
+        incoherent.write_text("A SUBCLASSOF BOT\n0.5 B SUBCLASSOF C\n0.5 C SUBCLASSOF D\n")
+        for command in (("oracle",), ("prob", "--query", str(toddler_query_path))):
+            for kb, expected in ((dup, 2), (incoherent, 3)):
+                code, _ = run_cli(command[0], str(kb), *command[1:], "--max-worlds", "1")
+                assert code == expected
+        code, _ = run_cli("oracle", str(incoherent))
+        assert code == 1
+
     def test_check_reports_invalid(self, tmp_path):
         bad = tmp_path / "bad.kb"
         bad.write_text("A SUBCLASSOF B AND\n")

@@ -303,3 +303,21 @@ class TestExplain:
         age = by_statement[str(FeatureAssertion("age", "john", Fraction(2)))]
         assert age.selected
         assert age.delta == Fraction(7, 10)
+
+    def test_deltas_agree_with_the_oracle(self):
+        # flipping a statement's selection costs the gap between the optimum
+        # and the best world whose closure makes the flipped choice
+        rng = random.Random(3)
+        for domain in ("real", "integer"):
+            config = ReasonerConfig(domain=domain)
+            for _ in range(15):
+                kb = random_kb(rng, max_uncertain=6)
+                result = map_inference(kb, config)
+                worlds = brute_force_distribution(kb, config).worlds
+                for entry in explain_selection(kb, result, config):
+                    atom = phi(entry.statement.statement)
+                    flipped = [w.score for w in worlds if (atom in w.atoms) != entry.selected]
+                    if flipped:
+                        assert entry.delta == result.objective - max(flipped)
+                    else:
+                        assert entry.delta is None
