@@ -27,29 +27,37 @@ EXIT_INVALID = 2
 EXIT_CAP = 3
 
 
+_FLAGS = {
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--max-worlds": dict(type=int, default=16, metavar="N",
+                         help="enumeration cap on the number of uncertain statements (default 16)"),
+    "--domain": dict(choices=("real", "integer"), default="real",
+                     help="value domain for datatype comparisons"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="probel", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(name, help_text):
+    def command(name, help_text, *flags):
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("kb", help="knowledge base file")
-        sub.add_argument("--format", choices=("text", "json"), default="text")
-        sub.add_argument("--max-worlds", type=int, default=16, metavar="N",
-                         help="enumeration cap on the number of uncertain statements (default 16)")
-        sub.add_argument("--domain", choices=("real", "integer"), default="real",
-                         help="value domain for datatype comparisons")
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
         return sub
 
-    solve = common("solve", "most probable coherent classified ontology")
+    solve = command("solve", "most probable coherent classified ontology", "--format", "--domain")
     solve.add_argument("--explain", action="store_true",
                        help="re-solve once per uncertain statement and report the objective delta")
-    common("classify", "saturate the deterministic part only")
-    prob = common("prob", "probability that every query statement is entailed")
+    command("classify", "saturate the deterministic part only", "--format", "--domain")
+    prob = command("prob", "probability that every query statement is entailed",
+                   "--format", "--max-worlds", "--domain")
     prob.add_argument("--query", required=True, help="file with normal-form query statements")
-    common("oracle", "full world distribution by exhaustive enumeration")
-    common("dump-ilp", "first-iteration ILP in the LP text format")
-    common("check", "validate and report diagnostics")
+    command("oracle", "full world distribution by exhaustive enumeration",
+            "--format", "--max-worlds", "--domain")
+    command("dump-ilp", "first-iteration ILP in the LP text format", "--domain")
+    command("check", "validate and report diagnostics", "--format")
     return parser
 
 
@@ -101,7 +109,10 @@ def _probability_repr(p: engine.Probability):
 
 
 def _config(args) -> ReasonerConfig:
-    return ReasonerConfig(domain=args.domain, enumeration_cap=args.max_worlds)
+    """The reasoner settings; only ``prob`` and ``oracle`` take ``--max-worlds``."""
+    if "max_worlds" in args:
+        return ReasonerConfig(domain=args.domain, enumeration_cap=args.max_worlds)
+    return ReasonerConfig(domain=args.domain)
 
 
 def _cmd_solve(args) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -90,6 +91,11 @@ class ExpSum:
         return ExpSum(tuple(sorted(counts.items())))
 
     def log_value(self) -> float:
+        return self._log_value
+
+    @cached_property
+    def _log_value(self) -> float:
+        # computed once: every world's probability shares the partition's sum
         if not self.terms:
             return float("-inf")
         top = max(s for s, _ in self.terms)
@@ -169,21 +175,19 @@ def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = Non
     closure, _ = saturate(templates, det_atoms, domain=config.domain)
     bad = incoherence_atoms(closure)
     if bad:
-        raise IncoherentDeterministic(_minimize_incoherent_core(kb, templates, config.domain), bad)
+        raise IncoherentDeterministic(_incoherent_core(kb, templates, config.domain), bad)
     return _CompiledKB(templates, det_atoms, units, closure)
 
 
-def _minimize_incoherent_core(kb, templates, domain):
-    core = list(kb.deterministic)
-    i = 0
-    while i < len(core):
-        trial = core[:i] + core[i + 1:]
-        closure, _ = saturate(templates, [phi(ws.statement) for ws in trial], domain=domain)
-        if incoherence_atoms(closure):
-            core = trial
-        else:
-            i += 1
-    return core
+def _incoherent_core(kb, templates, domain) -> list:
+    """A subset of the deterministic statements that is still incoherent and
+    loses that when any one statement is dropped."""
+
+    def incoherent(statements) -> bool:
+        closure, _ = saturate(templates, [phi(ws.statement) for ws in statements], domain=domain)
+        return bool(incoherence_atoms(closure))
+
+    return ilp.deletion_filter(kb.deterministic, incoherent)
 
 
 def _statements(atoms) -> tuple:

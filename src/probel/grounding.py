@@ -52,66 +52,37 @@ INTEGER = "integer"
 def eval_op(o1: str, v1: Fraction, o2: str, v2: Fraction, domain: str = REAL) -> bool:
     """True iff every value satisfying (o1, v1) also satisfies (o2, v2).
 
-    Each operator/value pair denotes a ray or a point; containment is decided
-    by comparing endpoints and open/closed flags. Over the integer domain the
-    rays are first snapped to integer endpoints, which makes e.g.
-    (>, 1) a subset of (>=, 2).
+    Every restriction denotes an interval (a ray or a point), so containment
+    is one comparison of the two intervals' endpoints and closedness; the
+    empty set is contained in everything. The value domain only changes the
+    intervals: over the integers they are snapped to closed integer ends, so
+    (>, 1) is [2, inf) and contained in (>=, 2), and (=, 1/2) is empty.
     """
-    if domain == INTEGER:
-        return _eval_integer(o1, v1, o2, v2)
-    if o2 == "=":
-        return o1 == "=" and v1 == v2
-    if o1 == "=":
-        return _satisfies(v1, o2, v2)
-    down1, down2 = o1 in ("<", "<="), o2 in ("<", "<=")
-    if down1 != down2:
-        return False
-    if v1 != v2:
-        return (v1 < v2) if down1 else (v1 > v2)
-    closed1 = o1 in ("<=", ">=")
-    open2 = o2 in ("<", ">")
-    return not (closed1 and open2)
-
-
-def _satisfies(x: Fraction, op: str, v: Fraction) -> bool:
-    if op == "<":
-        return x < v
-    if op == "<=":
-        return x <= v
-    if op == "=":
-        return x == v
-    if op == ">=":
-        return x >= v
-    return x > v
-
-
-def _int_ray(op: str, v: Fraction):
-    """Normalize a restriction over the integers: ('down'|'up'|'point'|'empty', bound)."""
-    if op == "<":
-        return "down", math.ceil(v) - 1 if v.denominator == 1 else math.floor(v)
-    if op == "<=":
-        return "down", math.floor(v)
-    if op == ">":
-        return "up", math.floor(v) + 1 if v.denominator == 1 else math.ceil(v)
-    if op == ">=":
-        return "up", math.ceil(v)
-    return ("point", v) if v.denominator == 1 else ("empty", None)
-
-
-def _eval_integer(o1, v1, o2, v2) -> bool:
-    kind1, b1 = _int_ray(o1, v1)
-    kind2, b2 = _int_ray(o2, v2)
-    if kind1 == "empty":
+    inner, outer = _interval(o1, v1, domain), _interval(o2, v2, domain)
+    if inner is None:
         return True
-    if kind2 == "empty":
+    if outer is None:
         return False
-    if kind2 == "point":
-        return kind1 == "point" and b1 == b2
-    if kind1 == "point":
-        return b1 <= b2 if kind2 == "down" else b1 >= b2
-    if kind1 != kind2:
-        return False
-    return b1 <= b2 if kind1 == "down" else b1 >= b2
+    low1, high1, low1_closed, high1_closed = inner
+    low2, high2, low2_closed, high2_closed = outer
+    return (low2 < low1 or (low2 == low1 and (low2_closed or not low1_closed))) and (
+        high1 < high2 or (high1 == high2 and (high2_closed or not high1_closed))
+    )
+
+
+def _interval(op: str, v: Fraction, domain: str):
+    """(low, high, low_closed, high_closed) of the values satisfying (op, v)
+    in ``domain``, or None when there are none. Infinite ends are open."""
+    low, low_closed = (v, op != ">") if op in (">", ">=", "=") else (-math.inf, False)
+    high, high_closed = (v, op != "<") if op in ("<", "<=", "=") else (math.inf, False)
+    if domain == INTEGER:
+        if low != -math.inf:
+            low, low_closed = (math.ceil(low) if low_closed else math.floor(low) + 1), True
+        if high != math.inf:
+            high, high_closed = (math.floor(high) if high_closed else math.ceil(high) - 1), True
+        if low > high:
+            return None
+    return low, high, low_closed, high_closed
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .model import Nominal, format_value, is_infinite
 from .translate import Atom
@@ -378,10 +378,18 @@ def _minimize_core(core: List[LinearConstraint]) -> list:
     if len(core) > _CORE_LIMIT:
         return core
     variables = list(dict.fromkeys(v for con in core for v, _ in con.terms))
+    return deletion_filter(core, lambda trial: _Search(variables, trial, ()).solve()[0] is None)
+
+
+def deletion_filter(items: Sequence, conflicting: Callable[[list], bool]) -> list:
+    """Drop each of the conflicting ``items`` in turn, in order, for good
+    whenever the rest still satisfy ``conflicting``: what is left conflicts,
+    and no single item of it can go."""
+    core = list(items)
     i = 0
     while i < len(core):
         trial = core[:i] + core[i + 1:]
-        if _Search(variables, trial, ()).solve()[0] is None:
+        if conflicting(trial):
             core = trial
         else:
             i += 1

@@ -32,14 +32,15 @@ _ROLES = ("r", "s")
 _FEATURES = ("f",)
 _INDIVIDUALS = ("a", "b", "c")
 _VALUES = tuple(Fraction(v) for v in (-2, -1, 0, 1, 2))
+_MAX_DETERMINISTIC = 3
 
 
 class _Pool:
-    def __init__(self, rng: random.Random, max_concepts, max_roles, max_features, max_individuals):
+    def __init__(self, rng: random.Random, max_concepts, max_individuals):
         self.rng = rng
         self.concepts = list(_CONCEPTS[: rng.randint(2, max_concepts)])
-        self.roles = list(_ROLES[: rng.randint(1, max_roles)]) if max_roles else []
-        self.features = list(_FEATURES[: rng.randint(1, max_features)]) if max_features else []
+        self.roles = list(_ROLES[: rng.randint(1, len(_ROLES))])
+        self.features = list(_FEATURES[: rng.randint(1, len(_FEATURES))])
         self.individuals = list(_INDIVIDUALS[: rng.randint(1, max_individuals)]) if max_individuals else []
 
     def concept_ref(self, allow_special=True):
@@ -108,28 +109,25 @@ def _random_statement(pool: _Pool):
 def random_kb(
     rng: random.Random,
     max_concepts: int = 6,
-    max_roles: int = 2,
-    max_features: int = 1,
     max_individuals: int = 3,
     max_uncertain: int = 10,
-    max_deterministic: int = 3,
 ) -> KnowledgeBase:
     """A random normalized KB with a coherent deterministic part.
 
     Weights are drawn from -1.0 .. 1.0 in steps of 0.1.
     """
     while True:
-        pool = _Pool(rng, max_concepts, max_roles, max_features, max_individuals)
+        pool = _Pool(rng, max_concepts, max_individuals)
         statements = []
         seen = set()
-        for _ in range(rng.randint(0, max_deterministic) + rng.randint(1, max_uncertain)):
+        for _ in range(rng.randint(0, _MAX_DETERMINISTIC) + rng.randint(1, max_uncertain)):
             statement = _random_statement(pool)
             if statement not in seen:
                 seen.add(statement)
                 statements.append(statement)
         if not statements:
             continue
-        det_count = min(rng.randint(0, max_deterministic), len(statements) - 1)
+        det_count = min(rng.randint(0, _MAX_DETERMINISTIC), len(statements) - 1)
         deterministic = [WeightedStatement(s, INFINITE) for s in statements[:det_count]]
         uncertain = [
             WeightedStatement(s, Fraction(rng.randint(-10, 10), 10))

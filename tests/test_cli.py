@@ -3,6 +3,9 @@ import json
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction
+
+import pytest
+
 from probel.cli import main
 from probel.kbformat import parse_kb, serialize_kb
 from probel.model import DataSome, Gci, Nominal, Restriction, RoleInclusion
@@ -239,6 +242,20 @@ class TestExitCodes:
                 assert code == expected
         code, _ = run_cli("oracle", str(incoherent))
         assert code == 1
+
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, toddler_path, capsys):
+        for argv in (
+            ("solve", "--max-worlds", "4"),
+            ("classify", "--max-worlds", "4"),
+            ("dump-ilp", "--max-worlds", "4"),
+            ("check", "--max-worlds", "4"),
+            ("check", "--domain", "integer"),
+            ("dump-ilp", "--format", "json"),
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli(argv[0], str(toddler_path), *argv[1:])
+            assert exit_info.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_check_reports_invalid(self, tmp_path):
         bad = tmp_path / "bad.kb"
