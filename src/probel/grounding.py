@@ -1,14 +1,17 @@
 """Grounding of the completion rules, with on-demand evaluation of datatype
 predicates.
 
-One join (``_join_fixed``) matches a rule body against indexed atoms in a
-fixed order. Two callers use it:
+Each rule is compiled once, by its structure, into slot-based join plans
+(``_plans``): a step knows its predicate, the argument positions it can
+probe the index at, and per argument whether it checks a known value or
+binds a slot. One join (``_join``) runs a plan over indexed atoms and
+streams each complete grounding to its caller. Two callers use it:
 
 - find_violated() grounds every template over an assignment and reports the
   groundings it falsifies, for the cutting-plane loop.
 - extend_closure() is the semi-naive chase behind every deterministic
   closure: saturate() runs it from the empty base, the enumeration oracle
-  from a closed one.
+  from a closed one. Its plans put each body pattern first in turn.
 
 eval atoms are never stored or turned into ILP variables: each grounding of a
 template with an eval literal either evaluates it to true (the literal is
@@ -20,13 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import BOT, OPERATORS, Nominal, is_infinite
 from .translate import (
     Atom,
     ClauseTemplate,
     NomOf,
+    PREDICATE_SORTS,
     PatternAtom,
     S_CONCEPT,
     S_CONCEPT_NONBOT,
@@ -123,55 +128,32 @@ class ViolatedClause:
         )
 
 
-def _sort_ok(value, sort: str) -> bool:
-    if sort == S_CONCEPT:
-        return isinstance(value, (str, Nominal))
-    if sort == S_CONCEPT_NONBOT:
-        return isinstance(value, (str, Nominal)) and value != BOT
-    if sort in (S_ROLE, S_FEATURE):
-        return isinstance(value, str)
-    if sort == S_IND:
-        return isinstance(value, str)
-    if sort == S_NAMED_IND:
-        return isinstance(value, str) and not is_anonymous(value)
-    if sort == S_OP:
-        return value in OPERATORS
-    if sort == S_VALUE:
-        return isinstance(value, Fraction)
-    raise ValueError(f"unknown sort {sort}")
+_SORT_TESTS = {
+    S_CONCEPT: lambda v: isinstance(v, (str, Nominal)),
+    S_CONCEPT_NONBOT: lambda v: isinstance(v, (str, Nominal)) and v != BOT,
+    S_ROLE: lambda v: isinstance(v, str),
+    S_FEATURE: lambda v: isinstance(v, str),
+    S_IND: lambda v: isinstance(v, str),
+    S_NAMED_IND: lambda v: isinstance(v, str) and not is_anonymous(v),
+    S_OP: lambda v: v in OPERATORS,
+    S_VALUE: lambda v: isinstance(v, Fraction),
+}
+
+# Where a plan argument's value comes from: a constant, a slot, a nominal
+# over a slot or an anonymous successor over three slots. A body argument
+# either checks that it equals such a value or binds a slot (_BIND) or, under
+# a nominal, the slot of its individual (_BIND_NOM).
+_CONST, _SLOT, _NOM, _SUCC, _BIND, _BIND_NOM = range(6)
 
 
-def _unify(pattern: PatternAtom, atom: Atom, binding: dict) -> Optional[dict]:
-    if pattern.pred != atom.pred or len(pattern.args) != len(atom.args):
-        return None
-    out = binding
-    for parg, value in zip(pattern.args, atom.args):
-        if isinstance(parg, Var):
-            bound = out.get(parg.name, _UNBOUND)
-            if bound is _UNBOUND:
-                if not _sort_ok(value, parg.sort):
-                    return None
-                if out is binding:
-                    out = dict(binding)
-                out[parg.name] = value
-            elif bound != value:
-                return None
-        elif isinstance(parg, NomOf):
-            if not isinstance(value, Nominal):
-                return None
-            bound = out.get(parg.var.name, _UNBOUND)
-            if bound is _UNBOUND:
-                if out is binding:
-                    out = dict(binding)
-                out[parg.var.name] = value.individual
-            elif bound != value.individual:
-                return None
-        elif parg != value:
-            return None
-    return out
-
-
-_UNBOUND = object()
+def _value(kind, x, slots):
+    if kind == _CONST:
+        return x
+    if kind == _SLOT:
+        return slots[x]
+    if kind == _NOM:
+        return Nominal(slots[x])
+    return successor_name(slots[x[0]], slots[x[1]], slots[x[2]])
 
 
 def _instantiate(pattern: PatternAtom, binding: dict) -> Atom:
@@ -188,33 +170,66 @@ def _instantiate(pattern: PatternAtom, binding: dict) -> Atom:
     return make_atom(pattern.pred, *args)
 
 
-_EMPTY = ()
+class _Plan(NamedTuple):
+    steps: tuple  # (pred, index number, probes, ops) per stored body pattern, in join order
+    evals: tuple  # the argument sources of each eval literal
+    head: Optional[tuple]  # (pred, argument sources), None for FALSE
+    width: int  # number of slots
 
 
-def _candidates(pattern: PatternAtom, binding: dict, index):
-    """The smallest candidate atom list, probing per bound argument position."""
-    by_pred, by_pos = index
-    best = by_pred.get(pattern.pred, _EMPTY)
-    for i, parg in enumerate(pattern.args):
-        if isinstance(parg, Var):
-            value = binding.get(parg.name, _UNBOUND)
-            if value is _UNBOUND:
-                continue
-        elif isinstance(parg, NomOf):
-            inner = binding.get(parg.var.name, _UNBOUND)
-            if inner is _UNBOUND:
-                continue
-            value = Nominal(inner)
-        elif isinstance(parg, SuccessorOf):
-            continue
-        else:
-            value = parg
-        probe = by_pos.get((pattern.pred, i, value), _EMPTY)
-        if len(probe) < len(best):
-            best = probe
-            if not best:
-                break
-    return best
+@lru_cache(maxsize=None)
+def _plans(body: tuple, head: Optional[PatternAtom], seeded: tuple) -> tuple:
+    """The join plans of a rule: the plan in declared body order, then one
+    plan anchored at each stored body pattern. Plans depend only on the
+    rule's structure, so every KB shares the calculus's few dozen."""
+    stored = [p for p in body if p.pred != "eval"]
+    evals = [p for p in body if p.pred == "eval"]
+    return tuple(_plan(stored, evals, head, seeded, j) for j in (None, *range(len(stored))))
+
+
+def _plan(stored: list, evals: list, head: Optional[PatternAtom], seeded: tuple, anchor: Optional[int]) -> _Plan:
+    """Compile a rule into a slot-based join plan.
+
+    The seeded variables take the first slots. The stored body patterns are
+    joined in declared order, or with the ``anchor``-th first when it is
+    given: the anchor then reads index 0, earlier patterns index 1 and later
+    ones index 2 (otherwise every step reads index 0). A step probes the
+    index at every argument whose value is known before it runs; its other
+    arguments bind slots. A variable of the sort PREDICATE_SORTS declares
+    for its position binds untested, as every stored atom is well sorted.
+    """
+    slot = {name: k for k, name in enumerate(seeded)}
+
+    def source(arg):
+        if isinstance(arg, Var):
+            return _SLOT, slot[arg.name]
+        if isinstance(arg, NomOf):
+            return _NOM, slot[arg.var.name]
+        if isinstance(arg, SuccessorOf):
+            return _SUCC, (slot[arg.x], slot[arg.r], slot[arg.b])
+        return _CONST, arg
+
+    steps = []
+    for j in sorted(range(len(stored)), key=lambda i: i != anchor):  # the anchor first
+        pred, args = stored[j]
+        bound = set(slot)  # the variables bound before this step
+        probes, ops = [], []
+        for i, arg in enumerate(args):
+            var = arg.var if isinstance(arg, NomOf) else arg
+            if isinstance(var, Var) and var.name not in slot:
+                slot[var.name] = len(slot)
+                untested = var is not arg or PREDICATE_SORTS[pred][i] == var.sort
+                kind = _BIND if var is arg else _BIND_NOM
+                ops.append((i, kind, slot[var.name], None if untested else _SORT_TESTS[var.sort]))
+            else:
+                ops.append((i, *source(arg), None))
+                if not isinstance(var, Var) or var.name in bound:
+                    probes.append((i, *source(arg)))
+        which = 0 if anchor is None or j == anchor else 1 if j < anchor else 2
+        steps.append((pred, which, tuple(probes), tuple(ops)))
+    evals = tuple(tuple(source(a) for a in p.args) for p in evals)
+    head_plan = None if head is None else (head.pred, tuple(source(a) for a in head.args))
+    return _Plan(tuple(steps), evals, head_plan, len(slot))
 
 
 def _index(atoms) -> tuple:
@@ -227,32 +242,68 @@ def _index(atoms) -> tuple:
     return by_pred, by_pos
 
 
-def _join_fixed(plan, binding: dict, k: int = 0):
-    """Every extension of ``binding`` that matches each (pattern, index) of
-    ``plan`` against its own index, joined in plan order."""
-    if k == len(plan):
-        yield binding
-        return
-    pattern, index = plan[k]
-    for atom in _candidates(pattern, binding, index):
-        new = _unify(pattern, atom, binding)
-        if new is not None:
-            yield from _join_fixed(plan, new, k + 1)
+def _join(plan: _Plan, indexes: tuple, seed, known, domain: str, emit) -> None:
+    """Stream the groundings of ``plan`` that extend ``seed``, matching each
+    step against its own index: emit(head, body atoms) for each one whose
+    head (None for FALSE) is not in ``known`` and whose eval literals hold.
+    The body atom list is reused, so ``emit`` must copy what it keeps."""
+    steps, evals, head, width = plan
+    slots = [None] * width
+    if seed:
+        slots[: len(seed)] = seed.values()
+    matched = [None] * len(steps)
+    last = len(steps) - 1
 
+    def complete():
+        atom = None
+        if head is not None:
+            pred, args = head
+            atom = make_atom(pred, *[slots[x] if kind == _SLOT else _value(kind, x, slots) for kind, x in args])
+            if atom in known:
+                return
+        for ev in evals:
+            if not eval_op(*[_value(kind, x, slots) for kind, x in ev], domain=domain):
+                return
+        emit(atom, matched)
 
-def _evals_hold(evals, binding: dict, domain: str) -> bool:
-    return all(
-        eval_op(*(binding[a.name] if isinstance(a, Var) else a for a in ev.args), domain=domain)
-        for ev in evals
-    )
+    def step(k):
+        pred, which, probes, ops = steps[k]
+        by_pred, by_pos = indexes[which]
+        # every probe list is a sublist of the predicate's: take the shortest
+        best = None if probes else by_pred.get(pred, ())
+        for i, kind, x in probes:  # _value inlined here and below: this is the hot loop
+            value = x if kind == _CONST else slots[x] if kind == _SLOT else Nominal(slots[x])
+            probe = by_pos.get((pred, i, value))
+            if probe is None:
+                return
+            if best is None or len(probe) < len(best):
+                best = probe
+        for atom in best:
+            args = atom.args
+            for i, kind, x, test in ops:
+                value = args[i]
+                if kind == _BIND:
+                    if test is not None and not test(value):
+                        break
+                    slots[x] = value
+                elif kind == _BIND_NOM:
+                    if not isinstance(value, Nominal):
+                        break
+                    slots[x] = value.individual
+                elif value != (x if kind == _CONST else slots[x] if kind == _SLOT else Nominal(slots[x])):
+                    break
+            else:
+                matched[k] = atom
+                if k < last:
+                    step(k + 1)
+                else:
+                    complete()
 
-
-def _split_body(template: ClauseTemplate) -> tuple:
-    """(stored body patterns, eval literals) of a template."""
-    return (
-        [p for p in template.body if p.pred != "eval"],
-        [p for p in template.body if p.pred == "eval"],
-    )
+    if steps:
+        step(0)
+    else:
+        complete()
+    del step  # step refers to itself: break the cycle so what it holds dies now
 
 
 def find_violated(
@@ -268,24 +319,16 @@ def find_violated(
     true atoms only, never by cross product. Results come back in canonical
     order (template id, then atom order) so callers are deterministic.
     """
-    index = _index(current)
+    indexes = (_index(current),)
     found = set()
     for template in templates:
-        body, evals = _split_body(template)
-        plan = [(p, index) for p in body]
+        def emit(head, body):
+            positive = frozenset() if head is None else frozenset((head,))
+            found.add(ViolatedClause(positive, frozenset(body), template.weight, template.id))
+
         for seed in template.seeds:
-            for binding in _join_fixed(plan, dict(seed) if seed else {}):
-                if template.head is not None:
-                    head = _instantiate(template.head, binding)
-                    if head in current:
-                        continue
-                    positive = frozenset((head,))
-                else:
-                    positive = frozenset()
-                if evals and not _evals_hold(evals, binding, domain):
-                    continue
-                negative = frozenset(_instantiate(p, binding) for p in body)
-                found.add(ViolatedClause(positive, negative, template.weight, template.id))
+            plan = _plans(template.body, template.head, tuple(seed or ()))[0]
+            _join(plan, indexes, seed, current, domain, emit)
 
     for ev in evidence:
         if is_infinite(ev.weight) or ev.weight > 0:
@@ -315,33 +358,29 @@ def extend_closure(
     """
     current = set(base)
     delta = set(new_atoms) - current
-    rules = [(t, *_split_body(t)) for t in templates if t.head is not None and t.body]
+    # one plan per body position: the anchor binds from the delta, earlier
+    # positions stay in the old atoms and later ones range over everything,
+    # so each new grounding is produced exactly once
+    plans = [
+        (plan, seed)
+        for t in templates
+        if t.head is not None and t.body
+        for seed in t.seeds
+        for plan in _plans(t.body, t.head, tuple(seed or ()))[1:]
+    ]
     old_idx = _index(current)
     while delta:
         current |= delta
         cur_idx = _index(current)
         delta_idx = _index(delta)
+        indexes = (delta_idx, old_idx, cur_idx)
         heads = set()
-        for template, body, evals in rules:
-            for j, anchor in enumerate(body):
-                # anchor binds from the delta; earlier positions stay in the
-                # old atoms, later ones range over everything: each new
-                # grounding is produced exactly once
-                if anchor.pred not in delta_idx[0]:
-                    continue
-                plan = [(anchor, delta_idx)]
-                plan += [(p, old_idx if i < j else cur_idx) for i, p in enumerate(body) if i != j]
-                for seed in template.seeds:
-                    for binding in _join_fixed(plan, dict(seed) if seed else {}):
-                        head = _instantiate(template.head, binding)
-                        if head in current or head in heads:
-                            continue
-                        if evals and not _evals_hold(evals, binding, domain):
-                            continue
-                        heads.add(head)
+        for plan, seed in plans:
+            if plan.steps[0][0] in delta_idx[0]:
+                _join(plan, indexes, seed, current, domain, lambda head, _: heads.add(head))
         # the old atoms of the next pass are this pass's current ones
         old_idx = cur_idx
-        delta = heads - current
+        delta = heads
     return frozenset(current)
 
 

@@ -33,6 +33,8 @@ individuals = st.sampled_from(("a", "b", "c"))
 nominals = st.builds(Nominal, individuals)
 concept_refs = st.one_of(concept_names, nominals)
 values = st.builds(Fraction, st.integers(-3, 3))
+# halves and thirds too, so integer snapping moves interval ends
+fine_values = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
 restrictions = st.builds(Restriction, st.sampled_from(OPERATORS), values)
 data_somes = st.builds(DataSome, features, restrictions)
 
@@ -50,4 +52,13 @@ normal_statements = st.one_of(
     st.builds(ConceptAssertion, nominals, individuals),
     st.builds(RoleAssertion, roles, individuals, individuals),
     st.builds(FeatureAssertion, features, individuals, values),
+)
+
+fine_data_somes = st.builds(DataSome, features, st.builds(Restriction, st.sampled_from(OPERATORS), fine_values))
+
+data_statements = st.one_of(
+    st.builds(lambda l, r, d: Gci(And((l, r)), d), concept_refs, concept_refs, fine_data_somes),
+    st.builds(Gci, concept_refs, fine_data_somes),
+    st.builds(Gci, fine_data_somes, concept_refs),
+    st.builds(FeatureAssertion, features, individuals, fine_values),
 )

@@ -1,5 +1,10 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
 
 from probel.grounding import (
     EvidenceAtom,
@@ -25,6 +30,7 @@ from probel.randgen import random_kb
 from probel.translate import Atom, phi, rule_templates
 
 from oracles import naive_find_violated, naive_saturate
+from strategies import SIG, data_statements, normal_statements
 
 
 def _toddler_inference_setup():
@@ -257,3 +263,50 @@ def test_extend_closure_matches_full_saturation():
                 fast = extend_closure(templates, base, (atom,), domain=domain)
                 slow, _ = naive_saturate(templates, det + [atom], kb.signature, domain)
                 assert fast == slow
+
+
+@settings(max_examples=9, deadline=None)
+@given(
+    st.lists(normal_statements, min_size=4, max_size=8),
+    st.lists(data_statements, max_size=2),
+    st.sampled_from(("real", "integer")),
+    st.randoms(use_true_random=False),
+)
+def test_compiled_grounding_matches_the_naive_oracles(statements, data, domain, rng):
+    # nominals, role chains, feature values and halves and thirds reach rules
+    # that random_kb rarely does; every distinct value multiplies the naive
+    # oracle's work on F13, so data statements stay few
+    templates = rule_templates(SIG)
+    atoms = [phi(s) for s in statements + data]
+    closure, conflicts = saturate(templates, atoms, domain=domain)
+    assert (closure, set(conflicts)) == naive_saturate(templates, atoms, SIG, domain)
+    split = rng.randint(0, len(atoms))
+    base, _ = saturate(templates, atoms[:split], domain=domain)
+    assert extend_closure(templates, base, atoms[split:], domain=domain) == closure
+    weights = (Fraction(1, 2), Fraction(-1, 2), Fraction(0), INFINITE)
+    evidence = tuple(EvidenceAtom(a, weights[i % 4], i) for i, a in enumerate(atoms))
+    partial = frozenset(a for a in sorted(closure, key=str) if rng.random() < 0.5)
+    fast = set(find_violated(templates, evidence, partial, domain=domain))
+    assert fast == naive_find_violated(templates, evidence, partial, SIG, domain)
+
+
+def test_plans_keep_no_template_alive():
+    # join plans are cached by rule structure only: once a KB's templates
+    # are dropped, grounding must not have kept any of them alive
+    sig = make_signature(concepts=("A", "B"), roles=("r",), features=("f",), individuals=("a", "b"))
+    atoms = [
+        phi(Gci("A", "B")),
+        phi(ConceptAssertion("A", "a")),
+        phi(FeatureAssertion("f", "b", Fraction(1))),
+    ]
+    gc.disable()
+    try:
+        templates = rule_templates(sig)
+        closure, _ = saturate(templates, atoms[:2])
+        find_violated(templates, (), closure)
+        extend_closure(templates, closure, atoms[2:])
+        refs = [weakref.ref(t) for t in templates]
+        del templates
+        assert [r() for r in refs if r() is not None] == []
+    finally:
+        gc.enable()
