@@ -1,11 +1,16 @@
 """Grounding of the completion rules, with on-demand evaluation of datatype
 predicates.
 
-Each rule is compiled once, by its structure, into slot-based join plans
-(``_plans``): a step knows its predicate, the argument positions it can
-probe the index at, and per argument whether it checks a known value or
-binds a slot. One join (``_join``) runs a plan over indexed atoms and
-streams each complete grounding to its caller. Two callers use it:
+Each rule is compiled once, by its structure, into join plans (``_plans``),
+one with each stored body pattern first. A plan's first run generates its
+*join kernel* (``_kernel``), one Python function: a nested loop per body
+pattern over the index list it probes, the variables as local slots, each
+argument's check or bind written out, and the eval literals, the head and
+the test that the head is new inlined. Kernels are generated lazily, never
+at import, because every fresh process pays for the ones it runs. No value
+is ever formatted into kernel source: constants reach a kernel through its
+globals, and the source holds only fixed identifiers, slot numbers and
+argument positions. Two callers run kernels:
 
 - find_violated() grounds every template over an assignment and reports the
   groundings it falsifies, for the cutting-plane loop.
@@ -21,10 +26,11 @@ body can never fire, the grounding is skipped).
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import BOT, OPERATORS, Nominal, is_infinite
 from .translate import (
@@ -139,22 +145,6 @@ _SORT_TESTS = {
     S_VALUE: lambda v: isinstance(v, Fraction),
 }
 
-# Where a plan argument's value comes from: a constant, a slot, a nominal
-# over a slot or an anonymous successor over three slots. A body argument
-# either checks that it equals such a value or binds a slot (_BIND) or, under
-# a nominal, the slot of its individual (_BIND_NOM).
-_CONST, _SLOT, _NOM, _SUCC, _BIND, _BIND_NOM = range(6)
-
-
-def _value(kind, x, slots):
-    if kind == _CONST:
-        return x
-    if kind == _SLOT:
-        return slots[x]
-    if kind == _NOM:
-        return Nominal(slots[x])
-    return successor_name(slots[x[0]], slots[x[1]], slots[x[2]])
-
 
 def _instantiate(pattern: PatternAtom, binding: dict) -> Atom:
     args = []
@@ -170,140 +160,166 @@ def _instantiate(pattern: PatternAtom, binding: dict) -> Atom:
     return make_atom(pattern.pred, *args)
 
 
-class _Plan(NamedTuple):
-    steps: tuple  # (pred, index number, probes, ops) per stored body pattern, in join order
-    evals: tuple  # the argument sources of each eval literal
-    head: Optional[tuple]  # (pred, argument sources), None for FALSE
-    width: int  # number of slots
+class _Plan:
+    """A rule's join with its ``anchor``-th stored body pattern first.
+    run(P0, X0, P1, X1, P2, X2, seed, known, domain, emit) is the plan's
+    kernel, generated on the first call."""
+
+    __slots__ = ("rule", "anchor", "first", "run")
+
+    def __init__(self, rule: tuple, anchor: int):
+        self.rule, self.anchor = rule, anchor
+        self.first = rule[0][anchor].pred if rule[0] else None  # None: no stored pattern
+        self.run = self._generate
+
+    def _generate(self, *args) -> None:
+        self.run = _kernel(*self.rule, self.anchor)
+        self.run(*args)
 
 
 @lru_cache(maxsize=None)
 def _plans(body: tuple, head: Optional[PatternAtom], seeded: tuple) -> tuple:
-    """The join plans of a rule: the plan in declared body order, then one
-    plan anchored at each stored body pattern. Plans depend only on the
-    rule's structure, so every KB shares the calculus's few dozen."""
-    stored = [p for p in body if p.pred != "eval"]
-    evals = [p for p in body if p.pred == "eval"]
-    return tuple(_plan(stored, evals, head, seeded, j) for j in (None, *range(len(stored))))
+    """The join plans of a rule, one anchored at each stored body pattern
+    (one plan if there is none). Plans depend only on the rule's structure,
+    so every KB shares the calculus's few dozen kernels."""
+    stored = tuple(p for p in body if p.pred != "eval")
+    rule = (stored, tuple(p for p in body if p.pred == "eval"), head, seeded)
+    return tuple(_Plan(rule, j) for j in range(max(len(stored), 1)))
 
 
-def _plan(stored: list, evals: list, head: Optional[PatternAtom], seeded: tuple, anchor: Optional[int]) -> _Plan:
-    """Compile a rule into a slot-based join plan.
-
-    The seeded variables take the first slots. The stored body patterns are
-    joined in declared order, or with the ``anchor``-th first when it is
-    given: the anchor then reads index 0, earlier patterns index 1 and later
-    ones index 2 (otherwise every step reads index 0). A step probes the
-    index at every argument whose value is known before it runs; its other
-    arguments bind slots. A variable of the sort PREDICATE_SORTS declares
-    for its position binds untested, as every stored atom is well sorted.
-    """
-    slot = {name: k for k, name in enumerate(seeded)}
-
-    def source(arg):
-        if isinstance(arg, Var):
-            return _SLOT, slot[arg.name]
-        if isinstance(arg, NomOf):
-            return _NOM, slot[arg.var.name]
+def _show(pattern: PatternAtom) -> str:
+    def show(arg) -> str:
         if isinstance(arg, SuccessorOf):
-            return _SUCC, (slot[arg.x], slot[arg.r], slot[arg.b])
-        return _CONST, arg
+            return f"_w:{arg.x}:{arg.r}:{arg.b}"
+        return f"{{{arg.var.name}}}" if isinstance(arg, NomOf) else getattr(arg, "name", str(arg))
+    return f"{pattern.pred}({', '.join(map(show, pattern.args))})"
 
-    steps = []
-    for j in sorted(range(len(stored)), key=lambda i: i != anchor):  # the anchor first
+
+def _kernel(stored: tuple, evals: tuple, head: Optional[PatternAtom], seeded: tuple, anchor: int):
+    """Generate the join kernel of a rule, joining its stored body patterns
+    with the ``anchor``-th first.
+
+    The kernel streams the groundings that extend ``seed``:
+    emit(head, body atoms) for each one whose head (None for FALSE) is not
+    in ``known`` and whose eval literals hold. It takes three indexes, each
+    as the pair (Pn, Xn) that _index returns, and nests one loop per
+    pattern: the anchor reads index 0, earlier patterns index 1 and later
+    ones index 2. A loop runs over the index list probed at every argument
+    whose value is known before it (the shortest, if several); its other
+    arguments bind slots, the local variables s0, s1, ..., seeded variables
+    first. Each list is looked up as soon as its key is bound, so an absent
+    key skips every loop in between. A variable of the sort PREDICATE_SORTS
+    declares for its position binds untested, as every stored atom is well
+    sorted. Constants reach the kernel as its globals k0, k1, ...
+    """
+    consts = []
+    slot = {name: f"s{k}" for k, name in enumerate(seeded)}  # variable -> the expression of its value
+    level = dict.fromkeys(seeded, -1)  # variable -> the step that binds it
+
+    def const(value) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+
+    def value(arg) -> str:
+        if isinstance(arg, Var):
+            return slot[arg.name]
+        if isinstance(arg, NomOf):
+            return f"Nominal({slot[arg.var.name]})"
+        if isinstance(arg, SuccessorOf):
+            return f"successor_name({slot[arg.x]}, {slot[arg.r]}, {slot[arg.b]})"
+        return const(arg)
+
+    steps, lookups = [], {}  # lookups: the step after which a list's key is bound -> [(name, lookup)]
+    for k, j in enumerate(sorted(range(len(stored)), key=lambda i: i != anchor)):
         pred, args = stored[j]
-        bound = set(slot)  # the variables bound before this step
-        probes, ops = [], []
+        which = 0 if j == anchor else 1 if j < anchor else 2
+        bound = set(slot)
+        probes, reads, tests, unwraps = {}, {}, [], []
         for i, arg in enumerate(args):
             var = arg.var if isinstance(arg, NomOf) else arg
-            if isinstance(var, Var) and var.name not in slot:
-                slot[var.name] = len(slot)
-                untested = var is not arg or PREDICATE_SORTS[pred][i] == var.sort
-                kind = _BIND if var is arg else _BIND_NOM
-                ops.append((i, kind, slot[var.name], None if untested else _SORT_TESTS[var.sort]))
+            if not isinstance(var, Var) or var.name in bound:
+                probes[i] = (value(arg), level[var.name] if isinstance(var, Var) else -1)
+                continue
+            if var.name in slot:  # bound earlier in this step
+                reads[i] = f"v{i}"
+                tests.append(f"v{i} == {value(arg)}")
+                continue
+            level[var.name] = k
+            if var is not arg:  # binds the individual under a nominal
+                reads[i] = f"v{i}"
+                tests.append(f"isinstance(v{i}, Nominal)")
+                unwraps.append((var.name, f"s{len(slot)}", f"v{i}.individual"))
+                slot[var.name] = unwraps[-1][2]
             else:
-                ops.append((i, *source(arg), None))
-                if not isinstance(var, Var) or var.name in bound:
-                    probes.append((i, *source(arg)))
-        which = 0 if anchor is None or j == anchor else 1 if j < anchor else 2
-        steps.append((pred, which, tuple(probes), tuple(ops)))
-    evals = tuple(tuple(source(a) for a in p.args) for p in evals)
-    head_plan = None if head is None else (head.pred, tuple(source(a) for a in head.args))
-    return _Plan(tuple(steps), evals, head_plan, len(slot))
+                slot[var.name] = reads[i] = f"s{len(slot)}"
+                if PREDICATE_SORTS[pred][i] != var.sort:
+                    tests.append(f"{const(_SORT_TESTS[var.sort])}({reads[i]})")
+        keys = [(f"X{which}.get(({const(pred)}, {i}, {v}))", at) for i, (v, at) in probes.items()]
+        names = [f"L{k}_{n}" for n in range(len(keys) or 1)]
+        for name, (lookup, at) in zip(names, keys or [(f"P{which}.get({const(pred)})", -1)]):
+            lookups.setdefault(at, []).append((name, lookup))
+        if len(keys) > 1:  # the loop takes the shortest list: check every probed position
+            reads.update((i, f"v{i}") for i in probes)
+            tests[:0] = [f"v{i} == {v}" for i, (v, _) in probes.items()]
+        steps.append([names, reads, tests, unwraps, len(args)])
+        for name, local, _ in unwraps:
+            slot[name] = local
+
+    lines = ["def join(P0, X0, P1, X1, P2, X2, seed, known, domain, emit):"]
+    if seeded:
+        lines.append(f"    {''.join(f's{k}, ' for k in range(len(seeded)))}= seed.values()")
+    pad = "    "
+    for k in range(-1, len(steps)):
+        if k >= 0:
+            names, reads, tests, unwraps, arity = steps[k]
+            loop = names[0] if len(names) == 1 else (
+                f"{names[0]} if len({names[0]}) <= len({names[1]}) else {names[1]}" if len(names) == 2
+                else f"min({', '.join(names)}, key=len)"
+            )
+            lines.append(f"{pad}for a{k} in {loop}:")
+            pad += "    "
+            if len(reads) == 1:
+                (i, name), = reads.items()
+                lines.append(f"{pad}{name} = a{k}.args[{i}]")
+            elif reads:
+                lines.append(f"{pad}{', '.join(reads.get(i, '_') for i in range(arity))} = a{k}.args")
+            if tests:
+                lines.append(f"{pad}if {' and '.join(tests)}:")
+                pad += "    "
+            lines.extend(f"{pad}{local} = {individual}" for _, local, individual in unwraps)
+        ready = lookups.get(k, [])
+        if len(ready) == 1 and steps[k + 1][0] == [ready[0][0]]:  # the next loop's only list: loop over it
+            steps[k + 1][0] = [f"{ready[0][1][:-1]}, ())"]
+        elif ready:
+            lines.append(f"{pad}if {' and '.join(f'({name} := {lookup})' for name, lookup in ready)}:")
+            pad += "    "
+    tests = [f"eval_op({', '.join(map(value, p.args))}, domain)" for p in evals]
+    if head is not None:
+        pred, args = const(head.pred), ", ".join(map(value, head.args))
+        atom = f"new(Atom, ({pred}, ({args},)))"  # Atom(...) without its Python-level __new__
+        if head.pred == "inst":  # make_atom turns inst(x, {a}) into ninst(x, a)
+            atom = f"make_atom({pred}, {args}) if {value(head.args[1])}.__class__ is Nominal else {atom}"
+        lines.append(f"{pad}h = {atom}")
+        tests.insert(0, "h not in known")
+    if tests:
+        lines.append(f"{pad}if {' and '.join(tests)}:")
+        pad += "    "
+    lines.append(f"{pad}emit({'h' if head else 'None'}, ({''.join(f'a{k}, ' for k in range(len(stored)))}))")
+    name = f"<join kernel {_show(head) if head else 'FALSE'} :- {', '.join(map(_show, stored + evals))}; anchor {anchor}>"
+    namespace = {f"k{i}": c for i, c in enumerate(consts)}
+    namespace.update(new=tuple.__new__, Atom=Atom, Nominal=Nominal, make_atom=make_atom, eval_op=eval_op, successor_name=successor_name)
+    exec(compile("\n".join(lines), name, "exec"), namespace)
+    return namespace["join"]
 
 
 def _index(atoms) -> tuple:
-    by_pred: dict = {}
-    by_pos: dict = {}
+    by_pred, by_pos = defaultdict(list), defaultdict(list)  # read only by get() and in, which never insert
     for atom in atoms:
-        by_pred.setdefault(atom.pred, []).append(atom)
-        for i, arg in enumerate(atom.args):
-            by_pos.setdefault((atom.pred, i, arg), []).append(atom)
+        pred, args = atom
+        by_pred[pred].append(atom)
+        for i, arg in enumerate(args):
+            by_pos[pred, i, arg].append(atom)
     return by_pred, by_pos
-
-
-def _join(plan: _Plan, indexes: tuple, seed, known, domain: str, emit) -> None:
-    """Stream the groundings of ``plan`` that extend ``seed``, matching each
-    step against its own index: emit(head, body atoms) for each one whose
-    head (None for FALSE) is not in ``known`` and whose eval literals hold.
-    The body atom list is reused, so ``emit`` must copy what it keeps."""
-    steps, evals, head, width = plan
-    slots = [None] * width
-    if seed:
-        slots[: len(seed)] = seed.values()
-    matched = [None] * len(steps)
-    last = len(steps) - 1
-
-    def complete():
-        atom = None
-        if head is not None:
-            pred, args = head
-            atom = make_atom(pred, *[slots[x] if kind == _SLOT else _value(kind, x, slots) for kind, x in args])
-            if atom in known:
-                return
-        for ev in evals:
-            if not eval_op(*[_value(kind, x, slots) for kind, x in ev], domain=domain):
-                return
-        emit(atom, matched)
-
-    def step(k):
-        pred, which, probes, ops = steps[k]
-        by_pred, by_pos = indexes[which]
-        # every probe list is a sublist of the predicate's: take the shortest
-        best = None if probes else by_pred.get(pred, ())
-        for i, kind, x in probes:  # _value inlined here and below: this is the hot loop
-            value = x if kind == _CONST else slots[x] if kind == _SLOT else Nominal(slots[x])
-            probe = by_pos.get((pred, i, value))
-            if probe is None:
-                return
-            if best is None or len(probe) < len(best):
-                best = probe
-        for atom in best:
-            args = atom.args
-            for i, kind, x, test in ops:
-                value = args[i]
-                if kind == _BIND:
-                    if test is not None and not test(value):
-                        break
-                    slots[x] = value
-                elif kind == _BIND_NOM:
-                    if not isinstance(value, Nominal):
-                        break
-                    slots[x] = value.individual
-                elif value != (x if kind == _CONST else slots[x] if kind == _SLOT else Nominal(slots[x])):
-                    break
-            else:
-                matched[k] = atom
-                if k < last:
-                    step(k + 1)
-                else:
-                    complete()
-
-    if steps:
-        step(0)
-    else:
-        complete()
-    del step  # step refers to itself: break the cycle so what it holds dies now
 
 
 def find_violated(
@@ -319,7 +335,8 @@ def find_violated(
     true atoms only, never by cross product. Results come back in canonical
     order (template id, then atom order) so callers are deterministic.
     """
-    indexes = (_index(current),)
+    by_pred, by_pos = _index(current)
+    indexes = (by_pred, by_pos) * 3  # plan 0 joins in declared order, each pattern over all of current
     found = set()
     for template in templates:
         def emit(head, body):
@@ -328,7 +345,8 @@ def find_violated(
 
         for seed in template.seeds:
             plan = _plans(template.body, template.head, tuple(seed or ()))[0]
-            _join(plan, indexes, seed, current, domain, emit)
+            if plan.first is None or plan.first in by_pred:
+                plan.run(*indexes, seed, current, domain, emit)
 
     for ev in evidence:
         if is_infinite(ev.weight) or ev.weight > 0:
@@ -366,18 +384,18 @@ def extend_closure(
         for t in templates
         if t.head is not None and t.body
         for seed in t.seeds
-        for plan in _plans(t.body, t.head, tuple(seed or ()))[1:]
+        for plan in _plans(t.body, t.head, tuple(seed or ()))
     ]
     old_idx = _index(current)
     while delta:
         current |= delta
         cur_idx = _index(current)
         delta_idx = _index(delta)
-        indexes = (delta_idx, old_idx, cur_idx)
+        indexes = (*delta_idx, *old_idx, *cur_idx)
         heads = set()
         for plan, seed in plans:
-            if plan.steps[0][0] in delta_idx[0]:
-                _join(plan, indexes, seed, current, domain, lambda head, _: heads.add(head))
+            if plan.first in delta_idx[0]:
+                plan.run(*indexes, seed, current, domain, lambda head, _: heads.add(head))
         # the old atoms of the next pass are this pass's current ones
         old_idx = cur_idx
         delta = heads

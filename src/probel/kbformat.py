@@ -141,6 +141,11 @@ class _LineParser:
             axiom = self.role_inclusion()
         elif token.kind == "name" and self.peek(1).kind == "punct" and self.peek(1).value == "(":
             axiom = self.assertion()
+        elif token.value in ("TOP", "BOT", "{") and self.peek(1 if token.kind == "keyword" else 3).value == "(":
+            concept = self.primary()  # TOP(a), BOT(a) or {b}(a)
+            self.expect("punct", "(")
+            axiom = ConceptAssertion(concept, self.name("individual name"))
+            self.expect("punct", ")")
         else:
             left = self.expression()
             self.expect("keyword", "SUBCLASSOF")

@@ -4,12 +4,25 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from probel.cli import main
 from probel.kbformat import parse_kb, serialize_kb
-from probel.model import DataSome, Gci, Nominal, Restriction, RoleInclusion
+from probel.model import (
+    INFINITE,
+    DataSome,
+    Gci,
+    Nominal,
+    Restriction,
+    RoleInclusion,
+    WeightedStatement,
+    make_kb,
+)
 from probel.randgen import random_kb
+
+from strategies import SIG, data_statements, fine_values, normal_statements
 
 
 def run_cli(*argv):
@@ -106,6 +119,21 @@ class TestRoundTrip:
     def test_example_round_trip(self, toddler_path):
         kb = parse_kb(toddler_path.read_text()).kb
         assert parse_kb(serialize_kb(kb)).kb == kb
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.one_of(normal_statements, data_statements), unique=True, max_size=8),
+        st.lists(fine_values, max_size=8),
+    )
+    def test_drawn_statements_round_trip(self, statements, weights):
+        # concept assertions of TOP, BOT and nominals are drawn too; the
+        # statements with a drawn weight are uncertain, the rest deterministic
+        uncertain = [WeightedStatement(s, w) for s, w in zip(statements, weights)]
+        deterministic = [WeightedStatement(s, INFINITE) for s in statements[len(uncertain):]]
+        kb = make_kb(SIG, deterministic, uncertain)
+        reparsed = parse_kb(serialize_kb(kb))
+        assert not reparsed.errors, (serialize_kb(kb), reparsed.errors)
+        assert (reparsed.kb.deterministic, reparsed.kb.uncertain) == (kb.deterministic, kb.uncertain)
 
     def test_non_decimal_rationals_round_trip(self):
         text = "1/3 A SUBCLASSOF B\nf(a, 2/7)\n"

@@ -1,20 +1,25 @@
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from probel.grounding import (
     EvidenceAtom,
     ViolatedClause,
+    _instantiate,
+    eval_op,
     extend_closure,
     find_violated,
     saturate,
 )
 from probel.model import (
     BOT,
+    OPERATORS,
     ConceptAssertion,
     DataSome,
     FeatureAssertion,
@@ -27,7 +32,7 @@ from probel.model import (
 )
 from probel.kbformat import parse_kb
 from probel.randgen import random_kb
-from probel.translate import Atom, phi, rule_templates
+from probel.translate import PREDICATE_SORTS, Atom, NomOf, Var, phi, rule_templates
 
 from oracles import naive_find_violated, naive_saturate
 from strategies import SIG, data_statements, normal_statements
@@ -310,3 +315,83 @@ def test_plans_keep_no_template_alive():
         assert [r() for r in refs if r() is not None] == []
     finally:
         gc.enable()
+
+
+# the signature field and name prefix of each sort; a prefix alone names the
+# sort's distractor, so it never equals a fresh name
+_SORT_NAMES = {
+    "C": ("concepts", "K"),
+    "C-": ("concepts", "K"),
+    "R": ("roles", "r"),
+    "F": ("features", "f"),
+    "I": ("individuals", "i"),
+    "I!": ("individuals", "i"),
+}
+
+
+def _distractor(arg, sort):
+    if isinstance(arg, Nominal):
+        return "K"  # a concept name where a nominal binds its individual
+    if sort == "O":
+        return OPERATORS[(OPERATORS.index(arg) + 1) % len(OPERATORS)]
+    return arg + 5 if sort == "V" else _SORT_NAMES[sort][1]
+
+
+def _kernel_cases(domain):
+    """Per rule of the calculus: the rule alone, with a signature and the
+    atoms of one grounding of its stored body patterns. Every variable is
+    bound to a fresh name of its sort (its individual under a nominal), the
+    values to 1, 2, ... and the operators so that the eval literals hold.
+    Distractors follow: each body atom with one argument replaced by another
+    value of its sort, so a dropped check or a wrong probe shows."""
+    for template in rule_templates(make_signature()):
+        patterns = template.body + ((template.head,) if template.head else ())
+        variables = {}
+        for arg in (a for p in patterns for a in p.args):
+            var = arg.var if isinstance(arg, NomOf) else arg
+            if isinstance(var, Var):
+                variables.setdefault(var.name, var.sort)
+        names = {field: {prefix} for field, prefix in _SORT_NAMES.values()}
+        binding, values, ops = {}, itertools.count(1), []
+        for name, sort in variables.items():
+            if sort in _SORT_NAMES:
+                field, prefix = _SORT_NAMES[sort]
+                binding[name] = f"{prefix}_{name}"
+                names[field].add(binding[name])
+            elif sort == "V":
+                binding[name] = Fraction(next(values))
+            else:
+                ops.append(name)
+        evals = [p for p in template.body if p.pred == "eval"]
+        for choice in itertools.product(OPERATORS, repeat=len(ops)):
+            binding.update(zip(ops, choice))
+            if all(eval_op(*(binding.get(getattr(a, "name", None), a) for a in p.args), domain=domain) for p in evals):
+                break
+        sig = make_signature(**names)
+        template = next(t for t in rule_templates(sig) if t.id == template.id)
+        body, distractors = [], set()
+        for pattern in (p for p in template.body if p.pred != "eval"):
+            atom = _instantiate(pattern, binding)
+            body.append(atom)
+            for i, arg in enumerate(pattern.args):
+                sort = arg.var.sort if isinstance(arg, NomOf) else arg.sort if isinstance(arg, Var) else PREDICATE_SORTS[atom.pred][i]
+                args = list(atom.args)
+                args[i] = _distractor(args[i], sort)
+                distractors.add(Atom(atom.pred, tuple(args)))
+        yield template, sig, body, distractors
+
+
+@pytest.mark.parametrize("domain", ("real", "integer"))
+def test_every_kernel_matches_the_naive_oracles(domain):
+    # each rule alone, so the naive cross product stays small; every body
+    # atom in turn is the chase's delta, so every anchored kernel runs
+    for template, sig, body, distractors in _kernel_cases(domain):
+        templates = [template]
+        current = frozenset(body) | distractors
+        fast = set(find_violated(templates, (), current, domain=domain))
+        assert fast == naive_find_violated(templates, (), current, sig, domain), template.id
+        assert any(c.negative == frozenset(body) for c in fast), f"{template.id} misses its grounding"
+        closure, _ = naive_saturate(templates, current, sig, domain)
+        for atom in body:
+            base, _ = saturate(templates, current - {atom}, domain=domain)
+            assert extend_closure(templates, base, (atom,), domain=domain) == closure, (template.id, atom)
