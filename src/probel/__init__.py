@@ -21,7 +21,7 @@ from .engine import (
     map_inference,
     probability_of,
 )
-from .grounding import eval_op, find_violated, saturate
+from .grounding import eval_op, find_violated, incoherence_atoms, saturate
 from .kbformat import parse_kb, render_axiom, render_statement, serialize_kb
 from .model import (
     And,

@@ -172,7 +172,7 @@ def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = Non
     units = tuple(
         EvidenceAtom(phi(ws.statement), ws.weight, index) for index, ws in enumerate(kb.uncertain)
     )
-    closure, _ = saturate(templates, det_atoms, domain=config.domain)
+    closure = saturate(templates, det_atoms, domain=config.domain)
     bad = incoherence_atoms(closure)
     if bad:
         raise IncoherentDeterministic(_incoherent_core(kb, templates, config.domain), bad)
@@ -184,8 +184,8 @@ def _incoherent_core(kb, templates, domain) -> list:
     loses that when any one statement is dropped."""
 
     def incoherent(statements) -> bool:
-        closure, _ = saturate(templates, [phi(ws.statement) for ws in statements], domain=domain)
-        return bool(incoherence_atoms(closure))
+        atoms = [phi(ws.statement) for ws in statements]
+        return bool(incoherence_atoms(saturate(templates, atoms, domain=domain)))
 
     return ilp.deletion_filter(kb.deterministic, incoherent)
 

@@ -10,13 +10,18 @@ the test that the head is new inlined. Kernels are generated lazily, never
 at import, because every fresh process pays for the ones it runs. No value
 is ever formatted into kernel source: constants reach a kernel through its
 globals, and the source holds only fixed identifiers, slot numbers and
-argument positions. Two callers run kernels:
+argument positions. Only rules with a body are joined: the body-less ones
+(F1, F2, UNA) come ground from rule_templates, as each template's
+``facts``. Two callers run kernels:
 
 - find_violated() grounds every template over an assignment and reports the
-  groundings it falsifies, for the cutting-plane loop.
+  groundings it falsifies, for the cutting-plane loop; a fact it reports
+  when the assignment lacks it.
 - extend_closure() is the semi-naive chase behind every deterministic
-  closure: saturate() runs it from the empty base, the enumeration oracle
-  from a closed one. Its plans put each body pattern first in turn.
+  closure: saturate() runs it from the empty base over the input atoms and
+  the facts, the enumeration oracle from a closed one. Its plans put each
+  body pattern first in turn. incoherence_atoms() tests a closure for
+  concepts under BOT.
 
 eval atoms are never stored or turned into ILP variables: each grounding of a
 template with an eval literal either evaluates it to true (the literal is
@@ -146,30 +151,16 @@ _SORT_TESTS = {
 }
 
 
-def _instantiate(pattern: PatternAtom, binding: dict) -> Atom:
-    args = []
-    for parg in pattern.args:
-        if isinstance(parg, Var):
-            args.append(binding[parg.name])
-        elif isinstance(parg, NomOf):
-            args.append(Nominal(binding[parg.var.name]))
-        elif isinstance(parg, SuccessorOf):
-            args.append(successor_name(binding[parg.x], binding[parg.r], binding[parg.b]))
-        else:
-            args.append(parg)
-    return make_atom(pattern.pred, *args)
-
-
 class _Plan:
     """A rule's join with its ``anchor``-th stored body pattern first.
-    run(P0, X0, P1, X1, P2, X2, seed, known, domain, emit) is the plan's
-    kernel, generated on the first call."""
+    run(P0, X0, P1, X1, P2, X2, known, domain, emit) is the plan's kernel,
+    generated on the first call."""
 
     __slots__ = ("rule", "anchor", "first", "run")
 
     def __init__(self, rule: tuple, anchor: int):
         self.rule, self.anchor = rule, anchor
-        self.first = rule[0][anchor].pred if rule[0] else None  # None: no stored pattern
+        self.first = rule[0][anchor].pred
         self.run = self._generate
 
     def _generate(self, *args) -> None:
@@ -178,13 +169,13 @@ class _Plan:
 
 
 @lru_cache(maxsize=None)
-def _plans(body: tuple, head: Optional[PatternAtom], seeded: tuple) -> tuple:
-    """The join plans of a rule, one anchored at each stored body pattern
-    (one plan if there is none). Plans depend only on the rule's structure,
-    so every KB shares the calculus's few dozen kernels."""
+def _plans(body: tuple, head: Optional[PatternAtom]) -> tuple:
+    """The join plans of a rule, one anchored at each stored body pattern.
+    Plans depend only on the rule's structure, so every KB shares the
+    calculus's few dozen kernels."""
     stored = tuple(p for p in body if p.pred != "eval")
-    rule = (stored, tuple(p for p in body if p.pred == "eval"), head, seeded)
-    return tuple(_Plan(rule, j) for j in range(max(len(stored), 1)))
+    rule = (stored, tuple(p for p in body if p.pred == "eval"), head)
+    return tuple(_Plan(rule, j) for j in range(len(stored)))
 
 
 def _show(pattern: PatternAtom) -> str:
@@ -195,26 +186,26 @@ def _show(pattern: PatternAtom) -> str:
     return f"{pattern.pred}({', '.join(map(show, pattern.args))})"
 
 
-def _kernel(stored: tuple, evals: tuple, head: Optional[PatternAtom], seeded: tuple, anchor: int):
+def _kernel(stored: tuple, evals: tuple, head: Optional[PatternAtom], anchor: int):
     """Generate the join kernel of a rule, joining its stored body patterns
     with the ``anchor``-th first.
 
-    The kernel streams the groundings that extend ``seed``:
+    The kernel streams the rule's groundings:
     emit(head, body atoms) for each one whose head (None for FALSE) is not
     in ``known`` and whose eval literals hold. It takes three indexes, each
     as the pair (Pn, Xn) that _index returns, and nests one loop per
     pattern: the anchor reads index 0, earlier patterns index 1 and later
     ones index 2. A loop runs over the index list probed at every argument
     whose value is known before it (the shortest, if several); its other
-    arguments bind slots, the local variables s0, s1, ..., seeded variables
-    first. Each list is looked up as soon as its key is bound, so an absent
-    key skips every loop in between. A variable of the sort PREDICATE_SORTS
-    declares for its position binds untested, as every stored atom is well
-    sorted. Constants reach the kernel as its globals k0, k1, ...
+    arguments bind slots, the local variables s0, s1, ... Each list is
+    looked up as soon as its key is bound, so an absent key skips every loop
+    in between. A variable of the sort PREDICATE_SORTS declares for its
+    position binds untested, as every stored atom is well sorted. Constants
+    reach the kernel as its globals k0, k1, ...
     """
     consts = []
-    slot = {name: f"s{k}" for k, name in enumerate(seeded)}  # variable -> the expression of its value
-    level = dict.fromkeys(seeded, -1)  # variable -> the step that binds it
+    slot = {}  # variable -> the expression of its value
+    level = {}  # variable -> the step that binds it
 
     def const(value) -> str:
         consts.append(value)
@@ -265,9 +256,7 @@ def _kernel(stored: tuple, evals: tuple, head: Optional[PatternAtom], seeded: tu
         for name, local, _ in unwraps:
             slot[name] = local
 
-    lines = ["def join(P0, X0, P1, X1, P2, X2, seed, known, domain, emit):"]
-    if seeded:
-        lines.append(f"    {''.join(f's{k}, ' for k in range(len(seeded)))}= seed.values()")
+    lines = ["def join(P0, X0, P1, X1, P2, X2, known, domain, emit):"]
     pad = "    "
     for k in range(-1, len(steps)):
         if k >= 0:
@@ -339,14 +328,21 @@ def find_violated(
     indexes = (by_pred, by_pos) * 3  # plan 0 joins in declared order, each pattern over all of current
     found = set()
     for template in templates:
+        if not template.body:
+            found.update(
+                ViolatedClause(frozenset((fact,)), frozenset(), template.weight, template.id)
+                for fact in template.facts
+                if fact not in current
+            )
+            continue
+
         def emit(head, body):
             positive = frozenset() if head is None else frozenset((head,))
             found.add(ViolatedClause(positive, frozenset(body), template.weight, template.id))
 
-        for seed in template.seeds:
-            plan = _plans(template.body, template.head, tuple(seed or ()))[0]
-            if plan.first is None or plan.first in by_pred:
-                plan.run(*indexes, seed, current, domain, emit)
+        plan = _plans(template.body, template.head)[0]
+        if plan.first in by_pred:
+            plan.run(*indexes, current, domain, emit)
 
     for ev in evidence:
         if is_infinite(ev.weight) or ev.weight > 0:
@@ -379,13 +375,7 @@ def extend_closure(
     # one plan per body position: the anchor binds from the delta, earlier
     # positions stay in the old atoms and later ones range over everything,
     # so each new grounding is produced exactly once
-    plans = [
-        (plan, seed)
-        for t in templates
-        if t.head is not None and t.body
-        for seed in t.seeds
-        for plan in _plans(t.body, t.head, tuple(seed or ()))
-    ]
+    plans = [plan for t in templates if t.head is not None and t.body for plan in _plans(t.body, t.head)]
     old_idx = _index(current)
     while delta:
         current |= delta
@@ -393,9 +383,9 @@ def extend_closure(
         delta_idx = _index(delta)
         indexes = (*delta_idx, *old_idx, *cur_idx)
         heads = set()
-        for plan, seed in plans:
+        for plan in plans:
             if plan.first in delta_idx[0]:
-                plan.run(*indexes, seed, current, domain, lambda head, _: heads.add(head))
+                plan.run(*indexes, current, domain, lambda head, _: heads.add(head))
         # the old atoms of the next pass are this pass's current ones
         old_idx = cur_idx
         delta = heads
@@ -406,23 +396,15 @@ def saturate(
     templates: Sequence[ClauseTemplate],
     atoms: Iterable[Atom],
     domain: str = REAL,
-) -> tuple:
+) -> frozenset:
     """Deterministic closure: chase the hard rules to a fixpoint.
 
     The chase (extend_closure) starts from the empty base with ``atoms`` and
-    the instances of the empty-body seed rules (F1, F2, UNA). Returns
-    (closure, coherence_violations) where the violations are the groundings
-    of the FALSE-headed coherence rule that hold in the closure.
+    the facts of the body-less rules (F1, F2, UNA). incoherence_atoms() tells
+    whether the closure puts a concept under BOT.
     """
-    seeds = {
-        _instantiate(t.head, seed or {})
-        for t in templates
-        if t.head is not None and not t.body
-        for seed in t.seeds
-    }
-    closure = extend_closure(templates, frozenset(), set(atoms) | seeds, domain)
-    conflicts = find_violated([t for t in templates if t.head is None], (), closure, domain)
-    return closure, conflicts
+    start = set(atoms).union(*(t.facts for t in templates))
+    return extend_closure(templates, frozenset(), start, domain)
 
 
 def incoherence_atoms(closure: frozenset) -> list:

@@ -124,32 +124,23 @@ def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozen
     satisfied = sum(1 for atom in clause.positive if atom in fixed_true)
     pos = [atom for atom in clause.positive if atom not in fixed_true]
     neg = [atom for atom in clause.negative if atom not in fixed_true]
-
-    if is_infinite(clause.weight):
-        if satisfied:
-            return []
-        if not pos and not neg:
-            raise HardConflict(clause)
-        terms = [(program.atom_var(a), 1) for a in sorted(pos, key=atom_token)]
-        terms += [(program.atom_var(a), -1) for a in sorted(neg, key=atom_token)]
-        made = [LinearConstraint(tuple(terms), ">=", 1 - len(neg))]
+    hard = is_infinite(clause.weight)
+    z = None if hard else program.clause_var(clause.weight)
+    if satisfied and (hard or clause.weight >= 0):
+        return []  # the clause already holds; a soft z is free to take 1
+    if hard and not pos and not neg:
+        raise HardConflict(clause)
+    terms = [(program.atom_var(a), 1) for a in sorted(pos, key=atom_token)]
+    terms += [(program.atom_var(a), -1) for a in sorted(neg, key=atom_token)]
+    if hard:
+        made = LinearConstraint(tuple(terms), ">=", 1 - len(neg))
     elif clause.weight < 0:
-        z = program.clause_var(clause.weight)
         size = len(clause.positive) + len(clause.negative)
-        terms = [(program.atom_var(a), 1) for a in sorted(pos, key=atom_token)]
-        terms += [(program.atom_var(a), -1) for a in sorted(neg, key=atom_token)]
-        terms.append((z, -size))
-        made = [LinearConstraint(tuple(terms), "<=", -satisfied - len(neg))]
+        made = LinearConstraint((*terms, (z, -size)), "<=", -satisfied - len(neg))
     else:
-        z = program.clause_var(clause.weight)
-        if satisfied:
-            return []  # z is free to take 1; the clause already holds
-        terms = [(program.atom_var(a), 1) for a in sorted(pos, key=atom_token)]
-        terms += [(program.atom_var(a), -1) for a in sorted(neg, key=atom_token)]
-        terms.append((z, -1))
-        made = [LinearConstraint(tuple(terms), ">=", -len(neg))]
-    program.constraints.extend(made)
-    return made
+        made = LinearConstraint((*terms, (z, -1)), ">=", -len(neg))
+    program.constraints.append(made)
+    return [made]
 
 
 # ---------------------------------------------------------------------------

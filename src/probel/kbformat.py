@@ -252,10 +252,13 @@ def parse_kb(text: str) -> ParseResult:
         if not stripped:
             continue
         try:
-            tokens = _tokenize(raw)
-            axiom, weight = _LineParser(tokens).statement()
+            parser = _LineParser(_tokenize(raw))
+            axiom, weight = parser.statement()
         except _LineSyntax as err:
             errors.append(ParseError(lineno, err.column, err.message))
+            continue
+        except RecursionError:  # the descent is recursive: one frame chain per nesting level
+            errors.append(ParseError(lineno, parser.peek().column, "nesting too deep"))
             continue
         axioms.append((axiom, INFINITE if weight is None else weight))
         lines.append(lineno)

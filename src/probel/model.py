@@ -376,6 +376,8 @@ def validate(kb: KnowledgeBase) -> list:
                     diagnostics.append(Diagnostic(part, index, f"unknown comparison operator '{restriction.op}'"))
                 if not isinstance(restriction.value, Fraction):
                     diagnostics.append(Diagnostic(part, index, "restriction value must be an exact rational"))
+            if isinstance(statement, FeatureAssertion) and not isinstance(statement.value, Fraction):
+                diagnostics.append(Diagnostic(part, index, "feature value must be an exact rational"))
             if part == "deterministic" and not is_infinite(weight):
                 diagnostics.append(Diagnostic(part, index, "finite weight inside deterministic part"))
             if part == "uncertain" and is_infinite(weight):

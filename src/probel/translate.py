@@ -47,11 +47,11 @@ class Atom(NamedTuple):
 
 
 def _arg_str(arg) -> str:
+    if isinstance(arg, str):
+        return arg
     if isinstance(arg, Nominal):
         return str(arg)
-    if isinstance(arg, Fraction):
-        return format_value(arg)
-    return arg
+    return format_value(arg)
 
 
 def make_atom(pred: str, *args) -> Atom:
@@ -225,16 +225,17 @@ def is_anonymous(individual: str) -> bool:
 class ClauseTemplate:
     """Universally quantified definite implication; head None means FALSE.
 
-    ``seeds`` lists base substitutions for templates whose head variables do
-    not occur in the body (the reflexivity seeds and unique-name clauses are
-    pre-grounded per concept constant / individual pair).
+    A rule with an empty body (reflexivity F1, F2 and the unique-name clause
+    UNA) is grounded once, per signature: ``facts`` holds its ground heads,
+    one per concept constant or pair of individuals. The grounder joins only
+    rules with a body and takes these facts as they are.
     """
 
     id: str
     body: tuple
     head: Optional[PatternAtom]
     weight: object = INFINITE
-    seeds: tuple = (None,)
+    facts: tuple = ()
 
 
 def _v(name, sort):
@@ -264,12 +265,12 @@ def rule_templates(sig: Signature) -> list:
     """The completion calculus: F1-F27, the subNom bridge, unique-name
     clauses for each pair of distinct individuals, and the coherence rule.
 
-    F1-F9 are the concept-level saturation rules (reflexivity seeds,
+    F1-F9 are the concept-level saturation rules (reflexivity facts,
     transitivity, conjunction, existentials on both sides, bottom
     propagation, role hierarchy and composition); F10-F13 handle nominals
     and datatype restrictions at the concept level; F14-F27 are the
     assertion-level rules. eval literals are evaluated by the grounder, not
-    stored.
+    stored. F1, F2 and UNA have no body and come ground, as ``facts``.
     """
     c, d, e, f_ = _v("c", S_CONCEPT), _v("d", S_CONCEPT), _v("e", S_CONCEPT), _v("f", S_CONCEPT)
     d1, d2 = _v("d1", S_CONCEPT), _v("d2", S_CONCEPT)
@@ -287,8 +288,8 @@ def rule_templates(sig: Signature) -> list:
     inds = sorted(sig.individuals)
 
     templates = [
-        ClauseTemplate("F1", (), _p("sub", c, c), seeds=tuple({"c": cc} for cc in consts)),
-        ClauseTemplate("F2", (), _p("sub", c, TOP), seeds=tuple({"c": cc} for cc in consts)),
+        ClauseTemplate("F1", (), _p("sub", c, c), facts=tuple(make_atom("sub", cc, cc) for cc in consts)),
+        ClauseTemplate("F2", (), _p("sub", c, TOP), facts=tuple(make_atom("sub", cc, TOP) for cc in consts)),
         ClauseTemplate("F3", (_p("sub", c, d), _p("sub", d, e)), _p("sub", c, e)),
         ClauseTemplate("F4", (_p("sub", c, d1), _p("sub", c, d2), _p("int", d1, d2, e)), _p("sub", c, e)),
         ClauseTemplate("F5", (_p("sub", c, d), _p("rsup", d, r, e)), _p("rsup", c, r, e)),
@@ -331,7 +332,7 @@ def rule_templates(sig: Signature) -> list:
             "UNA",
             (),
             _p("int", NomOf(a_i), NomOf(b_i), BOT),
-            seeds=tuple({"a": p, "b": q} for p, q in _pairs(inds)),
+            facts=tuple(make_atom("int", Nominal(p), Nominal(q), BOT) for p, q in _pairs(inds)),
         ),
         ClauseTemplate("COH", (_p("sub", _v("c", S_CONCEPT_NONBOT), BOT),), None),
     ]

@@ -5,7 +5,7 @@ exhaustive 0/1 enumeration, and witness-sampled interval containment.
 """
 from fractions import Fraction
 
-from probel.grounding import ViolatedClause, _instantiate, eval_op
+from probel.grounding import ViolatedClause, eval_op
 from probel.model import BOT, Nominal, OPERATORS, is_infinite
 from probel.translate import (
     Atom,
@@ -22,6 +22,7 @@ from probel.translate import (
     Var,
     concept_constants,
     is_anonymous,
+    make_atom,
     successor_name,
 )
 
@@ -40,6 +41,12 @@ def _instantiate_raw(pattern, binding):
         else:
             args.append(parg)
     return Atom(pattern.pred, tuple(args))
+
+
+def instantiate(pattern, binding):
+    """Instantiate a head pattern: as _instantiate_raw, then canonicalized
+    (inst(x, {a}) becomes ninst(x, a))."""
+    return make_atom(pattern.pred, *_instantiate_raw(pattern, binding).args)
 
 
 def _universes(sig, evidence, current):
@@ -76,43 +83,47 @@ def _template_vars(template):
 
 
 def naive_find_violated(templates, evidence, current, sig, domain="real"):
-    """Cross-product grounding over the full per-sort universes."""
+    """Cross-product grounding over the full per-sort universes; a body-less
+    template is violated by each of its facts missing from ``current``."""
     universes = _universes(sig, evidence, current)
     found = set()
     for template in templates:
+        if not template.body:
+            for fact in template.facts:
+                if fact not in current:
+                    found.add(ViolatedClause(frozenset((fact,)), frozenset(), template.weight, template.id))
+            continue
         body = [p for p in template.body if p.pred != "eval"]
         evals = [p for p in template.body if p.pred == "eval"]
-        for seed in template.seeds:
-            base = dict(seed) if seed else {}
-            free = [(n, s) for n, s in _template_vars(template).items() if n not in base]
+        free = list(_template_vars(template).items())
 
-            def assignments(i, binding):
-                if i == len(free):
-                    yield binding
-                    return
-                name, sort = free[i]
-                for value in universes[sort]:
-                    binding[name] = value
-                    yield from assignments(i + 1, binding)
-                    del binding[name]
+        def assignments(i, binding):
+            if i == len(free):
+                yield binding
+                return
+            name, sort = free[i]
+            for value in universes[sort]:
+                binding[name] = value
+                yield from assignments(i + 1, binding)
+                del binding[name]
 
-            for binding in assignments(0, base):
-                if any(_instantiate_raw(p, binding) not in current for p in body):
+        for binding in assignments(0, {}):
+            if any(_instantiate_raw(p, binding) not in current for p in body):
+                continue
+            if template.head is not None:
+                head = instantiate(template.head, binding)
+                if head in current:
                     continue
-                if template.head is not None:
-                    head = _instantiate(template.head, binding)
-                    if head in current:
-                        continue
-                    positive = frozenset((head,))
-                else:
-                    positive = frozenset()
-                if evals:
-                    def value_of(arg):
-                        return binding[arg.name] if isinstance(arg, Var) else arg
-                    if not all(eval_op(*(value_of(a) for a in ev.args), domain=domain) for ev in evals):
-                        continue
-                negative = frozenset(_instantiate_raw(p, binding) for p in body)
-                found.add(ViolatedClause(positive, negative, template.weight, template.id))
+                positive = frozenset((head,))
+            else:
+                positive = frozenset()
+            if evals:
+                def value_of(arg):
+                    return binding[arg.name] if isinstance(arg, Var) else arg
+                if not all(eval_op(*(value_of(a) for a in ev.args), domain=domain) for ev in evals):
+                    continue
+            negative = frozenset(_instantiate_raw(p, binding) for p in body)
+            found.add(ViolatedClause(positive, negative, template.weight, template.id))
     for ev in evidence:
         if is_infinite(ev.weight) or ev.weight > 0:
             violated = ev.atom not in current
@@ -128,7 +139,7 @@ def naive_find_violated(templates, evidence, current, sig, domain="real"):
 def naive_saturate(templates, atoms, sig, domain="real"):
     """Naive fixpoint of the hard rules: re-ground everything by cross product
     until no pass adds a head. Returns (closure, set of FALSE-headed clauses
-    that hold in it)."""
+    that hold in it): the COH clauses, one per concept under BOT."""
     current = frozenset(atoms)
     while True:
         violated = naive_find_violated(templates, (), current, sig, domain)

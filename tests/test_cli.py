@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -243,6 +244,20 @@ class TestExitCodes:
         for command in ("solve", "check"):
             code, _ = run_cli(command, str(bad))
             assert code == 2
+
+    @pytest.mark.parametrize("opening", ("r SOME (", "("))
+    def test_deep_nesting_is_2(self, tmp_path, capsys, opening):
+        # the recursive descent overflows near 330 levels; 300 still parse
+        deep = tmp_path / "deep.kb"
+        deep.write_text(f"A SUBCLASSOF {opening * 300}B{')' * 300}\n")
+        assert run_cli("check", str(deep)) == (0, "ok: True\ndiagnostics:\n")
+        deep.write_text(f"A SUBCLASSOF {opening * 1000}B{')' * 1000}\n")
+        code, out = run_cli("check", str(deep))
+        assert code == 2
+        assert re.fullmatch(r"ok: False\ndiagnostics:\n  line 1, column \d+: nesting too deep\n", out)
+        assert run_cli("solve", str(deep)) == (2, "")
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"{re.escape(str(deep))}:line 1, column \d+: nesting too deep\n", err)
 
     def test_incoherent_deterministic_is_1(self, tmp_path):
         bad = tmp_path / "incoherent.kb"

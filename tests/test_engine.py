@@ -102,7 +102,7 @@ class TestEdgeCases:
         assert result.selected == ()
         assert Gci("A", "B") in result.classified
         templates = rule_templates(sig)
-        closure, _ = saturate(templates, [phi(Gci("A", "B"))])
+        closure = saturate(templates, [phi(Gci("A", "B"))])
         assert result.atoms == closure
 
     def test_negative_weight_paid_when_closure_entails(self):
@@ -174,7 +174,7 @@ class TestEngineOracleAgreement:
             assert result.objective == best
             templates = rule_templates(kb.signature)
             atoms = [phi(ws.statement) for ws in kb.deterministic + result.selected]
-            closure, _ = saturate(templates, atoms)
+            closure = saturate(templates, atoms)
             assert closure in {w.atoms for w in dist.worlds if w.score == best}
 
     def test_statement_order_does_not_change_the_world(self):

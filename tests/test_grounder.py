@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from probel.grounding import (
     EvidenceAtom,
     ViolatedClause,
-    _instantiate,
     eval_op,
     extend_closure,
     find_violated,
+    incoherence_atoms,
     saturate,
 )
 from probel.model import (
@@ -34,7 +34,7 @@ from probel.kbformat import parse_kb
 from probel.randgen import random_kb
 from probel.translate import PREDICATE_SORTS, Atom, NomOf, Var, phi, rule_templates
 
-from oracles import naive_find_violated, naive_saturate
+from oracles import instantiate, naive_find_violated, naive_saturate
 from strategies import SIG, data_statements, normal_statements
 
 
@@ -87,15 +87,16 @@ def test_all_false_assignment_yields_only_seeds():
     templates = rule_templates(sig)
     clauses = find_violated(templates, (), frozenset())
     assert {c.template_id for c in clauses} == {"F1", "F2"}
-    heads = {next(iter(c.positive)) for c in clauses if c.template_id == "F1"}
-    assert heads == {Atom("sub", (c, c)) for c in ("A", "B", TOP, BOT)}
+    for template_id, head in (("F1", lambda c: (c, c)), ("F2", lambda c: (c, TOP))):
+        heads = {next(iter(c.positive)) for c in clauses if c.template_id == template_id}
+        assert heads == {Atom("sub", head(c)) for c in ("A", "B", TOP, BOT)}
 
 
 def test_saturated_assignment_yields_nothing():
     sig = make_signature(concepts=("A", "B"))
     templates = rule_templates(sig)
-    closure, conflicts = saturate(templates, [phi(Gci("A", "B"))])
-    assert not conflicts
+    closure = saturate(templates, [phi(Gci("A", "B"))])
+    assert not incoherence_atoms(closure)
     assert find_violated(templates, (), closure) == []
 
 
@@ -111,14 +112,14 @@ def test_anonymous_successor_realizes_existential():
 
     sig = make_signature(concepts=("Person",), roles=("hasParent",), individuals=("john",))
     templates = rule_templates(sig)
-    closure, conflicts = saturate(
+    closure = saturate(
         templates,
         [
             phi(ConceptAssertion("Person", "john")),
             phi(Gci("Person", Exists("hasParent", "Person"))),
         ],
     )
-    assert not conflicts
+    assert not incoherence_atoms(closure)
     successors = [a for a in closure if a.pred == "rinst" and a.args[0] == "john"]
     assert len(successors) == 1
     witness = successors[0].args[2]
@@ -131,7 +132,7 @@ def test_anonymous_successor_realizes_existential():
 def test_feature_assertion_realizes_membership():
     sig = make_signature(concepts=("Person",), features=("age",), individuals=("john",))
     templates = rule_templates(sig)
-    closure, _ = saturate(
+    closure = saturate(
         templates,
         [
             phi(FeatureAssertion("age", "john", Fraction(2))),
@@ -147,7 +148,7 @@ def test_nominal_coreference_collapses_to_subsumption():
 
     sig = make_signature(concepts=("A", "B"), roles=("r",), individuals=("o",))
     templates = rule_templates(sig)
-    closure, _ = saturate(
+    closure = saturate(
         templates,
         [
             phi(Gci("A", Nominal("o"))),
@@ -163,7 +164,7 @@ def test_nominal_rooted_successor_also_collapses():
 
     sig = make_signature(concepts=("A", "B"), roles=("r",), individuals=("o", "b"))
     templates = rule_templates(sig)
-    closure, _ = saturate(
+    closure = saturate(
         templates,
         [
             phi(Gci("A", Nominal("o"))),
@@ -177,7 +178,7 @@ def test_nominal_rooted_successor_also_collapses():
 def test_subnom_bridge_feeds_concept_reasoning():
     sig = make_signature(concepts=("A", "C"), individuals=("o",))
     templates = rule_templates(sig)
-    closure, _ = saturate(
+    closure = saturate(
         templates,
         [phi(Gci("A", Nominal("o"))), phi(Gci(Nominal("o"), "C"))],
     )
@@ -188,12 +189,11 @@ def test_subnom_bridge_feeds_concept_reasoning():
 def test_unique_names_make_shared_nominals_incoherent():
     sig = make_signature(concepts=("C",), individuals=("a", "b"))
     templates = rule_templates(sig)
-    closure, conflicts = saturate(
+    closure = saturate(
         templates,
         [phi(Gci("C", Nominal("a"))), phi(Gci("C", Nominal("b")))],
     )
-    assert Atom("sub", ("C", BOT)) in closure
-    assert conflicts
+    assert incoherence_atoms(closure) == [Atom("sub", ("C", BOT))]
 
 
 class TestNaiveOracleEquivalence:
@@ -223,7 +223,7 @@ class TestNaiveOracleEquivalence:
             atoms = [phi(ws.statement) for ws in kb.deterministic + kb.uncertain]
             self._compare(kb, frozenset())
             self._compare(kb, frozenset(atoms))
-            closure, _ = saturate(templates, atoms)
+            closure = saturate(templates, atoms)
             self._compare(kb, closure)
             partial = frozenset(rng.sample(sorted(closure, key=str), len(closure) // 2))
             self._compare(kb, partial)
@@ -235,8 +235,16 @@ class TestNaiveOracleEquivalence:
             atoms = [phi(ws.statement) for ws in kb.deterministic + kb.uncertain]
             self._compare_domain(kb, frozenset(atoms), "integer")
             templates = rule_templates(kb.signature)
-            closure, _ = saturate(templates, atoms, domain="integer")
+            closure = saturate(templates, atoms, domain="integer")
             self._compare_domain(kb, closure, "integer")
+
+
+def _assert_naive_closure(closure, templates, atoms, sig, domain):
+    """``closure`` is the naive fixpoint of ``atoms``, and incoherence_atoms
+    finds in it the body atoms of the naive COH clauses."""
+    slow, conflicts = naive_saturate(templates, atoms, sig, domain)
+    assert closure == slow
+    assert set(incoherence_atoms(closure)) == {a for clause in conflicts for a in clause.negative}
 
 
 def test_extend_closure_matches_full_saturation():
@@ -257,13 +265,11 @@ def test_extend_closure_matches_full_saturation():
             det = [phi(ws.statement) for ws in kb.deterministic]
             unc = [phi(ws.statement) for ws in kb.uncertain]
             for atoms in (det, det + unc):
-                closure, conflicts = saturate(templates, atoms, domain=domain)
-                assert (closure, set(conflicts)) == naive_saturate(
-                    templates, atoms, kb.signature, domain
-                )
+                closure = saturate(templates, atoms, domain=domain)
+                _assert_naive_closure(closure, templates, atoms, kb.signature, domain)
             if kb is snap:  # conflicts of det + unc
-                assert bool(conflicts) == (domain == "integer")
-            base, _ = saturate(templates, det, domain=domain)
+                assert bool(incoherence_atoms(closure)) == (domain == "integer")
+            base = saturate(templates, det, domain=domain)
             for atom in unc:
                 fast = extend_closure(templates, base, (atom,), domain=domain)
                 slow, _ = naive_saturate(templates, det + [atom], kb.signature, domain)
@@ -283,10 +289,10 @@ def test_compiled_grounding_matches_the_naive_oracles(statements, data, domain, 
     # oracle's work on F13, so data statements stay few
     templates = rule_templates(SIG)
     atoms = [phi(s) for s in statements + data]
-    closure, conflicts = saturate(templates, atoms, domain=domain)
-    assert (closure, set(conflicts)) == naive_saturate(templates, atoms, SIG, domain)
+    closure = saturate(templates, atoms, domain=domain)
+    _assert_naive_closure(closure, templates, atoms, SIG, domain)
     split = rng.randint(0, len(atoms))
-    base, _ = saturate(templates, atoms[:split], domain=domain)
+    base = saturate(templates, atoms[:split], domain=domain)
     assert extend_closure(templates, base, atoms[split:], domain=domain) == closure
     weights = (Fraction(1, 2), Fraction(-1, 2), Fraction(0), INFINITE)
     evidence = tuple(EvidenceAtom(a, weights[i % 4], i) for i, a in enumerate(atoms))
@@ -307,7 +313,7 @@ def test_plans_keep_no_template_alive():
     gc.disable()
     try:
         templates = rule_templates(sig)
-        closure, _ = saturate(templates, atoms[:2])
+        closure = saturate(templates, atoms[:2])
         find_violated(templates, (), closure)
         extend_closure(templates, closure, atoms[2:])
         refs = [weakref.ref(t) for t in templates]
@@ -371,7 +377,7 @@ def _kernel_cases(domain):
         template = next(t for t in rule_templates(sig) if t.id == template.id)
         body, distractors = [], set()
         for pattern in (p for p in template.body if p.pred != "eval"):
-            atom = _instantiate(pattern, binding)
+            atom = instantiate(pattern, binding)
             body.append(atom)
             for i, arg in enumerate(pattern.args):
                 sort = arg.var.sort if isinstance(arg, NomOf) else arg.sort if isinstance(arg, Var) else PREDICATE_SORTS[atom.pred][i]
@@ -393,5 +399,5 @@ def test_every_kernel_matches_the_naive_oracles(domain):
         assert any(c.negative == frozenset(body) for c in fast), f"{template.id} misses its grounding"
         closure, _ = naive_saturate(templates, current, sig, domain)
         for atom in body:
-            base, _ = saturate(templates, current - {atom}, domain=domain)
+            base = saturate(templates, current - {atom}, domain=domain)
             assert extend_closure(templates, base, (atom,), domain=domain) == closure, (template.id, atom)

@@ -57,6 +57,22 @@ class TestTranslateClause:
         assert constraint.bound == 0
         assert dict(constraint.terms) == {x_p: 1, x_q: 1, "z_1": -2}
 
+    def test_declaration_order(self):
+        # the lexicographic tie-break reads variables in declaration order: a
+        # soft clause declares its z before its atoms, also when the fixed
+        # atoms satisfy it and no constraint is made (weight 0 included)
+        program = IlpProgram()
+        fixed = frozenset({atom("e")})
+        assert translate_clause(clause(["e"], ["p"], Fraction(1, 2)), program, fixed) == []
+        assert translate_clause(clause(["e"], ["p"], Fraction(0)), program, fixed) == []
+        assert program.variables == ["z_1", "z_2"]
+        (made,) = translate_clause(clause(["e", "q"], ["p"], Fraction(-1, 2)), program, fixed)
+        x_q, x_p = program.atom_var(atom("q")), program.atom_var(atom("p"))
+        assert made == LinearConstraint(((x_q, 1), (x_p, -1), ("z_3", -3)), "<=", -2)
+        assert program.variables == ["z_1", "z_2", "z_3", x_q, x_p]
+        assert translate_clause(clause(["e"], ["r"], INFINITE), program, fixed) == []
+        assert len(program.variables) == 5 and len(program.constraints) == 1
+
     def test_evidence_fixed_atoms_are_omitted(self):
         program = IlpProgram()
         fixed = frozenset((atom("e"),))

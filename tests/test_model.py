@@ -78,6 +78,18 @@ class TestValidate:
         kb = kb_of(unc=[WeightedStatement(Gci("r", "A"), Fraction(1))], concepts=("A",), roles=("r",))
         assert any("declared as role" in d.reason for d in validate(kb))
 
+    @pytest.mark.parametrize("value", (2, 2.0, "2"), ids=("int", "float", "str"))
+    def test_feature_value_must_be_exact_rational(self, value):
+        # map_inference would derive nothing from an int and render a float
+        for part in ("det", "unc"):
+            weight = INFINITE if part == "det" else Fraction(1, 2)
+            statement = WeightedStatement(FeatureAssertion("f", "a", value), weight)
+            kb = kb_of(**{part: [statement]}, features=("f",), individuals=("a",))
+            reasons = [d.reason for d in validate(kb)]
+            assert reasons == ["feature value must be an exact rational"]
+        statement = WeightedStatement(FeatureAssertion("f", "a", Fraction(2)), INFINITE)
+        assert validate(kb_of(det=[statement], features=("f",), individuals=("a",))) == []
+
     def test_idempotent(self):
         kb = kb_of(
             unc=[WeightedStatement(Gci("A", "B"), INFINITE)],

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from probel.grounding import saturate
+from probel.grounding import incoherence_atoms, saturate
 from probel.model import (
     And,
     ConceptAssertion,
@@ -74,8 +74,8 @@ def test_teenager_membership_derivable_after_normalization():
     ]
     result = normalize(axioms, TEEN_SIG)
     templates = rule_templates(result.kb.signature)
-    closure, conflicts = saturate(templates, _all_atoms(result.kb))
-    assert not conflicts
+    closure = saturate(templates, _all_atoms(result.kb))
+    assert not incoherence_atoms(closure)
     assert Atom("inst", ("pat", "Teenager")) in closure
 
 
@@ -158,7 +158,7 @@ def _original_closure(kb, original_sig):
         return True
 
     templates = rule_templates(kb.signature)
-    closure, _ = saturate(templates, _all_atoms(kb))
+    closure = saturate(templates, _all_atoms(kb))
     kept = set()
     for atom in closure:
         if atom.pred in ("sub", "inst", "rinst", "ninst") and original(atom):

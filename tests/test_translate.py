@@ -97,16 +97,12 @@ class TestRuleTemplates:
     def test_no_unique_name_clause_for_single_individual(self):
         sig = make_signature(concepts=("A",), individuals=("john",))
         una = next(t for t in rule_templates(sig) if t.id == "UNA")
-        assert una.seeds == ()
+        assert una.facts == ()
 
     def test_one_unique_name_clause_per_pair(self):
         sig = make_signature(concepts=(), individuals=("a", "b"))
         una = next(t for t in rule_templates(sig) if t.id == "UNA")
-        assert len(una.seeds) == 1
-        from probel.grounding import _instantiate
-
-        atom = _instantiate(una.head, dict(una.seeds[0]))
-        assert atom == Atom("int", (Nominal("a"), Nominal("b"), BOT))
+        assert una.facts == (Atom("int", (Nominal("a"), Nominal("b"), BOT)),)
 
     def test_head_predicates_stay_in_vocabulary(self):
         sig = make_signature(concepts=("A",), individuals=("a",))
@@ -126,13 +122,30 @@ class TestRuleTemplates:
                 elif isinstance(arg, NomOf):
                     yield arg.var.name
 
+        def instance_of(atom, pattern):
+            binding = {}
+            for arg, value in zip(pattern.args, atom.args):
+                if isinstance(arg, NomOf):
+                    if not isinstance(value, Nominal):
+                        return False
+                    arg, value = arg.var, value.individual
+                if isinstance(arg, Var):
+                    if binding.setdefault(arg.name, value) != value:
+                        return False
+                elif arg != value:
+                    return False
+            return atom.pred == pattern.pred and len(atom.args) == len(pattern.args)
+
         sig = make_signature(concepts=("A",), individuals=("a", "b"))
         for template in rule_templates(sig):
             if template.head is None:
                 continue
+            if not template.body:  # grounded once: every fact instantiates the head
+                assert template.facts, template.id
+                assert all(instance_of(fact, template.head) for fact in template.facts), template.id
+                continue
+            assert template.facts == (), template.id
             bound = {n for p in template.body for n in var_names(p)}
-            if template.seeds and template.seeds[0] is not None:
-                bound |= set(template.seeds[0])
             for arg in template.head.args:
                 if isinstance(arg, SuccessorOf):
                     continue  # anonymous successor, named from body bindings
@@ -146,4 +159,4 @@ class TestRuleTemplates:
         first = rule_templates(sig)
         second = rule_templates(sig)
         assert [t.id for t in first] == [t.id for t in second]
-        assert [t.seeds for t in first] == [t.seeds for t in second]
+        assert [t.facts for t in first] == [t.facts for t in second]
