@@ -4,7 +4,7 @@ Violated ground clauses translate into the three linear constraint forms
 (positive, negative and infinite weight). The internal solver maximizes
 the objective exactly and deterministically:
 
-- The weights are scaled once to integers by the least common multiple of
+- The weights are scaled to integers by the least common multiple of
   their denominators; only the returned optimum is a ``Fraction``.
 - Constraints are kept in ``>=`` form with a slack counter each and are
   propagated through per-variable occurrence lists, so assigning a
@@ -17,6 +17,10 @@ the objective exactly and deterministically:
   then one descent in declared order finds its lexicographically smallest
   optimal assignment. Components share no variable, so these combine into
   the smallest optimal assignment of the whole program (see ``solve``).
+- Programs are append-only, and the search is kept on the program across
+  solves (Een & Sorensson 2003): each cutting-plane round takes in only
+  the new variables, objective entries and constraints, and re-solves only
+  the components they changed.
 """
 from __future__ import annotations
 
@@ -80,6 +84,11 @@ class IlpProgram:
     One x variable per ground atom occurring in a constraint, one z variable
     per finite-weight clause; objective coefficients attach only to z
     variables.
+
+    The program is append-only between solves: ``solve`` keeps its search
+    on the program and takes in only the variables, objective entries and
+    constraints appended since the last call. ``translate_clause`` is the
+    one writer in the package.
     """
 
     variables: List[str] = field(default_factory=list)
@@ -88,11 +97,19 @@ class IlpProgram:
     _atom_vars: Dict[Atom, str] = field(default_factory=dict)
     _names: set = field(default_factory=set)
     _clauses: int = 0
+    _tokens: Dict[Atom, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _search: Optional[_Search] = field(default=None, init=False, repr=False, compare=False)
+
+    def _token(self, atom: Atom) -> str:
+        token = self._tokens.get(atom)
+        if token is None:
+            token = self._tokens[atom] = atom_token(atom)
+        return token
 
     def atom_var(self, atom: Atom) -> str:
         name = self._atom_vars.get(atom)
         if name is None:
-            name = "x_" + atom_token(atom)
+            name = "x_" + self._token(atom)
             while name in self._names:  # distinct atoms may mangle identically
                 name += "_"
             self._declare(name)
@@ -130,8 +147,8 @@ def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozen
         return []  # the clause already holds; a soft z is free to take 1
     if hard and not pos and not neg:
         raise HardConflict(clause)
-    terms = [(program.atom_var(a), 1) for a in sorted(pos, key=atom_token)]
-    terms += [(program.atom_var(a), -1) for a in sorted(neg, key=atom_token)]
+    terms = [(program.atom_var(a), 1) for a in sorted(pos, key=program._token)]
+    terms += [(program.atom_var(a), -1) for a in sorted(neg, key=program._token)]
     if hard:
         made = LinearConstraint(tuple(terms), ">=", 1 - len(neg))
     elif clause.weight < 0:
@@ -151,29 +168,77 @@ _CORE_LIMIT = 160  # deletion filtering is quadratic; larger components keep eve
 
 
 class _Search:
-    """Branch and bound with counter-based propagation over one 0/1 program.
+    """Branch and bound with counter-based propagation over one growing 0/1 program.
 
-    A constraint's slack is the largest left-hand side the partial
+    A constraint's slack is the largest left-hand side the current
     assignment still allows, minus the bound; ``occ[value][var]`` lists the
     constraints (and amounts) whose slack drops when var takes value.
     ``ub`` is the scaled value of the variables set to 1 plus the free
     positive weight of the component being solved.
+
+    ``update`` takes in what was appended to the program since its last
+    call. The components live in a union-find (``parent``) with the
+    ``members`` and ``cons`` of each root, the smaller lists merged into
+    the larger. A root is dirty when its component gains a variable, an
+    objective entry or a constraint, or merges with another component;
+    ``solve`` searches the dirty components only and keeps the values of
+    every other one.
     """
 
-    def __init__(self, variables: List[str], constraints: List[LinearConstraint], objective):
-        n = len(variables)
-        index = {v: i for i, v in enumerate(variables)}
-        weights = [Fraction(0)] * n
-        for v, w in objective:
-            weights[index[v]] += w
-        self.scale = math.lcm(*(w.denominator for w in weights))
-        self.weight = [w.numerator * (self.scale // w.denominator) for w in weights]
-        # loss[value][var]: how much ub drops when var takes value
-        self.loss = ([max(w, 0) for w in self.weight], [max(-w, 0) for w in self.weight])
+    def __init__(self):
+        self.index: Dict[str, int] = {}
+        self.scale = 1
+        self.weight: List[int] = []
+        self.loss: Tuple[List[int], List[int]] = ([], [])  # loss[value][var]: how much ub drops
         self.terms: List[list] = []  # per constraint: (var, |coefficient|, good value), largest first
         self.slack: List[int] = []
-        self.occ = ([[] for _ in range(n)], [[] for _ in range(n)])
-        for j, con in enumerate(constraints):
+        self.occ: Tuple[List[list], List[list]] = ([], [])
+        self.value: List[int] = []  # -1 free, else 0 or 1
+        self.parent: List[int] = []
+        self.members: List[Optional[List[int]]] = []
+        self.cons: List[Optional[List[int]]] = []
+        self.dirty = set()
+        self.cancelled: List[int] = []  # unchecked constraints whose terms all cancel
+        self.entries = 0  # objective entries taken in
+        self.trail: List[int] = []
+        self.head = 0  # trail entries before head have been propagated
+        self.ub = 0
+
+    def _find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def update(self, variables: Sequence[str], constraints: Sequence[LinearConstraint],
+               objective: Sequence[Tuple[str, Fraction]]) -> _Search:
+        """Take in the variables, objective entries and constraints appended since the last call."""
+        index, value, weight, loss, occ = self.index, self.value, self.weight, self.loss, self.occ
+        members, cons, dirty, find = self.members, self.cons, self.dirty, self._find
+        new = range(len(value), len(variables))
+        index.update(zip(variables[new.start:], new))
+        for column in (weight, *loss):
+            column += [0] * len(new)
+        for column in (*occ, cons):
+            column += [[] for _ in new]
+        members += ([i] for i in new)
+        value += [-1] * len(new)
+        self.parent += new
+        dirty.update(new)
+        for v, w in objective[self.entries:]:
+            if self.scale % w.denominator:
+                factor = math.lcm(self.scale, w.denominator) // self.scale
+                self.scale *= factor
+                for column in (weight, *loss):
+                    column[:] = [x * factor for x in column]
+            i = index[v]
+            weight[i] += w.numerator * (self.scale // w.denominator)
+            loss[0][i], loss[1][i] = max(weight[i], 0), max(-weight[i], 0)
+            dirty.add(find(i))
+        self.entries = len(objective)
+        for j in range(len(self.terms), len(constraints)):
+            con = constraints[j]
             sign = 1 if con.relation == ">=" else -1
             merged: Dict[int, int] = {}
             for v, c in con.terms:
@@ -182,44 +247,31 @@ class _Search:
             terms = sorted(((i, abs(c), int(c > 0)) for i, c in merged.items() if c),
                            key=lambda t: -t[1])
             self.terms.append(terms)
-            self.slack.append(sum(a for _, a, good in terms if good) - sign * con.bound)
+            # the slack against the current values, which undoing restores exactly
+            slack = -sign * con.bound
             for i, a, good in terms:
-                self.occ[1 - good][i].append((j, a))
-        self.value = [-1] * n  # -1 free, else 0 or 1
-        self.trail: List[int] = []
-        self.head = 0  # trail entries before head have been propagated
-        self.ub = 0
-
-    def components(self) -> List[Tuple[List[int], List[int]]]:
-        """(variables, constraints) of each connected component, in declared order.
-
-        A constraint whose terms all cancel touches no variable and forms a
-        component of its own.
-        """
-        root = list(range(len(self.value)))
-
-        def find(i):
-            while root[i] != i:
-                root[i] = root[root[i]]
-                i = root[i]
-            return i
-
-        for terms in self.terms:
-            first = find(terms[0][0]) if terms else None
-            for i, _, _ in terms[1:]:
-                other = find(i)
-                if other != first:
-                    root[other] = first
-        groups: Dict[int, Tuple[list, list]] = {}
-        for i in range(len(self.value)):
-            groups.setdefault(find(i), ([], []))[0].append(i)
-        empty = []
-        for j, terms in enumerate(self.terms):
-            if terms:
-                groups[find(terms[0][0])][1].append(j)
-            else:
-                empty.append(([], [j]))
-        return list(groups.values()) + empty
+                occ[1 - good][i].append((j, a))
+                if good:
+                    slack += a
+                if value[i] == 1 - good:
+                    slack -= a
+            self.slack.append(slack)
+            if not terms:
+                self.cancelled.append(j)
+                continue
+            roots = {find(i) for i, _, _ in terms}
+            root = roots.pop()
+            for other in roots:  # merge the smaller lists into the larger
+                if len(members[root]) < len(members[other]):
+                    root, other = other, root
+                self.parent[other] = root
+                members[root] += members[other]
+                cons[root] += cons[other]
+                members[other] = cons[other] = None
+                dirty.discard(other)
+            cons[root].append(j)
+            dirty.add(root)
+        return self
 
     def _assign(self, i: int, v: int):
         self.value[i] = v
@@ -263,7 +315,15 @@ class _Search:
         return True
 
     def _root(self, variables: List[int], constraints: List[int]) -> bool:
-        """Start a component from scratch; False when it is infeasible outright."""
+        """Start a component from scratch, its variables unassigned; False
+        when it is infeasible outright."""
+        value, slack, occ = self.value, self.slack, self.occ
+        for i in variables:
+            v = value[i]
+            if v >= 0:
+                value[i] = -1
+                for j, a in occ[v][i]:
+                    slack[j] += a
         self.trail, self.head = [], 0
         self.ub = sum(self.loss[0][i] for i in variables)
         for j in constraints:
@@ -309,10 +369,16 @@ class _Search:
                 return best
 
     def solve(self) -> Tuple[Optional[List[int]], int]:
-        """(values, scaled optimum), or (None, constraints of an infeasible component)."""
+        """(values, scaled optimum), or (None, constraints of an infeasible component).
+
+        Dirty components go in order of their smallest variable, each with
+        its constraints in ascending order, and the cancelled constraints
+        after them, so an infeasible program reports the same component
+        however it grew.
+        """
         weight = self.weight
-        total = 0
-        for variables, constraints in self.components():
+        for variables, root in sorted((sorted(self.members[r]), r) for r in self.dirty):
+            constraints = sorted(self.cons[root])
             if not self._root(variables, constraints):
                 return None, constraints
             branch_order = sorted(variables, key=lambda i: (-weight[i], i))
@@ -320,8 +386,12 @@ class _Search:
             if optimum is None:
                 return None, constraints
             self._dfs(variables, 0, optimum, True)
-            total += optimum
-        return self.value, total
+        for j in self.cancelled:
+            if self.slack[j] < 0:
+                return None, [j]
+        self.dirty.clear()
+        self.cancelled.clear()
+        return self.value, sum(w for w, x in zip(weight, self.value) if x)
 
 
 def solve(program: IlpProgram) -> Tuple[Dict[str, int], Fraction]:
@@ -346,10 +416,18 @@ def solve(program: IlpProgram) -> Tuple[Dict[str, int], Fraction]:
     the union of each component's smallest optimum is the lexicographically
     smallest optimal assignment of the whole program, in declared variable
     order with 0 before 1.
+
+    The same argument lets a repeated solve of a grown program re-solve
+    only the components that gained a variable, an objective entry or a
+    constraint since the last solve, or merged: every other component has
+    the same part of the program as before, so its smallest optimum stands.
     """
-    search = _Search(program.variables, program.constraints, program.objective)
+    if program._search is None:
+        program._search = _Search()
+    search = program._search.update(program.variables, program.constraints, program.objective)
     values, result = search.solve()
     if values is None:
+        program._search = None
         raise Infeasible(_minimize_core([program.constraints[j] for j in result]))
     assignment = dict(zip(program.variables, values))
     optimum = Fraction(result, search.scale)
@@ -369,7 +447,7 @@ def _minimize_core(core: List[LinearConstraint]) -> list:
     if len(core) > _CORE_LIMIT:
         return core
     variables = list(dict.fromkeys(v for con in core for v, _ in con.terms))
-    return deletion_filter(core, lambda trial: _Search(variables, trial, ()).solve()[0] is None)
+    return deletion_filter(core, lambda trial: _Search().update(variables, trial, ()).solve()[0] is None)
 
 
 def deletion_filter(items: Sequence, conflicting: Callable[[list], bool]) -> list:

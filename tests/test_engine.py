@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from probel.engine import (
     probability_of,
 )
 from probel.grounding import find_violated, saturate
+from probel.kbformat import KEYWORDS, parse_kb, serialize_kb
 from probel.model import (
     And,
     BOT,
@@ -193,19 +195,47 @@ class TestEngineOracleAgreement:
             assert again.atoms == base.atoms
 
     def test_scaling_weights_preserves_selection(self):
-        rng = random.Random(77)
-        for _ in range(10):
-            kb = random_kb(rng, max_uncertain=6)
-            base = map_inference(kb)
-            scaled_kb = KnowledgeBase(
-                kb.signature,
-                kb.deterministic,
-                tuple(WeightedStatement(ws.statement, ws.weight * 3) for ws in kb.uncertain),
-            )
-            scaled = map_inference(scaled_kb)
-            assert [ws.statement for ws in scaled.selected] == [
-                ws.statement for ws in base.selected
-            ]
+        # the second input reaches past the oracle (up to 60 uncertain
+        # statements, 1-5 cutting-plane rounds), and 3/7 is off the tenths grid
+        inputs = (
+            (random.Random(77), 10, dict(max_uncertain=6), 3),
+            (random.Random(5), 30, dict(max_concepts=12, max_individuals=4, max_uncertain=60),
+             Fraction(3, 7)),
+        )
+        for rng, count, sizes, factor in inputs:
+            for _ in range(count):
+                kb = random_kb(rng, **sizes)
+                base = map_inference(kb)
+                scaled_kb = KnowledgeBase(
+                    kb.signature,
+                    kb.deterministic,
+                    tuple(WeightedStatement(ws.statement, ws.weight * factor) for ws in kb.uncertain),
+                )
+                scaled = map_inference(scaled_kb)
+                assert scaled.objective == base.objective * factor
+                assert [ws.statement for ws in scaled.selected] == [
+                    ws.statement for ws in base.selected
+                ]
+
+    def test_disjoint_union_adds_the_objectives(self):
+        # statements with a nominal or with TOP on the left of an inclusion
+        # would link the two renamed-apart signatures, so they are dropped
+        def separable(kb, suffix):
+            lines = []
+            for line in serialize_kb(kb).splitlines():
+                if "{" in line or re.search(r"\bTOP\b", line.partition("SUBCLASSOF")[0]):
+                    continue
+                lines.append(re.sub(r"\b[A-Za-z]\w*", lambda m: m.group() if m.group() in KEYWORDS
+                                    else m.group() + suffix, line))
+            return lines
+
+        rng = random.Random(8)
+        for _ in range(60):
+            first = separable(random_kb(rng, max_uncertain=40), "1")
+            second = separable(random_kb(rng, max_uncertain=40), "2")
+            objective = [map_inference(parse_kb("\n".join(lines)).kb).objective
+                         for lines in (first, second, first + second)]
+            assert objective[2] == objective[0] + objective[1]
 
 
 class TestMapInvariants:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -147,6 +148,13 @@ class TestSolve:
         assert assignment[x_b] == 1
 
 
+def _random_literals(rng: random.Random, names: list):
+    """One to three distinct names, split into positive and negated literals."""
+    chosen = rng.sample(names, min(rng.randint(1, 3), len(names)))
+    split = rng.randint(0, len(chosen))
+    return chosen[:split], chosen[split:]
+
+
 def _random_program(rng: random.Random):
     program = IlpProgram()
     n_atoms = rng.randint(2, 8)
@@ -154,10 +162,7 @@ def _random_program(rng: random.Random):
     n_clauses = rng.randint(1, 12)
     z_budget = 15 - n_atoms
     for _ in range(n_clauses):
-        size = rng.randint(1, 3)
-        chosen = rng.sample(names, min(size, len(names)))
-        split = rng.randint(0, len(chosen))
-        pos, neg = chosen[:split], chosen[split:]
+        pos, neg = _random_literals(rng, names)
         kind = rng.random()
         if kind < 0.4 or z_budget == 0:
             weight = INFINITE
@@ -167,8 +172,6 @@ def _random_program(rng: random.Random):
         else:
             weight = Fraction(-rng.randint(1, 20), 10)
             z_budget -= 1
-        if not pos and not neg:
-            continue
         try:
             translate_clause(clause(pos, neg, weight), program, frozenset())
         except HardConflict:
@@ -290,6 +293,119 @@ def test_value_invariant_under_constraint_reordering():
         )
         _, shuffled_value = solve(shuffled)
         assert shuffled_value == value
+
+
+def _copy(program: IlpProgram) -> IlpProgram:
+    """A never-solved program with the same variables, constraints and objective."""
+    return IlpProgram(list(program.variables), list(program.constraints), list(program.objective))
+
+
+def _components(program: IlpProgram) -> dict:
+    """Each variable's connected component, as a shared set of variables."""
+    component = {v: {v} for v in program.variables}
+    for con in program.constraints:
+        merged = set().union(*(component[v] for v, _ in con.terms))
+        for v in merged:
+            component[v] = merged
+    return component
+
+
+def test_incremental_solve_matches_a_fresh_solve():
+    # grow programs clause by clause and solve the same program after each
+    # clause: the search kept on it must answer as a fresh copy does, infeasible
+    # cores included, and as enumeration does while it can
+    rng = random.Random(4242)
+    seen = dict.fromkeys(("raised scale", "joined", "cancelled", "zero weight", "infeasible"), 0)
+    for _ in range(60):
+        program = IlpProgram()
+        names = [f"a{i}" for i in range(rng.randint(3, 9))]
+        scale = 1  # the least common multiple of the weight denominators so far
+        for step in range(rng.randint(3, 18)):
+            pos, neg = _random_literals(rng, names)
+            kind = rng.random()
+            if kind < 0.08:
+                pos = neg = pos + neg  # every term cancels
+                weight = INFINITE
+            elif kind < 0.2:
+                pos, neg = (pos[:1], []) if pos else ([], neg[:1])  # units drive infeasibility
+                weight = INFINITE
+            elif kind < 0.4:
+                weight = INFINITE
+            elif kind < 0.45:
+                weight = Fraction(0)
+            else:
+                weight = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.choice((10, 10, 3, 7)))
+            before = _components(program)
+            try:
+                made = translate_clause(clause(pos, neg, weight), program, frozenset())
+            except HardConflict:
+                continue
+            if weight is not INFINITE:
+                seen["zero weight"] += weight == 0
+                seen["raised scale"] += step > 0 and scale % weight.denominator != 0
+                scale = math.lcm(scale, weight.denominator)
+            for con in made:
+                seen["joined"] += len({id(before[v]) for v, _ in con.terms if v in before}) > 1
+                seen["cancelled"] += pos == neg
+            try:
+                expected = solve(_copy(program))
+            except Infeasible as err:
+                with pytest.raises(Infeasible) as again:
+                    solve(program)
+                assert again.value.core == err.core
+                assert len(program.variables) > 20 or enumerate_solve(program) is None
+                seen["infeasible"] += 1
+                break
+            assert solve(program) == expected
+            if len(program.variables) <= 20:
+                assert enumerate_solve(program) == expected
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+class TestKeptSearch:
+    CLAUSES = (
+        clause(["p"], ["q"], Fraction(8, 10)),
+        clause(["r"], [], Fraction(-1, 3)),
+        clause(["q", "r"], [], INFINITE),
+        clause(["s"], ["s"], INFINITE),
+    )
+
+    def test_a_solved_program_is_equal_to_an_unsolved_one(self):
+        solved, unsolved = IlpProgram(), IlpProgram()
+        for made in self.CLAUSES:
+            translate_clause(made, solved, frozenset())
+            translate_clause(made, unsolved, frozenset())
+            solve(solved)
+        assert solved == unsolved
+        assert repr(solved) == repr(unsolved)
+        assert dump(solved) == dump(unsolved)
+
+    def test_infeasible_again_with_the_same_core(self):
+        program = IlpProgram()
+        for made in self.CLAUSES:
+            translate_clause(made, program, frozenset())
+        solve(program)
+        translate_clause(clause([], ["q"], INFINITE), program, frozenset())
+        translate_clause(clause([], ["r"], INFINITE), program, frozenset())
+        with pytest.raises(Infeasible) as first:
+            solve(program)
+        with pytest.raises(Infeasible) as second:
+            solve(program)
+        assert first.value.core == second.value.core
+        assert len(first.value.core) == 3
+
+    def test_core_keeps_constraint_order_across_merges(self):
+        # the last clause merges p's component into the larger {q, r}, whose
+        # constraints come first in the merged list; the core must not
+        program = IlpProgram()
+        translate_clause(clause(["p"], [], INFINITE), program, frozenset())
+        translate_clause(clause(["q", "r"], [], INFINITE), program, frozenset())
+        translate_clause(clause([], ["q"], INFINITE), program, frozenset())
+        solve(program)
+        translate_clause(clause([], ["p", "r"], INFINITE), program, frozenset())
+        with pytest.raises(Infeasible) as err:
+            solve(program)
+        assert err.value.core == tuple(program.constraints)
 
 
 class TestDump:
