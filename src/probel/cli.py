@@ -180,12 +180,23 @@ def _cmd_oracle(args) -> int:
     if source is None:
         return EXIT_INVALID
     distribution = engine.brute_force_distribution(source.kb, _config(args))
+    # each distinct statement is rendered once; the worlds share the oracle's
+    # statement objects, and the distribution keeps them all alive, so an
+    # object's id names it for as long as the report is built
+    rendered = {}
+
+    def render(axiom) -> str:
+        text = rendered.get(id(axiom))
+        if text is None:
+            text = rendered[id(axiom)] = render_axiom(axiom)
+        return text
+
     report = {
         "worlds": [
             {
                 "score": format_value(world.score),
                 "probability": _probability_repr(world.probability),
-                "statements": "; ".join(render_axiom(ax) for ax in world.statements),
+                "statements": "; ".join(map(render, world.statements)),
             }
             for world in distribution.worlds
         ],
@@ -209,7 +220,8 @@ def _cmd_check(args) -> int:
         return EXIT_INVALID
     result = parse_kb(text)
     if result.kb is None:
-        _emit({"ok": False, "diagnostics": [str(p) for p in result.errors]}, args.format)
+        # the report's diagnostics, on stdout, named by file as _load's are
+        _emit({"ok": False, "diagnostics": [f"{args.kb}:{p}" for p in result.errors]}, args.format)
         return EXIT_INVALID
     diagnostics = validate(result.kb)
     report = {"ok": not diagnostics, "diagnostics": [str(d) for d in diagnostics]}

@@ -11,6 +11,14 @@ runs the same loop once per uncertain statement, from a program holding one
 FORCE clause that flips it. The probability-side counterpart is computed by
 the subset-enumeration oracle, with scores kept as exact rationals inside
 formal sums of exponentials.
+
+The oracle walks the subset lattice in ascending mask order. A mask's parent
+is the mask without its lowest bit, so its closure extends the parent's
+Closure, index included, by one atom. The children of p are p + 2^k for
+2^k below p's lowest bit, so the last of them is p + lowbit(p)/2, or
+2^(count-1) when p = 0: the parent's Closure is dropped there, and odd masks,
+which have no children, are never kept. At most one Closure per level is
+live, not one per mask.
 """
 from __future__ import annotations
 
@@ -24,8 +32,10 @@ from typing import Iterable, Optional, Sequence
 from . import ilp
 from .grounding import (
     REAL,
+    Closure,
     EvidenceAtom,
     ViolatedClause,
+    chase_plans,
     extend_closure,
     find_violated,
     incoherence_atoms,
@@ -289,39 +299,55 @@ def brute_force_distribution(
     uncertain statements its closure entails.
     """
     compiled = _compile(kb, config, cap=config.enumeration_cap)
-    templates, units = compiled.templates, compiled.units
+    units = compiled.units
     count = len(units)
-    closures = {0: compiled.closure}
-    for mask in range(1, 1 << count):
-        low = mask & -mask
-        parent = closures[mask ^ low]
-        extra = units[low.bit_length() - 1].atom
-        if extra in parent:
-            closures[mask] = parent
-        else:
-            closures[mask] = extend_closure(templates, parent, (extra,), domain=config.domain)
-
+    plans = chase_plans(compiled.templates)
+    # scores are summed as integers over the weights' common denominator
+    scale = math.lcm(*(ws.weight.denominator for ws in kb.uncertain))
+    weights = [
+        (unit.atom, ws.weight.numerator * (scale // ws.weight.denominator))
+        for ws, unit in zip(kb.uncertain, units)
+    ]
+    live = {0: Closure.of(compiled.closure)}  # the closures that still have a child to close
     seen = {}
     for mask in range(1 << count):
-        closure = closures[mask]
-        if closure not in seen and not incoherence_atoms(closure):
-            score = sum(
-                (ws.weight for ws, unit in zip(kb.uncertain, units) if unit.atom in closure),
-                Fraction(0),
-            )
-            seen[closure] = score
+        if mask:
+            low = mask & -mask
+            parent = mask ^ low
+            # a parent's last child adds the bit just below the parent's lowest
+            last = low << 1 == (parent & -parent if parent else 1 << count)
+            base = live.pop(parent) if last else live[parent]
+            extra = units[low.bit_length() - 1].atom
+            if extra in base.atoms:
+                closure = base
+            else:
+                closure = extend_closure(plans, base, (extra,), domain=config.domain)
+            if not mask & 1:
+                live[mask] = closure
+        else:
+            closure = live[0]
+        atoms = closure.atoms
+        if atoms not in seen and not incoherence_atoms(atoms):
+            seen[atoms] = sum(weight for atom, weight in weights if atom in atoms)
 
-    partition = ExpSum.of(seen.values())
+    scores = {total: Fraction(total, scale) for total in seen.values()}
+    partition = ExpSum.of(scores[total] for total in seen.values())
+    # worlds of one score share their probability, so it is computed once
+    probabilities = {total: Probability(ExpSum.of([score]), partition) for total, score in scores.items()}
+    # every distinct atom is ranked by its sort key and inverted once
+    order = sorted(set().union(*seen), key=atom_sort_key)
+    rank = {atom: i for i, atom in enumerate(order)}
+    axioms = [phi_inverse(atom) for atom in order]
     ranked = []
-    for closure, score in seen.items():
-        keyed = sorted(((atom_sort_key(a), a) for a in closure), key=itemgetter(0))
+    for atoms, total in seen.items():
+        ranks = tuple(sorted(map(rank.__getitem__, atoms)))
         world = World(
-            statements=tuple(phi_inverse(a) for _, a in keyed),
-            score=score,
-            probability=Probability(ExpSum.of([score]), partition),
-            atoms=closure,
+            statements=tuple(axioms[i] for i in ranks),
+            score=scores[total],
+            probability=probabilities[total],
+            atoms=atoms,
         )
-        ranked.append(((-score, tuple(key for key, _ in keyed)), world))
+        ranked.append(((-total, ranks), world))
     ranked.sort(key=itemgetter(0))
     return WorldDistribution(tuple(world for _, world in ranked), partition)
 

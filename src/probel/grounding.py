@@ -18,10 +18,16 @@ argument positions. Only rules with a body are joined: the body-less ones
   groundings it falsifies, for the cutting-plane loop; a fact it reports
   when the assignment lacks it.
 - extend_closure() is the semi-naive chase behind every deterministic
-  closure: saturate() runs it from the empty base over the input atoms and
-  the facts, the enumeration oracle from a closed one. Its plans put each
-  body pattern first in turn. incoherence_atoms() tests a closure for
-  concepts under BOT.
+  closure: saturate() runs it from the empty closure over the input atoms
+  and the facts, the enumeration oracle from a closed one. Its plans
+  (chase_plans) put each body pattern first in turn. incoherence_atoms()
+  tests a closure for concepts under BOT.
+
+The chase indexes each atom once: a pass indexes only its delta and merges
+that into the previous pass's index (_merge), copying the two dicts and
+concatenating only the lists the delta touches. An index list is never
+mutated once built, so the indexes of successive passes, and a Closure
+handed to several extensions, share their lists safely.
 
 eval atoms are never stored or turned into ILP variables: each grounding of a
 template with an eval literal either evaluates it to true (the literal is
@@ -35,7 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import BOT, OPERATORS, Nominal, is_infinite
 from .translate import (
@@ -311,6 +317,34 @@ def _index(atoms) -> tuple:
     return by_pred, by_pos
 
 
+def _merge(old: tuple, delta: tuple) -> tuple:
+    """The index of the atoms of ``old`` and ``delta``, which are disjoint:
+    copies of old's dicts in which each list that delta touches is replaced
+    by the concatenation. Neither index changes, and every list delta does
+    not touch is shared with ``old``."""
+    merged = []
+    for table, extra in zip(old, delta):
+        table = dict(table)
+        for key, atoms in extra.items():
+            table[key] = table[key] + atoms if key in table else atoms
+        merged.append(table)
+    return tuple(merged)
+
+
+class Closure(NamedTuple):
+    """A set of atoms closed under the hard rules with a body, and its chase
+    index ``(by predicate, by (predicate, position, argument))``. Index
+    lists are never mutated once built, so closures share them."""
+
+    atoms: frozenset
+    index: tuple
+
+    @classmethod
+    def of(cls, atoms: frozenset) -> "Closure":
+        """A closed set of atoms with a fresh index of all of them."""
+        return cls(atoms, _index(atoms))
+
+
 def find_violated(
     templates: Sequence[ClauseTemplate],
     evidence: Iterable[EvidenceAtom],
@@ -357,30 +391,39 @@ def find_violated(
     return sorted(found, key=ViolatedClause.sort_key)
 
 
+def chase_plans(templates: Sequence[ClauseTemplate]) -> tuple:
+    """The join plans extend_closure runs: every rule with a head and a body,
+    anchored at each body pattern in turn. A caller that extends many
+    closures of one KB builds this once."""
+    return tuple(plan for t in templates if t.head is not None and t.body for plan in _plans(t.body, t.head))
+
+
 def extend_closure(
-    templates: Sequence[ClauseTemplate],
-    base: frozenset,
+    plans: tuple,
+    base: Closure,
     new_atoms: Iterable[Atom],
     domain: str = REAL,
-) -> frozenset:
-    """Close ``base | new_atoms`` under the hard rules with a non-empty body.
+) -> Closure:
+    """Close ``base`` and ``new_atoms`` under the rules of ``plans`` (from
+    chase_plans).
 
-    ``base`` must already be closed under them, as the empty set and every
-    closure this module returns are. The chase is semi-naive: each pass
+    ``base`` must already be closed under them, as the empty closure and
+    every closure this module returns are. The chase is semi-naive: each pass
     grounds only substitutions that touch at least one atom derived in the
-    previous pass, which is exhaustive over a closed base.
+    previous pass, which is exhaustive over a closed base, and indexes only
+    those atoms, merging their index into the previous one. ``base`` and its
+    index are left as they are.
     """
-    current = set(base)
+    current = set(base.atoms)
     delta = set(new_atoms) - current
-    # one plan per body position: the anchor binds from the delta, earlier
-    # positions stay in the old atoms and later ones range over everything,
-    # so each new grounding is produced exactly once
-    plans = [plan for t in templates if t.head is not None and t.body for plan in _plans(t.body, t.head)]
-    old_idx = _index(current)
+    old_idx = base.index
     while delta:
         current |= delta
-        cur_idx = _index(current)
         delta_idx = _index(delta)
+        cur_idx = _merge(old_idx, delta_idx)
+        # one plan per body position: the anchor binds from the delta, earlier
+        # positions stay in the old atoms and later ones range over everything,
+        # so each new grounding is produced exactly once
         indexes = (*delta_idx, *old_idx, *cur_idx)
         heads = set()
         for plan in plans:
@@ -389,7 +432,7 @@ def extend_closure(
         # the old atoms of the next pass are this pass's current ones
         old_idx = cur_idx
         delta = heads
-    return frozenset(current)
+    return Closure(frozenset(current), old_idx)
 
 
 def saturate(
@@ -399,12 +442,12 @@ def saturate(
 ) -> frozenset:
     """Deterministic closure: chase the hard rules to a fixpoint.
 
-    The chase (extend_closure) starts from the empty base with ``atoms`` and
-    the facts of the body-less rules (F1, F2, UNA). incoherence_atoms() tells
-    whether the closure puts a concept under BOT.
+    The chase (extend_closure) starts from the empty closure with ``atoms``
+    and the facts of the body-less rules (F1, F2, UNA). incoherence_atoms()
+    tells whether the closure puts a concept under BOT.
     """
     start = set(atoms).union(*(t.facts for t in templates))
-    return extend_closure(templates, frozenset(), start, domain)
+    return extend_closure(chase_plans(templates), Closure.of(frozenset()), start, domain).atoms
 
 
 def incoherence_atoms(closure: frozenset) -> list:

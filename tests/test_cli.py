@@ -254,7 +254,7 @@ class TestExitCodes:
         deep.write_text(f"A SUBCLASSOF {opening * 1000}B{')' * 1000}\n")
         code, out = run_cli("check", str(deep))
         assert code == 2
-        assert re.fullmatch(r"ok: False\ndiagnostics:\n  line 1, column \d+: nesting too deep\n", out)
+        assert re.fullmatch(rf"ok: False\ndiagnostics:\n  {re.escape(str(deep))}:line 1, column \d+: nesting too deep\n", out)
         assert run_cli("solve", str(deep)) == (2, "")
         err = capsys.readouterr().err
         assert re.fullmatch(rf"{re.escape(str(deep))}:line 1, column \d+: nesting too deep\n", err)
@@ -305,6 +305,19 @@ class TestExitCodes:
         bad.write_text("A SUBCLASSOF B AND\n")
         code, _ = run_cli("check", str(bad))
         assert code == 2
+
+    def test_check_parse_diagnostics_name_the_file(self, tmp_path, capsys):
+        # as every other command's do, but on stdout, where they are the report
+        bad = tmp_path / "bad.kb"
+        bad.write_text("A SUBCLASSOF B\nA SUBCLASSOF\n")
+        assert run_cli("solve", str(bad)) == (2, "")
+        (diagnostic,) = capsys.readouterr().err.splitlines()
+        assert diagnostic.startswith(f"{bad}:line 2, column ")
+        assert run_cli("check", str(bad)) == (2, f"ok: False\ndiagnostics:\n  {diagnostic}\n")
+        code, out = run_cli("check", str(bad), "--format", "json")
+        assert code == 2
+        assert json.loads(out) == {"ok": False, "diagnostics": [diagnostic]}
+        assert capsys.readouterr().err == ""
 
     def test_statement_in_both_parts_is_2(self, tmp_path):
         dup = tmp_path / "dup.kb"

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,9 +28,9 @@ from probel.model import (
     make_signature,
 )
 from probel.randgen import random_kb
-from probel.translate import Atom, phi, rule_templates
+from probel.translate import Atom, atom_sort_key, phi, phi_inverse, rule_templates
 
-from oracles import naive_find_violated
+from oracles import naive_find_violated, naive_saturate
 from probel.grounding import EvidenceAtom
 
 
@@ -179,20 +180,34 @@ class TestEngineOracleAgreement:
             closure = saturate(templates, atoms)
             assert closure in {w.atoms for w in dist.worlds if w.score == best}
 
-    def test_statement_order_does_not_change_the_world(self):
-        rng = random.Random(31)
-        for _ in range(8):
-            kb = random_kb(rng, max_uncertain=6)
-            base = map_inference(kb)
-            shuffled = KnowledgeBase(
-                kb.signature,
-                tuple(reversed(kb.deterministic)),
-                tuple(reversed(kb.uncertain)),
-            )
-            again = map_inference(shuffled)
-            assert again.objective == base.objective
-            assert set(again.selected) == set(base.selected)
-            assert again.atoms == base.atoms
+    def test_statement_order_does_not_change_the_optimum(self):
+        # the declared-order tie-break follows the statement order, so a
+        # reversed KB may pick another world among equal optima: the
+        # objective is the same everywhere, the world only where the oracle
+        # shows a single top-scoring one. The second input reaches past the
+        # oracle (up to 60 uncertain statements).
+        inputs = (
+            (random.Random(31), 8, dict(max_uncertain=6)),
+            (random.Random(5), 30, dict(max_concepts=12, max_individuals=4, max_uncertain=60)),
+        )
+        for rng, count, sizes in inputs:
+            for _ in range(count):
+                kb = random_kb(rng, **sizes)
+                base = map_inference(kb)
+                reversed_kb = KnowledgeBase(
+                    kb.signature,
+                    tuple(reversed(kb.deterministic)),
+                    tuple(reversed(kb.uncertain)),
+                )
+                again = map_inference(reversed_kb)
+                assert again.objective == base.objective
+                for result in (base, again):
+                    assert sum((ws.weight for ws in result.selected), Fraction(0)) == result.objective
+                if len(kb.uncertain) <= 6:
+                    top = [w for w in brute_force_distribution(kb).worlds if w.score == base.objective]
+                    if len(top) == 1:
+                        assert again.atoms == base.atoms == top[0].atoms
+                        assert set(again.selected) == set(base.selected)
 
     def test_scaling_weights_preserves_selection(self):
         # the second input reaches past the oracle (up to 60 uncertain
@@ -265,6 +280,56 @@ class TestMapInvariants:
         )
         violated = naive_find_violated(templates, evidence, result.atoms, toddler_kb.signature)
         assert not [v for v in violated if v.weight is INFINITE]
+
+
+def _reference_distribution(kb, domain):
+    """The world distribution built from tests/oracles.py alone, as
+    (atoms, score) pairs in the oracle's order.
+
+    Every subset S of the uncertain statements is closed by naive_saturate
+    together with the deterministic part, as cl(cl(S - {x}) + {x}) for the
+    member x of highest index, which equals cl(S) because the closure is
+    monotone and idempotent; the oracle takes the member of lowest index
+    instead. Incoherent worlds are dropped and the rest deduplicated by
+    closure, scored by the uncertain statements each entails, and sorted
+    by descending score, then by their sorted atom keys."""
+    templates = rule_templates(kb.signature)
+    units = [phi(ws.statement) for ws in kb.uncertain]
+    closures = [naive_saturate(templates, [phi(ws.statement) for ws in kb.deterministic], kb.signature, domain)]
+    for mask in range(1, 1 << len(units)):
+        high = mask.bit_length() - 1
+        parent = closures[mask ^ (1 << high)]
+        if units[high] in parent[0]:
+            closures.append(parent)
+        else:
+            closures.append(naive_saturate(templates, parent[0] | {units[high]}, kb.signature, domain))
+    worlds = {}
+    for closure, conflicts in closures:
+        if not conflicts:
+            worlds[closure] = sum((ws.weight for ws, a in zip(kb.uncertain, units) if a in closure), Fraction(0))
+    return sorted(worlds.items(), key=lambda w: (-w[1], sorted(map(atom_sort_key, w[0]))))
+
+
+@pytest.mark.parametrize("domain", ("real", "integer"))
+def test_oracle_matches_an_independent_enumeration(domain):
+    # up to 10 uncertain statements, so the walk hands closures down and
+    # releases them up to 10 levels deep; no individuals, because each one
+    # multiplies the naive reference's cross product, which runs once per
+    # subset
+    rng = random.Random(3)
+    counts = []
+    for _ in range(3):
+        kb = random_kb(rng, max_concepts=2, max_individuals=0, max_uncertain=10)
+        counts.append(len(kb.uncertain))
+        dist = brute_force_distribution(kb, ReasonerConfig(domain=domain))
+        reference = _reference_distribution(kb, domain)
+        assert [(w.atoms, w.score) for w in dist.worlds] == reference
+        partition = tuple(sorted(Counter(score for _, score in reference).items()))
+        for world in dist.worlds:
+            assert world.statements == tuple(phi_inverse(a) for a in sorted(world.atoms, key=atom_sort_key))
+            assert world.probability.numerator.terms == ((world.score, 1),)
+            assert world.probability.denominator.terms == partition
+    assert max(counts) == 10
 
 
 class TestDistribution:

@@ -1,7 +1,9 @@
+import copy
 import gc
 import itertools
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -9,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 
 from probel.grounding import (
+    Closure,
     EvidenceAtom,
     ViolatedClause,
+    chase_plans,
     eval_op,
     extend_closure,
     find_violated,
@@ -271,7 +275,7 @@ def test_extend_closure_matches_full_saturation():
                 assert bool(incoherence_atoms(closure)) == (domain == "integer")
             base = saturate(templates, det, domain=domain)
             for atom in unc:
-                fast = extend_closure(templates, base, (atom,), domain=domain)
+                fast = extend_closure(chase_plans(templates), Closure.of(base), (atom,), domain=domain).atoms
                 slow, _ = naive_saturate(templates, det + [atom], kb.signature, domain)
                 assert fast == slow
 
@@ -293,12 +297,42 @@ def test_compiled_grounding_matches_the_naive_oracles(statements, data, domain, 
     _assert_naive_closure(closure, templates, atoms, SIG, domain)
     split = rng.randint(0, len(atoms))
     base = saturate(templates, atoms[:split], domain=domain)
-    assert extend_closure(templates, base, atoms[split:], domain=domain) == closure
+    assert extend_closure(chase_plans(templates), Closure.of(base), atoms[split:], domain=domain).atoms == closure
     weights = (Fraction(1, 2), Fraction(-1, 2), Fraction(0), INFINITE)
     evidence = tuple(EvidenceAtom(a, weights[i % 4], i) for i, a in enumerate(atoms))
     partial = frozenset(a for a in sorted(closure, key=str) if rng.random() < 0.5)
     fast = set(find_violated(templates, evidence, partial, domain=domain))
     assert fast == naive_find_violated(templates, evidence, partial, SIG, domain)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(normal_statements, max_size=5),
+    st.lists(normal_statements, min_size=1, max_size=3),
+    st.lists(data_statements, max_size=2),
+    st.sampled_from(("real", "integer")),
+    st.randoms(use_true_random=False),
+)
+def test_extend_closure_from_the_base_index(base_statements, new_statements, data, domain, rng):
+    # arbitrary pairs (closed base, new atoms), not only the one-atom steps of
+    # the oracle's lattice walk: the base comes with the index its own chase
+    # returned, which the extension reads, shares and must leave unchanged
+    templates = rule_templates(SIG)
+    plans = chase_plans(templates)
+    data_atoms = [phi(s) for s in data]
+    split = rng.randint(0, len(data_atoms))
+    start = {phi(s) for s in base_statements}.union(data_atoms[:split], *(t.facts for t in templates))
+    base = extend_closure(plans, Closure.of(frozenset()), start, domain=domain)
+    new = [phi(s) for s in new_statements] + data_atoms[split:]
+    new += rng.sample(sorted(base.atoms, key=str), min(2, len(base.atoms)))  # some already closed
+    before = copy.deepcopy(base)
+    closure = extend_closure(plans, base, new, domain=domain)
+    slow, _ = naive_saturate(templates, base.atoms | set(new), SIG, domain)
+    assert closure.atoms == slow
+    assert base == before
+    # the index handed on indexes exactly the closure's atoms
+    counted = [{key: Counter(atoms) for key, atoms in table.items()} for table in closure.index]
+    assert counted == [{key: Counter(atoms) for key, atoms in table.items()} for table in Closure.of(slow).index]
 
 
 def test_plans_keep_no_template_alive():
@@ -315,7 +349,7 @@ def test_plans_keep_no_template_alive():
         templates = rule_templates(sig)
         closure = saturate(templates, atoms[:2])
         find_violated(templates, (), closure)
-        extend_closure(templates, closure, atoms[2:])
+        extend_closure(chase_plans(templates), Closure.of(closure), atoms[2:])
         refs = [weakref.ref(t) for t in templates]
         del templates
         assert [r() for r in refs if r() is not None] == []
@@ -400,4 +434,5 @@ def test_every_kernel_matches_the_naive_oracles(domain):
         closure, _ = naive_saturate(templates, current, sig, domain)
         for atom in body:
             base = saturate(templates, current - {atom}, domain=domain)
-            assert extend_closure(templates, base, (atom,), domain=domain) == closure, (template.id, atom)
+            fast = extend_closure(chase_plans(templates), Closure.of(base), (atom,), domain=domain).atoms
+            assert fast == closure, (template.id, atom)
