@@ -11,6 +11,7 @@ error, 3 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,10 @@ _FLAGS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call;
+    each ``parse_args`` returns a new namespace, so no call sees another's."""
     parser = argparse.ArgumentParser(prog="probel", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -191,16 +195,26 @@ def _cmd_oracle(args) -> int:
             text = rendered[id(axiom)] = render_axiom(axiom)
         return text
 
-    report = {
-        "worlds": [
-            {
-                "score": format_value(world.score),
-                "probability": _probability_repr(world.probability),
-                "statements": "; ".join(map(render, world.statements)),
-            }
-            for world in distribution.worlds
-        ],
-    }
+    # worlds of one score share one Probability, so its id names the score too
+    scores = {}
+
+    def render_score(world) -> tuple:
+        texts = scores.get(id(world.probability))
+        if texts is None:
+            texts = scores[id(world.probability)] = (
+                format_value(world.score), _probability_repr(world.probability)
+            )
+        return texts
+
+    worlds = []
+    for world in distribution.worlds:
+        score, probability = render_score(world)
+        worlds.append({
+            "score": score,
+            "probability": probability,
+            "statements": "; ".join(map(render, world.statements)),
+        })
+    report = {"worlds": worlds}
     _emit(report, args.format)
     return EXIT_OK
 

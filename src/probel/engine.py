@@ -5,10 +5,17 @@ builds the rule templates and the evidence atoms, and closes the
 deterministic part, which must be coherent. MAP inference then starts from
 the deterministic evidence, repeatedly grounds only the clauses violated by
 the current solution, translates them into the ILP and re-solves, until no
-new violated clause exists (``_cutting_planes``). The final assignment is
-the most probable coherent deductively closed world. ``explain_selection``
-runs the same loop once per uncertain statement, from a program holding one
-FORCE clause that flips it. The probability-side counterpart is computed by
+new violated clause exists (``_cutting_planes``). The atoms true in every
+world, those of the deterministic statements and the facts of the
+body-less rules (F1, F2, UNA), are substituted out of the ILP instead of
+becoming variables fixed to 1. The loop still starts from the
+deterministic evidence alone, so each fact missing from it is a violated
+clause of the first round that adds no constraint: the rounds, and the
+declared order of the variables that remain, do not depend on the
+substitution. The final assignment is the most probable coherent
+deductively closed world. ``explain_selection`` runs the same loop once
+per uncertain statement, from a program holding one FORCE clause that
+flips it. The probability-side counterpart is computed by
 the subset-enumeration oracle, with scores kept as exact rationals inside
 formal sums of exponentials.
 
@@ -161,12 +168,14 @@ class MapResult:
 @dataclass(frozen=True)
 class _CompiledKB:
     """A validated KB: its rule templates, the deterministic and uncertain
-    evidence atoms, and the coherent closure of the deterministic part."""
+    evidence atoms, the coherent closure of the deterministic part, and the
+    atoms fixed true in every world (the deterministic atoms and the facts)."""
 
     templates: list
     det_atoms: frozenset
     units: tuple
     closure: frozenset
+    fixed_true: frozenset
 
 
 def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = None) -> _CompiledKB:
@@ -186,7 +195,8 @@ def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = Non
     bad = incoherence_atoms(closure)
     if bad:
         raise IncoherentDeterministic(_incoherent_core(kb, templates, config.domain), bad)
-    return _CompiledKB(templates, det_atoms, units, closure)
+    fixed_true = det_atoms.union(*(t.facts for t in templates))
+    return _CompiledKB(templates, det_atoms, units, closure, fixed_true)
 
 
 def _incoherent_core(kb, templates, domain) -> list:
@@ -210,9 +220,9 @@ def _cutting_planes(
     """Run the cutting-plane loop from ``program``: find violated clauses,
     add their constraints, re-solve, and stop when every violated clause is
     already accounted for."""
-    det_atoms = compiled.det_atoms
+    fixed_true = compiled.fixed_true
     added = set()
-    current = det_atoms
+    current = compiled.det_atoms
     iterations = 0
     while True:
         violated = find_violated(compiled.templates, compiled.units, current, domain=config.domain)
@@ -224,9 +234,9 @@ def _cutting_planes(
             raise RuntimeError("cutting-plane loop failed to converge")
         for clause in fresh:
             added.add(clause)
-            ilp.translate_clause(clause, program, det_atoms)
+            ilp.translate_clause(clause, program, fixed_true)
         assignment, _ = ilp.solve(program)
-        current = det_atoms | program.true_atoms(assignment)
+        current = fixed_true | program.true_atoms(assignment)
 
     selected, rejected = [], []
     objective = Fraction(0)
@@ -261,9 +271,8 @@ def first_iteration_program(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_
     """The ILP after translating the first round of violated clauses."""
     compiled = _compile(kb, config)
     program = ilp.IlpProgram()
-    det_atoms = compiled.det_atoms
-    for clause in find_violated(compiled.templates, compiled.units, det_atoms, domain=config.domain):
-        ilp.translate_clause(clause, program, det_atoms)
+    for clause in find_violated(compiled.templates, compiled.units, compiled.det_atoms, domain=config.domain):
+        ilp.translate_clause(clause, program, compiled.fixed_true)
     return program
 
 
@@ -388,7 +397,7 @@ def explain_selection(kb: KnowledgeBase, result: MapResult, config: ReasonerConf
         )
         program = ilp.IlpProgram()
         try:
-            ilp.translate_clause(force, program, compiled.det_atoms)
+            ilp.translate_clause(force, program, compiled.fixed_true)
             delta = result.objective - _cutting_planes(kb, compiled, config, program).objective
         except (ilp.HardConflict, ilp.Infeasible):
             delta = None

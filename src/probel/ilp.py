@@ -134,9 +134,11 @@ class IlpProgram:
 def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozenset()) -> list:
     """Add the constraint(s) for one violated clause to the program.
 
-    Atoms fixed true by evidence are substituted out: a positive literal over
-    one satisfies the clause outright, a negated literal over one can never
-    help and is omitted from the sums.
+    Atoms fixed true in every world, by the deterministic statements and by
+    the facts of the body-less rules (F1, F2, UNA), are substituted out: a
+    positive literal over one satisfies the clause outright, a negated
+    literal over one can never help and is omitted from the sums. A hard
+    clause left with no literal raises ``HardConflict``.
     """
     satisfied = sum(1 for atom in clause.positive if atom in fixed_true)
     pos = [atom for atom in clause.positive if atom not in fixed_true]

@@ -4,6 +4,7 @@ import random
 import re
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -209,8 +210,10 @@ class TestCommands:
         code2, out2 = run_cli("dump-ilp", str(toddler_path))
         assert code1 == code2 == 0
         assert out1 == out2
-        assert out1.startswith("OBJECTIVE\n")
-        assert "x_sub_Toddler_Adult" in out1
+        # the facts of F1, F2 and UNA hold in every world: no variable, no
+        # constraint and no body term stands for one
+        golden = Path(__file__).resolve().parent / "data" / "toddler.ilp"
+        assert out1.encode() == golden.read_bytes()
 
 
 class TestExitCodes:
@@ -371,3 +374,14 @@ class TestDeterminism:
             for fmt in ("text", "json"):
                 outputs = {run_cli("solve", str(path), "--format", fmt)[1] for _ in range(3)}
                 assert len(outputs) == 1
+
+    def test_consecutive_calls_carry_no_parsed_state(self, toddler_path, two_year_old_path):
+        # one parser serves every main call of a process; what one call
+        # parses must not reach the next
+        code, out = run_cli("solve", str(toddler_path), "--format", "json", "--explain")
+        assert code == 0 and "explain" in json.loads(out)
+        code, out = run_cli("solve", str(toddler_path))
+        assert code == 0
+        assert out.startswith("objective: 2.2\n") and "explain" not in out
+        assert run_cli("oracle", str(two_year_old_path), "--max-worlds", "1")[0] == 3
+        assert run_cli("oracle", str(two_year_old_path))[0] == 0

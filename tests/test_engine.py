@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from probel import engine, ilp
 from probel.engine import (
     EnumerationCapExceeded,
     IncoherentDeterministic,
@@ -416,3 +417,46 @@ class TestExplain:
                         assert entry.delta == result.objective - max(flipped)
                     else:
                         assert entry.delta is None
+
+
+class TestFactsOutOfTheIlp:
+    """The facts of the body-less rules (F1, F2, UNA) hold in every world, so
+    they are substituted out of the ILP as the deterministic atoms are."""
+
+    @staticmethod
+    def atoms_of(program) -> frozenset:
+        return program.true_atoms(dict.fromkeys(program.variables, 1))
+
+    @pytest.mark.parametrize("domain", ["real", "integer"])
+    def test_no_fact_is_an_ilp_variable(self, domain):
+        config = ReasonerConfig(domain=domain)
+        rng = random.Random(11)
+        for _ in range(40):
+            kb = random_kb(rng, max_uncertain=8)
+            compiled = engine._compile(kb, config)
+            facts = set().union(*(t.facts for t in compiled.templates))
+            first = engine.first_iteration_program(kb, config)
+            final = ilp.IlpProgram()
+            result = engine._cutting_planes(kb, compiled, config, final)
+            assert not self.atoms_of(first) & facts
+            assert not self.atoms_of(final) & facts
+            # the facts still hold in the MAP world
+            assert facts <= result.atoms
+
+    def test_round_one_of_only_facts_still_counts(self):
+        # the only violations of round 1 are facts, which add no constraint;
+        # the round is counted all the same, as before the substitution
+        kb = parse_kb("-0.5 A SUBCLASSOF B\n").kb
+        result = map_inference(kb)
+        assert result.iterations == 1
+        assert result.objective == 0
+
+    @pytest.mark.parametrize(
+        "text", ["0.5 A SUBCLASSOF TOP\n", "0.5 A SUBCLASSOF A\n", "-0.4 B SUBCLASSOF TOP\n"]
+    )
+    def test_forcing_a_fact_out_is_incoherent(self, text):
+        kb = parse_kb(text).kb
+        result = map_inference(kb)
+        (entry,) = explain_selection(kb, result)
+        assert entry.selected
+        assert entry.delta is None
