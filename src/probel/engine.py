@@ -4,19 +4,15 @@ Every entry point compiles the KB once (``_compile``): it validates it,
 builds the rule templates and the evidence atoms, and closes the
 deterministic part, which must be coherent. MAP inference then starts from
 the deterministic evidence, repeatedly grounds only the clauses violated by
-the current solution, translates them into the ILP and re-solves, until no
-new violated clause exists (``_cutting_planes``). The atoms true in every
-world, those of the deterministic statements and the facts of the
-body-less rules (F1, F2, UNA), are substituted out of the ILP instead of
-becoming variables fixed to 1. The loop still starts from the
-deterministic evidence alone, so each fact missing from it is a violated
-clause of the first round that adds no constraint: the rounds, and the
-declared order of the variables that remain, do not depend on the
-substitution. The final assignment is the most probable coherent
-deductively closed world. ``explain_selection`` runs the same loop once
-per uncertain statement, from a program holding one FORCE clause that
-flips it. The probability-side counterpart is computed by
-the subset-enumeration oracle, with scores kept as exact rationals inside
+the current solution, translates them into the ILP and re-solves
+(``_cutting_planes``). The atoms true in every world, those of the
+deterministic statements and the facts of the body-less rules (F1, F2,
+UNA), are substituted out of the ILP, and the loop stops once no violated
+clause is new and all of them hold. The final assignment is the most
+probable coherent deductively closed world. ``explain_selection`` runs the
+same loop once per uncertain statement, from a program holding one FORCE
+clause that flips it. The probability-side counterpart is computed by the
+subset-enumeration oracle, with scores kept as exact rationals inside
 formal sums of exponentials.
 
 The oracle walks the subset lattice in ascending mask order. A mask's parent
@@ -219,7 +215,7 @@ def _cutting_planes(
 ) -> MapResult:
     """Run the cutting-plane loop from ``program``: find violated clauses,
     add their constraints, re-solve, and stop when every violated clause is
-    already accounted for."""
+    already accounted for and every fixed-true atom holds."""
     fixed_true = compiled.fixed_true
     added = set()
     current = compiled.det_atoms
@@ -227,7 +223,7 @@ def _cutting_planes(
     while True:
         violated = find_violated(compiled.templates, compiled.units, current, domain=config.domain)
         fresh = [g for g in violated if g not in added]
-        if not fresh:
+        if not fresh and fixed_true <= current:
             break
         iterations += 1
         if iterations > _MAX_ITERATIONS:

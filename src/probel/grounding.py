@@ -14,9 +14,9 @@ argument positions. Only rules with a body are joined: the body-less ones
 (F1, F2, UNA) come ground from rule_templates, as each template's
 ``facts``. Two callers run kernels:
 
-- find_violated() grounds every template over an assignment and reports the
-  groundings it falsifies, for the cutting-plane loop; a fact it reports
-  when the assignment lacks it.
+- find_violated() grounds every rule with a body over an assignment and
+  reports the groundings it falsifies, for the cutting-plane loop. It never
+  reports a fact: facts hold in every world.
 - extend_closure() is the semi-naive chase behind every deterministic
   closure: saturate() runs it from the empty closure over the input atoms
   and the facts, the enumeration oracle from a closed one. Its plans
@@ -351,8 +351,10 @@ def find_violated(
     current: frozenset,
     domain: str = REAL,
 ) -> list:
-    """All template groundings with body satisfied and head falsified by
-    ``current``, plus each violated weighted evidence unit clause.
+    """All groundings of the rules with a body whose body ``current``
+    satisfies and whose head it falsifies, plus each violated weighted
+    evidence unit clause. The facts of the body-less rules are not reported
+    even when ``current`` lacks them: they hold in every world.
 
     Grounding is join-driven: candidate substitutions are enumerated from the
     true atoms only, never by cross product. Results come back in canonical
@@ -363,11 +365,6 @@ def find_violated(
     found = set()
     for template in templates:
         if not template.body:
-            found.update(
-                ViolatedClause(frozenset((fact,)), frozenset(), template.weight, template.id)
-                for fact in template.facts
-                if fact not in current
-            )
             continue
 
         def emit(head, body):

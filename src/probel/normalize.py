@@ -53,7 +53,7 @@ class _Rewriter:
         self.sig = sig
         self.concepts = set(sig.concepts)
         self.roles = set(sig.roles)
-        self.deterministic: list = []
+        self.deterministic: dict = {}  # statement -> None, in first-occurrence order
         self.uncertain: list = []
         self.name_map: dict = {}
         self.cache: dict = {}  # (side, expression) -> fresh name
@@ -83,8 +83,7 @@ class _Rewriter:
         assert is_normal_form(axiom), axiom
         statement = WeightedStatement(axiom, weight)
         if is_infinite(weight):
-            if statement not in self.deterministic:
-                self.deterministic.append(statement)
+            self.deterministic[statement] = None
         else:
             self.uncertain.append(statement)
 

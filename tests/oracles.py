@@ -83,15 +83,12 @@ def _template_vars(template):
 
 
 def naive_find_violated(templates, evidence, current, sig, domain="real"):
-    """Cross-product grounding over the full per-sort universes; a body-less
-    template is violated by each of its facts missing from ``current``."""
+    """Cross-product grounding over the full per-sort universes. A body-less
+    template is never violated: its facts hold in every world."""
     universes = _universes(sig, evidence, current)
     found = set()
     for template in templates:
         if not template.body:
-            for fact in template.facts:
-                if fact not in current:
-                    found.add(ViolatedClause(frozenset((fact,)), frozenset(), template.weight, template.id))
             continue
         body = [p for p in template.body if p.pred != "eval"]
         evals = [p for p in template.body if p.pred == "eval"]
@@ -137,10 +134,11 @@ def naive_find_violated(templates, evidence, current, sig, domain="real"):
 
 
 def naive_saturate(templates, atoms, sig, domain="real"):
-    """Naive fixpoint of the hard rules: re-ground everything by cross product
-    until no pass adds a head. Returns (closure, set of FALSE-headed clauses
-    that hold in it): the COH clauses, one per concept under BOT."""
-    current = frozenset(atoms)
+    """Naive fixpoint of the hard rules from ``atoms`` and the facts:
+    re-ground everything by cross product until no pass adds a head. Returns
+    (closure, set of FALSE-headed clauses that hold in it): the COH clauses,
+    one per concept under BOT."""
+    current = frozenset(atoms).union(*(t.facts for t in templates))
     while True:
         violated = naive_find_violated(templates, (), current, sig, domain)
         heads = {atom for clause in violated for atom in clause.positive}

@@ -444,12 +444,16 @@ class TestFactsOutOfTheIlp:
             assert facts <= result.atoms
 
     def test_round_one_of_only_facts_still_counts(self):
-        # the only violations of round 1 are facts, which add no constraint;
-        # the round is counted all the same, as before the substitution
-        kb = parse_kb("-0.5 A SUBCLASSOF B\n").kb
-        result = map_inference(kb)
-        assert result.iterations == 1
-        assert result.objective == 0
+        # round 1 violates no clause, yet it is a round exactly when the
+        # deterministic evidence lacks a fact
+        for text, rounds in (
+            ("-0.5 A SUBCLASSOF B\n", 1),
+            ("-0.5 TOP SUBCLASSOF BOT\n", 1),
+            ("TOP SUBCLASSOF TOP\nBOT SUBCLASSOF BOT\nBOT SUBCLASSOF TOP\n-0.5 TOP SUBCLASSOF BOT\n", 0),
+        ):
+            result = map_inference(parse_kb(text).kb)
+            assert result.iterations == rounds, text
+            assert result.objective == 0
 
     @pytest.mark.parametrize(
         "text", ["0.5 A SUBCLASSOF TOP\n", "0.5 A SUBCLASSOF A\n", "-0.4 B SUBCLASSOF TOP\n"]

@@ -114,6 +114,30 @@ def test_deterministic_naming_is_reproducible():
     assert first.name_map == second.name_map
 
 
+def test_repeated_deterministic_statements_are_kept_once_in_first_order():
+    sig = make_signature(concepts=("A", "B", "C", "D"), roles=("r",))
+    axioms = [
+        (Gci("A", "B"), INFINITE),
+        # both composites define A <= C, and the first repeats A <= B
+        (Gci("A", And(("B", "C"))), INFINITE),
+        (Gci("A", And(("C", Exists("r", "D")))), INFINITE),
+        (Gci(And(("B", "C")), "D"), INFINITE),
+        (Gci(And(("B", "C")), "D"), INFINITE),
+        (Gci("A", "B"), INFINITE),
+        (Gci("A", "B"), Fraction(1, 2)),
+        (Gci("A", "B"), Fraction(1, 2)),
+    ]
+    kb = normalize(axioms, sig).kb
+    assert [ws.statement for ws in kb.deterministic] == [
+        Gci("A", "B"),
+        Gci("A", "C"),
+        Gci("A", Exists("r", "D")),
+        Gci(And(("B", "C")), "D"),
+    ]
+    # uncertain statements are never merged: each carries its own weight
+    assert [ws.statement for ws in kb.uncertain] == [Gci("A", "B"), Gci("A", "B")]
+
+
 def test_output_size_linear_in_tree_size():
     def tree_size(concept):
         if isinstance(concept, And):
