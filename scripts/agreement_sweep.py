@@ -48,7 +48,7 @@ def main() -> int:
             return 1
         templates = rule_templates(kb.signature)
         atoms = [phi(ws.statement) for ws in kb.deterministic + result.selected]
-        closure = saturate(templates, atoms, domain=args.domain)
+        closure = saturate(templates, atoms, domain=args.domain).atoms
         if closure not in {w.atoms for w in dist.worlds if w.score == best}:
             print(f"CLOSURE MISMATCH at KB {i}")
             return 1

@@ -5,23 +5,27 @@ builds the rule templates and the evidence atoms, and closes the
 deterministic part, which must be coherent. MAP inference then starts from
 the deterministic evidence, repeatedly grounds only the clauses violated by
 the current solution, translates them into the ILP and re-solves
-(``_cutting_planes``). The atoms true in every world, those of the
-deterministic statements and the facts of the body-less rules (F1, F2,
-UNA), are substituted out of the ILP, and the loop stops once no violated
-clause is new and all of them hold. The final assignment is the most
-probable coherent deductively closed world. ``explain_selection`` runs the
+(``_cutting_planes``). Round 0 joins the deterministic evidence in full.
+Each later round grounds only around what the last solve changed: round 1
+from the compiled closure, which is closed and coherent and so falsifies no
+grounding, and round t from round t-1's assignment, whose violated clauses
+were all reported then and are already added. The atoms true in every
+world, those of the deterministic statements and the facts of the
+body-less rules (F1, F2, UNA), are substituted out of the ILP, and the loop
+stops once no violated clause is new and all of them hold. The final
+assignment is the most probable coherent deductively closed world. ``explain_selection`` runs the
 same loop once per uncertain statement, from a program holding one FORCE
 clause that flips it. The probability-side counterpart is computed by the
 subset-enumeration oracle, with scores kept as exact rationals inside
 formal sums of exponentials.
 
-The oracle walks the subset lattice in ascending mask order. A mask's parent
-is the mask without its lowest bit, so its closure extends the parent's
-Closure, index included, by one atom. The children of p are p + 2^k for
-2^k below p's lowest bit, so the last of them is p + lowbit(p)/2, or
-2^(count-1) when p = 0: the parent's Closure is dropped there, and odd masks,
-which have no children, are never kept. At most one Closure per level is
-live, not one per mask.
+The oracle walks the subset lattice in ascending mask order, from the
+compiled closure, index included. A mask's parent is the mask without its
+lowest bit, so its closure extends the parent's Closure, index included, by
+one atom. The children of p are p + 2^k for 2^k below p's lowest bit, so
+the last of them is p + lowbit(p)/2, or 2^(count-1) when p = 0: the
+parent's Closure is dropped there, and odd masks, which have no children,
+are never kept. At most one Closure per level is live, not one per mask.
 """
 from __future__ import annotations
 
@@ -156,21 +160,27 @@ class MapResult:
     selected: tuple
     rejected: tuple
     objective: Fraction
-    classified: tuple
     iterations: int
     coherent: bool
+
+    @cached_property
+    def classified(self) -> tuple:
+        """The world's statements in canonical order, built on first read:
+        explain re-solves once per statement and never reads them."""
+        return _statements(self.atoms)
 
 
 @dataclass(frozen=True)
 class _CompiledKB:
     """A validated KB: its rule templates, the deterministic and uncertain
-    evidence atoms, the coherent closure of the deterministic part, and the
-    atoms fixed true in every world (the deterministic atoms and the facts)."""
+    evidence atoms, the coherent closure of the deterministic part with its
+    chase index, and the atoms fixed true in every world (the deterministic
+    atoms and the facts)."""
 
     templates: list
     det_atoms: frozenset
     units: tuple
-    closure: frozenset
+    closure: Closure
     fixed_true: frozenset
 
 
@@ -188,7 +198,7 @@ def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = Non
         EvidenceAtom(phi(ws.statement), ws.weight, index) for index, ws in enumerate(kb.uncertain)
     )
     closure = saturate(templates, det_atoms, domain=config.domain)
-    bad = incoherence_atoms(closure)
+    bad = incoherence_atoms(closure.atoms)
     if bad:
         raise IncoherentDeterministic(_incoherent_core(kb, templates, config.domain), bad)
     fixed_true = det_atoms.union(*(t.facts for t in templates))
@@ -201,7 +211,7 @@ def _incoherent_core(kb, templates, domain) -> list:
 
     def incoherent(statements) -> bool:
         atoms = [phi(ws.statement) for ws in statements]
-        return bool(incoherence_atoms(saturate(templates, atoms, domain=domain)))
+        return bool(incoherence_atoms(saturate(templates, atoms, domain=domain).atoms))
 
     return ilp.deletion_filter(kb.deterministic, incoherent)
 
@@ -215,13 +225,21 @@ def _cutting_planes(
 ) -> MapResult:
     """Run the cutting-plane loop from ``program``: find violated clauses,
     add their constraints, re-solve, and stop when every violated clause is
-    already accounted for and every fixed-true atom holds."""
+    already accounted for and every fixed-true atom holds.
+
+    Round 0 joins ``det_atoms`` in full. Round 1 searches from the compiled
+    closure, which falsifies no grounding, so it finds every violated
+    clause; each later round searches from the previous round's assignment,
+    whose violated clauses are all in ``added``. So every round's fresh
+    clauses are those of a full join."""
     fixed_true = compiled.fixed_true
     added = set()
     current = compiled.det_atoms
+    base = None
     iterations = 0
     while True:
-        violated = find_violated(compiled.templates, compiled.units, current, domain=config.domain)
+        violated = find_violated(compiled.templates, compiled.units, current, config.domain, base)
+        base = compiled.closure if base is None else violated.closure
         fresh = [g for g in violated if g not in added]
         if not fresh and fixed_true <= current:
             break
@@ -247,7 +265,6 @@ def _cutting_planes(
         selected=tuple(selected),
         rejected=tuple(rejected),
         objective=objective,
-        classified=_statements(current),
         iterations=iterations,
         coherent=True,
     )
@@ -274,7 +291,7 @@ def first_iteration_program(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_
 
 def classify_deterministic(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_CONFIG):
     """Saturate the deterministic part only; the uncertain part is ignored."""
-    return _statements(_compile(kb, config).closure)
+    return _statements(_compile(kb, config).closure.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +330,7 @@ def brute_force_distribution(
         (unit.atom, ws.weight.numerator * (scale // ws.weight.denominator))
         for ws, unit in zip(kb.uncertain, units)
     ]
-    live = {0: Closure.of(compiled.closure)}  # the closures that still have a child to close
+    live = {0: compiled.closure}  # the closures that still have a child to close
     seen = {}
     for mask in range(1 << count):
         if mask:

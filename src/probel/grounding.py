@@ -16,7 +16,14 @@ argument positions. Only rules with a body are joined: the body-less ones
 
 - find_violated() grounds every rule with a body over an assignment and
   reports the groundings it falsifies, for the cutting-plane loop. It never
-  reports a fact: facts hold in every world.
+  reports a fact: facts hold in every world. Given a base, the Closure of
+  an earlier assignment, it joins only around what changed since: the
+  plans anchor on the atoms the base lacks, the rules that can derive an
+  atom the base holds and the assignment lacks are joined in full, and a
+  grounding the base falsifies too may be skipped. The loop's base is the
+  compiled deterministic closure, which falsifies no grounding, in round
+  1, and the previous round's assignment after that; a clause it skips
+  was reported by the round that searched the base, so it is never fresh.
 - extend_closure() is the semi-naive chase behind every deterministic
   closure: saturate() runs it from the empty closure over the input atoms
   and the facts, the enumeration oracle from a closed one. Its plans
@@ -25,9 +32,10 @@ argument positions. Only rules with a body are joined: the body-less ones
 
 The chase indexes each atom once: a pass indexes only its delta and merges
 that into the previous pass's index (_merge), copying the two dicts and
-concatenating only the lists the delta touches. An index list is never
-mutated once built, so the indexes of successive passes, and a Closure
-handed to several extensions, share their lists safely.
+concatenating only the lists the delta touches. find_violated builds each
+round's index the same way from its base's. An index list is never
+mutated once built, so the indexes of successive passes and rounds, and a
+Closure handed to several extensions, share their lists safely.
 
 eval atoms are never stored or turned into ILP variables: each grounding of a
 template with an eval literal either evaluates it to true (the literal is
@@ -332,17 +340,27 @@ def _merge(old: tuple, delta: tuple) -> tuple:
 
 
 class Closure(NamedTuple):
-    """A set of atoms closed under the hard rules with a body, and its chase
-    index ``(by predicate, by (predicate, position, argument))``. Index
-    lists are never mutated once built, so closures share them."""
+    """A set of atoms and its chase index ``(by predicate, by (predicate,
+    position, argument))``. Index lists are never mutated once built, so
+    closures share them. The atoms of the closures extend_closure takes and
+    returns are closed under the hard rules with a body; a cutting-plane
+    round's assignment, which find_violated hands on as one, need not be."""
 
     atoms: frozenset
     index: tuple
 
     @classmethod
     def of(cls, atoms: frozenset) -> "Closure":
-        """A closed set of atoms with a fresh index of all of them."""
+        """A set of atoms with a fresh index of all of them."""
         return cls(atoms, _index(atoms))
+
+
+class Violations(list):
+    """The clauses find_violated reports, in canonical order, and
+    ``closure``: the searched assignment with its index, the base of the
+    next cutting-plane round."""
+
+    __slots__ = ("closure",)
 
 
 def find_violated(
@@ -350,18 +368,40 @@ def find_violated(
     evidence: Iterable[EvidenceAtom],
     current: frozenset,
     domain: str = REAL,
-) -> list:
-    """All groundings of the rules with a body whose body ``current``
+    base: Optional[Closure] = None,
+) -> Violations:
+    """The groundings of the rules with a body whose body ``current``
     satisfies and whose head it falsifies, plus each violated weighted
     evidence unit clause. The facts of the body-less rules are not reported
     even when ``current`` lacks them: they hold in every world.
+
+    Without ``base`` every grounding is joined over all of ``current``.
+    With ``base``, the Closure of an earlier assignment, the search skips
+    groundings that ``base`` falsifies too: a grounding falsified by
+    ``current`` but not by ``base`` has a body atom that ``base`` lacks (in
+    the delta) or its head in ``base`` (a removed atom). The joins anchor on
+    the delta, with the atoms kept from ``base`` as the old ones, as a
+    chase pass does. A rule whose head can be a removed atom is joined in
+    full. So the result holds every violated grounding that ``base`` does
+    not falsify, and possibly some that it does. The evidence units are
+    checked in full.
 
     Grounding is join-driven: candidate substitutions are enumerated from the
     true atoms only, never by cross product. Results come back in canonical
     order (template id, then atom order) so callers are deterministic.
     """
-    by_pred, by_pos = _index(current)
-    indexes = (by_pred, by_pos) * 3  # plan 0 joins in declared order, each pattern over all of current
+    if base is None:
+        index = _index(current)
+        full = None  # every rule is joined in full
+    else:
+        added = current - base.atoms
+        removed = base.atoms - current
+        delta = _index(added)
+        old = _index(current - added) if removed else base.index
+        index = _merge(old, delta)
+        full = {atom.pred for atom in removed}
+        if "ninst" in full:  # make_atom turns an inst head with a nominal into ninst
+            full.add("inst")
     found = set()
     for template in templates:
         if not template.body:
@@ -371,9 +411,17 @@ def find_violated(
             positive = frozenset() if head is None else frozenset((head,))
             found.add(ViolatedClause(positive, frozenset(body), template.weight, template.id))
 
-        plan = _plans(template.body, template.head)[0]
-        if plan.first in by_pred:
-            plan.run(*indexes, current, domain, emit)
+        plans = _plans(template.body, template.head)
+        if full is None or template.head is not None and template.head.pred in full:
+            # plan 0 joins in declared order, each pattern over all of current
+            if plans[0].first in index[0]:
+                plans[0].run(*index, *index, *index, current, domain, emit)
+            continue
+        for plan in plans:
+            # the anchor binds from the delta, earlier positions from the kept
+            # atoms and later ones from all of current, as in extend_closure
+            if plan.first in delta[0]:
+                plan.run(*delta, *old, *index, current, domain, emit)
 
     for ev in evidence:
         if is_infinite(ev.weight) or ev.weight > 0:
@@ -385,7 +433,9 @@ def find_violated(
         if violated:
             found.add(ViolatedClause(frozenset((ev.atom,)), frozenset(), ev.weight, "EV", ev.origin))
 
-    return sorted(found, key=ViolatedClause.sort_key)
+    result = Violations(sorted(found, key=ViolatedClause.sort_key))
+    result.closure = Closure(current, index)
+    return result
 
 
 def chase_plans(templates: Sequence[ClauseTemplate]) -> tuple:
@@ -436,15 +486,16 @@ def saturate(
     templates: Sequence[ClauseTemplate],
     atoms: Iterable[Atom],
     domain: str = REAL,
-) -> frozenset:
+) -> Closure:
     """Deterministic closure: chase the hard rules to a fixpoint.
 
     The chase (extend_closure) starts from the empty closure with ``atoms``
-    and the facts of the body-less rules (F1, F2, UNA). incoherence_atoms()
-    tells whether the closure puts a concept under BOT.
+    and the facts of the body-less rules (F1, F2, UNA), and its Closure,
+    index included, is returned. incoherence_atoms() tells whether the
+    closure's atoms put a concept under BOT.
     """
     start = set(atoms).union(*(t.facts for t in templates))
-    return extend_closure(chase_plans(templates), Closure.of(frozenset()), start, domain).atoms
+    return extend_closure(chase_plans(templates), Closure.of(frozenset()), start, domain)
 
 
 def incoherence_atoms(closure: frozenset) -> list:

@@ -147,6 +147,6 @@ def random_kb(
         kb = KnowledgeBase(sig, tuple(deterministic), tuple(uncertain))
 
         templates = rule_templates(sig)
-        if incoherence_atoms(saturate(templates, [phi(ws.statement) for ws in deterministic])):
+        if incoherence_atoms(saturate(templates, [phi(ws.statement) for ws in deterministic]).atoms):
             continue
         return kb

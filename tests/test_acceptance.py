@@ -122,7 +122,7 @@ def test_criterion_4_engine_oracle_equivalence(map_sweep):
         assert result.objective == best
         templates = rule_templates(kb.signature)
         atoms = [phi(ws.statement) for ws in kb.deterministic + result.selected]
-        closure = saturate(templates, atoms)
+        closure = saturate(templates, atoms).atoms
         assert closure in {w.atoms for w in dist.worlds if w.score == best}
     elapsed += time.perf_counter() - started
     assert elapsed < 120.0

@@ -106,7 +106,7 @@ class TestEdgeCases:
         assert result.selected == ()
         assert Gci("A", "B") in result.classified
         templates = rule_templates(sig)
-        closure = saturate(templates, [phi(Gci("A", "B"))])
+        closure = saturate(templates, [phi(Gci("A", "B"))]).atoms
         assert result.atoms == closure
 
     def test_negative_weight_paid_when_closure_entails(self):
@@ -178,7 +178,7 @@ class TestEngineOracleAgreement:
             assert result.objective == best
             templates = rule_templates(kb.signature)
             atoms = [phi(ws.statement) for ws in kb.deterministic + result.selected]
-            closure = saturate(templates, atoms)
+            closure = saturate(templates, atoms).atoms
             assert closure in {w.atoms for w in dist.worlds if w.score == best}
 
     def test_statement_order_does_not_change_the_optimum(self):
@@ -383,6 +383,60 @@ class TestDistribution:
         over_integers = map_inference(kb, ReasonerConfig(domain="integer"))
         assert Gci("A", "B") not in over_reals.classified
         assert Gci("A", "B") in over_integers.classified
+
+
+class TestRoundsFromTheDelta:
+    """Round 0 joins the deterministic evidence in full; every later round
+    grounds only around what the last solve changed, from the compiled
+    closure and then from the previous assignment. Its fresh clauses must be
+    those of a full join."""
+
+    @staticmethod
+    def full_join_loop(compiled, config, program):
+        """_cutting_planes with every round joined in full: the fresh clause
+        list of each round, the final world, and whether some round after
+        the first made an atom false that the round before made true."""
+        added, rounds, shrank = set(), [], False
+        current, previous = compiled.det_atoms, None
+        while True:
+            violated = find_violated(compiled.templates, compiled.units, current, domain=config.domain)
+            fresh = [g for g in violated if g not in added]
+            if not fresh and compiled.fixed_true <= current:
+                return rounds, current, shrank
+            rounds.append(fresh)
+            for clause in fresh:
+                added.add(clause)
+                ilp.translate_clause(clause, program, compiled.fixed_true)
+            assignment, _ = ilp.solve(program)
+            current, previous = compiled.fixed_true | program.true_atoms(assignment), current
+            shrank |= len(rounds) > 1 and not previous <= current
+
+    @pytest.mark.parametrize("domain", ["real", "integer"])
+    def test_rounds_match_a_full_join_every_round(self, domain, monkeypatch):
+        config = ReasonerConfig(domain=domain)
+        translate, solve = ilp.translate_clause, ilp.solve
+        rng = random.Random(41)
+        iterations, shrank = [], False
+        for _ in range(40):
+            kb = random_kb(rng, max_concepts=8, max_uncertain=16)
+            compiled = engine._compile(kb, config)
+            reference = ilp.IlpProgram()
+            expected, world, removed = self.full_join_loop(compiled, config, reference)
+            shrank |= removed
+            rounds = [[]]  # the clauses translated before each solve
+            with monkeypatch.context() as patch:
+                patch.setattr(ilp, "translate_clause", lambda clause, *args: rounds[-1].append(clause) or translate(clause, *args))
+                patch.setattr(ilp, "solve", lambda program: rounds.append([]) or solve(program))
+                program = ilp.IlpProgram()
+                result = engine._cutting_planes(kb, compiled, config, program)
+            assert rounds[:-1] == expected
+            assert result.iterations == len(expected)
+            assert result.atoms == world
+            assert ilp.dump(program) == ilp.dump(reference)
+            iterations.append(result.iterations)
+        # rounds past the one from the closure ran, some after a removal
+        assert max(iterations) >= 3
+        assert shrank
 
 
 class TestExplain:

@@ -26,6 +26,7 @@ from probel.model import (
     OPERATORS,
     ConceptAssertion,
     DataSome,
+    Exists,
     FeatureAssertion,
     Gci,
     INFINITE,
@@ -36,7 +37,7 @@ from probel.model import (
 )
 from probel.kbformat import parse_kb
 from probel.randgen import random_kb
-from probel.translate import PREDICATE_SORTS, Atom, NomOf, Var, phi, rule_templates
+from probel.translate import PREDICATE_SORTS, Atom, NomOf, Var, is_anonymous, phi, rule_templates
 
 from oracles import instantiate, naive_find_violated, naive_saturate
 from strategies import SIG, data_statements, normal_statements
@@ -93,13 +94,13 @@ def test_all_false_assignment_violates_no_fact():
     templates = rule_templates(sig)
     assert find_violated(templates, (), frozenset()) == []
     facts = {Atom("sub", (c, d)) for c in ("A", "B", TOP, BOT) for d in (c, TOP)}
-    assert saturate(templates, ()) == facts
+    assert saturate(templates, ()).atoms == facts
 
 
 def test_saturated_assignment_yields_nothing():
     sig = make_signature(concepts=("A", "B"))
     templates = rule_templates(sig)
-    closure = saturate(templates, [phi(Gci("A", "B"))])
+    closure = saturate(templates, [phi(Gci("A", "B"))]).atoms
     assert not incoherence_atoms(closure)
     assert find_violated(templates, (), closure) == []
 
@@ -112,8 +113,6 @@ def test_canonical_order_is_stable():
 
 
 def test_anonymous_successor_realizes_existential():
-    from probel.model import Exists
-
     sig = make_signature(concepts=("Person",), roles=("hasParent",), individuals=("john",))
     templates = rule_templates(sig)
     closure = saturate(
@@ -122,7 +121,7 @@ def test_anonymous_successor_realizes_existential():
             phi(ConceptAssertion("Person", "john")),
             phi(Gci("Person", Exists("hasParent", "Person"))),
         ],
-    )
+    ).atoms
     assert not incoherence_atoms(closure)
     successors = [a for a in closure if a.pred == "rinst" and a.args[0] == "john"]
     assert len(successors) == 1
@@ -142,14 +141,12 @@ def test_feature_assertion_realizes_membership():
             phi(FeatureAssertion("age", "john", Fraction(2))),
             phi(Gci(DataSome("age", Restriction("<=", Fraction(3))), "Person")),
         ],
-    )
+    ).atoms
     assert Atom("inst", ("john", "Person")) in closure
 
 
 def test_nominal_coreference_collapses_to_subsumption():
     # both A and B sit under the same nominal and A has an r-successor in B
-    from probel.model import Exists
-
     sig = make_signature(concepts=("A", "B"), roles=("r",), individuals=("o",))
     templates = rule_templates(sig)
     closure = saturate(
@@ -159,13 +156,11 @@ def test_nominal_coreference_collapses_to_subsumption():
             phi(Gci("B", Nominal("o"))),
             phi(Gci("A", Exists("r", "B"))),
         ],
-    )
+    ).atoms
     assert Atom("sub", ("A", "B")) in closure
 
 
 def test_nominal_rooted_successor_also_collapses():
-    from probel.model import Exists
-
     sig = make_signature(concepts=("A", "B"), roles=("r",), individuals=("o", "b"))
     templates = rule_templates(sig)
     closure = saturate(
@@ -175,7 +170,7 @@ def test_nominal_rooted_successor_also_collapses():
             phi(Gci("B", Nominal("o"))),
             phi(Gci(Nominal("b"), Exists("r", "B"))),
         ],
-    )
+    ).atoms
     assert Atom("sub", ("A", "B")) in closure
 
 
@@ -185,7 +180,7 @@ def test_subnom_bridge_feeds_concept_reasoning():
     closure = saturate(
         templates,
         [phi(Gci("A", Nominal("o"))), phi(Gci(Nominal("o"), "C"))],
-    )
+    ).atoms
     # A <= {o} bridges to sub(A, {o}) and chains with {o} <= C
     assert Atom("sub", ("A", "C")) in closure
 
@@ -196,7 +191,7 @@ def test_unique_names_make_shared_nominals_incoherent():
     closure = saturate(
         templates,
         [phi(Gci("C", Nominal("a"))), phi(Gci("C", Nominal("b")))],
-    )
+    ).atoms
     assert incoherence_atoms(closure) == [Atom("sub", ("C", BOT))]
 
 
@@ -227,7 +222,7 @@ class TestNaiveOracleEquivalence:
             atoms = [phi(ws.statement) for ws in kb.deterministic + kb.uncertain]
             self._compare(kb, frozenset())
             self._compare(kb, frozenset(atoms))
-            closure = saturate(templates, atoms)
+            closure = saturate(templates, atoms).atoms
             self._compare(kb, closure)
             partial = frozenset(rng.sample(sorted(closure, key=str), len(closure) // 2))
             self._compare(kb, partial)
@@ -239,7 +234,7 @@ class TestNaiveOracleEquivalence:
             atoms = [phi(ws.statement) for ws in kb.deterministic + kb.uncertain]
             self._compare_domain(kb, frozenset(atoms), "integer")
             templates = rule_templates(kb.signature)
-            closure = saturate(templates, atoms, domain="integer")
+            closure = saturate(templates, atoms, domain="integer").atoms
             self._compare_domain(kb, closure, "integer")
 
 
@@ -269,13 +264,13 @@ def test_extend_closure_matches_full_saturation():
             det = [phi(ws.statement) for ws in kb.deterministic]
             unc = [phi(ws.statement) for ws in kb.uncertain]
             for atoms in (det, det + unc):
-                closure = saturate(templates, atoms, domain=domain)
+                closure = saturate(templates, atoms, domain=domain).atoms
                 _assert_naive_closure(closure, templates, atoms, kb.signature, domain)
             if kb is snap:  # conflicts of det + unc
                 assert bool(incoherence_atoms(closure)) == (domain == "integer")
             base = saturate(templates, det, domain=domain)
             for atom in unc:
-                fast = extend_closure(chase_plans(templates), Closure.of(base), (atom,), domain=domain).atoms
+                fast = extend_closure(chase_plans(templates), base, (atom,), domain=domain).atoms
                 slow, _ = naive_saturate(templates, det + [atom], kb.signature, domain)
                 assert fast == slow
 
@@ -293,16 +288,22 @@ def test_compiled_grounding_matches_the_naive_oracles(statements, data, domain, 
     # oracle's work on F13, so data statements stay few
     templates = rule_templates(SIG)
     atoms = [phi(s) for s in statements + data]
-    closure = saturate(templates, atoms, domain=domain)
+    closure = saturate(templates, atoms, domain=domain).atoms
     _assert_naive_closure(closure, templates, atoms, SIG, domain)
     split = rng.randint(0, len(atoms))
     base = saturate(templates, atoms[:split], domain=domain)
-    assert extend_closure(chase_plans(templates), Closure.of(base), atoms[split:], domain=domain).atoms == closure
+    assert extend_closure(chase_plans(templates), base, atoms[split:], domain=domain).atoms == closure
     weights = (Fraction(1, 2), Fraction(-1, 2), Fraction(0), INFINITE)
     evidence = tuple(EvidenceAtom(a, weights[i % 4], i) for i, a in enumerate(atoms))
     partial = frozenset(a for a in sorted(closure, key=str) if rng.random() < 0.5)
     fast = set(find_violated(templates, evidence, partial, domain=domain))
     assert fast == naive_find_violated(templates, evidence, partial, SIG, domain)
+
+
+def _counted(index):
+    """An index as multisets, so two indexes of one set of atoms compare
+    equal whatever the order of their lists."""
+    return [{key: Counter(atoms) for key, atoms in table.items()} for table in index]
 
 
 @settings(max_examples=20, deadline=None)
@@ -331,8 +332,73 @@ def test_extend_closure_from_the_base_index(base_statements, new_statements, dat
     assert closure.atoms == slow
     assert base == before
     # the index handed on indexes exactly the closure's atoms
-    counted = [{key: Counter(atoms) for key, atoms in table.items()} for table in closure.index]
-    assert counted == [{key: Counter(atoms) for key, atoms in table.items()} for table in Closure.of(slow).index]
+    assert _counted(closure.index) == _counted(Closure.of(slow).index)
+
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.lists(normal_statements, min_size=3, max_size=6),
+    st.lists(normal_statements, min_size=1, max_size=3),
+    st.lists(data_statements, max_size=1),
+    st.sampled_from(("real", "integer")),
+    st.randoms(use_true_random=False),
+)
+def test_find_violated_from_a_base(statements, extra, data, domain, rng):
+    # arbitrary (base, current) pairs, both drawn from the closure of more
+    # statements than the base closure holds, so the delta reaches atoms on
+    # both sides of it: every clause that current falsifies and base does
+    # not is reported, and only clauses that current falsifies
+    templates = rule_templates(SIG)
+    closure = saturate(templates, [phi(s) for s in statements + data], domain=domain)
+    wider = sorted(saturate(templates, [phi(s) for s in statements + data + extra], domain=domain).atoms, key=str)
+    weights = (Fraction(1, 2), Fraction(-1, 2), INFINITE)
+    evidence = tuple(EvidenceAtom(phi(s), weights[i % 3], i) for i, s in enumerate(statements + extra))
+    flip = rng.choice((0.05, 0.2, 0.5))
+    base = frozenset(a for a in wider if rng.random() < 0.7)
+    current = frozenset(a for a in wider if (a in base) != (rng.random() < flip))
+    full = naive_find_violated(templates, evidence, current, SIG, domain)
+    stale = naive_find_violated(templates, evidence, base, SIG, domain)
+    found = find_violated(templates, evidence, current, domain, base=Closure.of(base))
+    assert set(found) <= full
+    assert set(found) - stale == full - stale
+    assert found == sorted(found, key=ViolatedClause.sort_key)
+    # the closure of current handed on indexes exactly its atoms
+    assert found.closure.atoms == current
+    assert _counted(found.closure.index) == _counted(Closure.of(current).index)
+    # a closed, coherent base falsifies nothing, so the search is complete
+    if not incoherence_atoms(closure.atoms):
+        assert set(find_violated(templates, evidence, current, domain, base=closure)) == full
+
+
+def test_find_violated_from_the_closure_finds_each_removed_head():
+    # one atom of a coherent closure removed at a time: the groundings that
+    # derive it are violated now and were not in the closure. inst heads
+    # with a nominal come out as ninst (F14, F24, F25), and F23 and F24
+    # derive the atoms of anonymous successors
+    sig = make_signature(concepts=("A", "B"), roles=("r",), features=("f",), individuals=("a", "b"))
+    templates = rule_templates(sig)
+    statements = [
+        ConceptAssertion("A", "a"),
+        ConceptAssertion("B", "b"),
+        Gci("A", Nominal("b")),
+        Gci("A", Exists("r", Nominal("b"))),
+        Gci("B", Exists("r", "A")),
+        FeatureAssertion("f", "b", Fraction(2)),
+        Gci(DataSome("f", Restriction("<=", Fraction(3))), Nominal("a")),
+    ]
+    closure = saturate(templates, [phi(s) for s in statements])
+    assert not incoherence_atoms(closure.atoms)
+    derived = set()
+    for atom in sorted(closure.atoms, key=str):
+        current = closure.atoms - {atom}
+        found = find_violated(templates, (), current, base=closure)
+        assert set(found) == naive_find_violated(templates, (), current, sig), atom
+        derived |= {(c.template_id, atom.pred, is_anonymous(atom.args[0])) for c in found}
+    for rule in ("F14", "F24", "F25"):
+        assert any(r == rule and pred == "ninst" for r, pred, _ in derived), rule
+    assert ("F23", "rinst", False) in derived
+    assert ("F24", "inst", True) in derived
 
 
 def test_plans_keep_no_template_alive():
@@ -348,8 +414,11 @@ def test_plans_keep_no_template_alive():
     try:
         templates = rule_templates(sig)
         closure = saturate(templates, atoms[:2])
-        find_violated(templates, (), closure)
-        extend_closure(chase_plans(templates), Closure.of(closure), atoms[2:])
+        find_violated(templates, (), closure.atoms)
+        # from a base, with one atom added and one removed, so that both the
+        # anchored plans and the full join on a removed head run
+        find_violated(templates, (), (closure.atoms - {atoms[1]}) | {atoms[2]}, base=closure)
+        extend_closure(chase_plans(templates), closure, atoms[2:])
         refs = [weakref.ref(t) for t in templates]
         del templates
         assert [r() for r in refs if r() is not None] == []
@@ -435,5 +504,5 @@ def test_every_kernel_matches_the_naive_oracles(domain):
         closure, _ = naive_saturate(templates, current, sig, domain)
         for atom in body:
             base = saturate(templates, current - {atom}, domain=domain)
-            fast = extend_closure(chase_plans(templates), Closure.of(base), (atom,), domain=domain).atoms
+            fast = extend_closure(chase_plans(templates), base, (atom,), domain=domain).atoms
             assert fast == closure, (template.id, atom)

@@ -74,7 +74,7 @@ def test_teenager_membership_derivable_after_normalization():
     ]
     result = normalize(axioms, TEEN_SIG)
     templates = rule_templates(result.kb.signature)
-    closure = saturate(templates, _all_atoms(result.kb))
+    closure = saturate(templates, _all_atoms(result.kb)).atoms
     assert not incoherence_atoms(closure)
     assert Atom("inst", ("pat", "Teenager")) in closure
 
@@ -182,7 +182,7 @@ def _original_closure(kb, original_sig):
         return True
 
     templates = rule_templates(kb.signature)
-    closure = saturate(templates, _all_atoms(kb))
+    closure = saturate(templates, _all_atoms(kb)).atoms
     kept = set()
     for atom in closure:
         if atom.pred in ("sub", "inst", "rinst", "ninst") and original(atom):
