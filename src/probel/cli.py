@@ -28,9 +28,16 @@ EXIT_INVALID = 2
 EXIT_CAP = 3
 
 
+class _NonNegative(argparse.Action):
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"N must be >= 0, not {value}")
+        setattr(namespace, self.dest, value)
+
+
 _FLAGS = {
     "--format": dict(choices=("text", "json"), default="text"),
-    "--max-worlds": dict(type=int, default=16, metavar="N",
+    "--max-worlds": dict(type=int, default=16, metavar="N", action=_NonNegative,
                          help="enumeration cap on the number of uncertain statements (default 16)"),
     "--domain": dict(choices=("real", "integer"), default="real",
                      help="value domain for datatype comparisons"),
@@ -268,9 +275,6 @@ def main(argv=None) -> int:
         print(str(err), file=sys.stderr)
         for ws in err.core:
             print(f"  {render_statement(ws)}", file=sys.stderr)
-        return EXIT_INCOHERENT
-    except (ilp.HardConflict, ilp.Infeasible) as err:
-        print(str(err), file=sys.stderr)
         return EXIT_INCOHERENT
     except engine.EnumerationCapExceeded as err:
         print(str(err), file=sys.stderr)

@@ -13,11 +13,15 @@ were all reported then and are already added. The atoms true in every
 world, those of the deterministic statements and the facts of the
 body-less rules (F1, F2, UNA), are substituted out of the ILP, and the loop
 stops once no violated clause is new and all of them hold. The final
-assignment is the most probable coherent deductively closed world. ``explain_selection`` runs the
-same loop once per uncertain statement, from a program holding one FORCE
-clause that flips it. The probability-side counterpart is computed by the
-subset-enumeration oracle, with scores kept as exact rationals inside
-formal sums of exponentials.
+assignment is the most probable coherent deductively closed world. Its ILP
+is never infeasible: every hard constraint comes from a rule grounding or
+from COH, and the compiled closure, which holds the facts, is closed under
+the rules with a body and is coherent, meets them all. ``explain_selection``
+runs the same loop once per uncertain statement, from a program holding one
+FORCE clause that flips it, and reports an infeasible flip as incoherent.
+The probability-side counterpart is computed by the subset-enumeration
+oracle, with scores kept as exact rationals inside formal sums of
+exponentials.
 
 The oracle walks the subset lattice in ascending mask order, from the
 compiled closure, index included. A mask's parent is the mask without its
@@ -207,13 +211,18 @@ def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = Non
 
 def _incoherent_core(kb, templates, domain) -> list:
     """A subset of the deterministic statements that is still incoherent and
-    loses that when any one statement is dropped."""
-
-    def incoherent(statements) -> bool:
-        atoms = [phi(ws.statement) for ws in statements]
-        return bool(incoherence_atoms(saturate(templates, atoms, domain=domain).atoms))
-
-    return ilp.deletion_filter(kb.deterministic, incoherent)
+    loses that when any one statement is dropped, by deletion filtering:
+    each statement in turn goes for good if the rest stay incoherent."""
+    core = list(kb.deterministic)
+    i = 0
+    while i < len(core):
+        trial = core[:i] + core[i + 1:]
+        atoms = [phi(ws.statement) for ws in trial]
+        if incoherence_atoms(saturate(templates, atoms, domain=domain).atoms):
+            core = trial
+        else:
+            i += 1
+    return core
 
 
 def _statements(atoms) -> tuple:
@@ -412,7 +421,7 @@ def explain_selection(kb: KnowledgeBase, result: MapResult, config: ReasonerConf
         try:
             ilp.translate_clause(force, program, compiled.fixed_true)
             delta = result.objective - _cutting_planes(kb, compiled, config, program).objective
-        except (ilp.HardConflict, ilp.Infeasible):
+        except ilp.Infeasible:
             delta = None
         entries.append(ExplainEntry(ws, selected, delta))
     return entries

@@ -67,12 +67,12 @@ from .translate import (
     S_ROLE,
     S_VALUE,
     SuccessorOf,
+    TEMPLATE_ORDER,
     Var,
     atom_sort_key,
     is_anonymous,
     make_atom,
     successor_name,
-    template_sort_key,
 )
 
 REAL = "real"
@@ -145,12 +145,11 @@ class ViolatedClause:
     origin: Optional[int] = None
 
     def sort_key(self):
-        return (
-            template_sort_key(self.template_id),
-            -1 if self.origin is None else self.origin,
-            tuple(sorted(atom_sort_key(a) for a in self.positive)),
-            tuple(sorted(atom_sort_key(a) for a in self.negative)),
-        )
+        order = TEMPLATE_ORDER[self.template_id]
+        if self.origin is not None:  # an uncertain statement has one evidence clause
+            return (order, self.origin)
+        atoms = (tuple(sorted(map(atom_sort_key, side))) for side in (self.positive, self.negative))
+        return (order, -1, *atoms)
 
 
 _SORT_TESTS = {

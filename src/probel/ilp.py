@@ -21,32 +21,23 @@ the objective exactly and deterministically:
   solves (Een & Sorensson 2003): each cutting-plane round takes in only
   the new variables, objective entries and constraints, and re-solves only
   the components they changed.
+
+A program with no feasible assignment raises ``Infeasible``, which carries
+no conflict core: no MAP program is infeasible (see ``engine``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import Nominal, format_value, is_infinite
 from .translate import Atom
 
 
-class HardConflict(Exception):
-    """An infinite-weight clause whose literals are all fixed by evidence."""
-
-    def __init__(self, clause):
-        self.clause = clause
-        super().__init__(f"unsatisfiable hard clause from template {clause.template_id}")
-
-
 class Infeasible(Exception):
     """No assignment satisfies the hard constraints."""
-
-    def __init__(self, core):
-        self.core = tuple(core)
-        super().__init__(f"infeasible program; conflicting constraints: {len(self.core)}")
 
 
 @dataclass(frozen=True)
@@ -138,7 +129,7 @@ def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozen
     the facts of the body-less rules (F1, F2, UNA), are substituted out: a
     positive literal over one satisfies the clause outright, a negated
     literal over one can never help and is omitted from the sums. A hard
-    clause left with no literal raises ``HardConflict``.
+    clause left with no literal raises ``Infeasible``.
     """
     satisfied = sum(1 for atom in clause.positive if atom in fixed_true)
     pos = [atom for atom in clause.positive if atom not in fixed_true]
@@ -148,7 +139,7 @@ def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozen
     if satisfied and (hard or clause.weight >= 0):
         return []  # the clause already holds; a soft z is free to take 1
     if hard and not pos and not neg:
-        raise HardConflict(clause)
+        raise Infeasible()
     terms = [(program.atom_var(a), 1) for a in sorted(pos, key=program._token)]
     terms += [(program.atom_var(a), -1) for a in sorted(neg, key=program._token)]
     if hard:
@@ -165,9 +156,6 @@ def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozen
 # ---------------------------------------------------------------------------
 # Solver
 # ---------------------------------------------------------------------------
-
-_CORE_LIMIT = 160  # deletion filtering is quadratic; larger components keep every constraint
-
 
 class _Search:
     """Branch and bound with counter-based propagation over one growing 0/1 program.
@@ -370,27 +358,23 @@ class _Search:
             else:
                 return best
 
-    def solve(self) -> Tuple[Optional[List[int]], int]:
-        """(values, scaled optimum), or (None, constraints of an infeasible component).
+    def solve(self) -> Optional[Tuple[List[int], int]]:
+        """(values, scaled optimum), or None when the program is infeasible.
 
-        Dirty components go in order of their smallest variable, each with
-        its constraints in ascending order, and the cancelled constraints
-        after them, so an infeasible program reports the same component
-        however it grew.
+        The dirty components share no variable, so they go in any order.
         """
         weight = self.weight
-        for variables, root in sorted((sorted(self.members[r]), r) for r in self.dirty):
-            constraints = sorted(self.cons[root])
-            if not self._root(variables, constraints):
-                return None, constraints
+        for root in self.dirty:
+            variables = sorted(self.members[root])
+            if not self._root(variables, self.cons[root]):
+                return None
             branch_order = sorted(variables, key=lambda i: (-weight[i], i))
             optimum = self._dfs(branch_order, 1, -math.inf, False)
             if optimum is None:
-                return None, constraints
+                return None
             self._dfs(variables, 0, optimum, True)
-        for j in self.cancelled:
-            if self.slack[j] < 0:
-                return None, [j]
+        if any(self.slack[j] < 0 for j in self.cancelled):
+            return None
         self.dirty.clear()
         self.cancelled.clear()
         return self.value, sum(w for w, x in zip(weight, self.value) if x)
@@ -427,12 +411,13 @@ def solve(program: IlpProgram) -> Tuple[Dict[str, int], Fraction]:
     if program._search is None:
         program._search = _Search()
     search = program._search.update(program.variables, program.constraints, program.objective)
-    values, result = search.solve()
-    if values is None:
+    solved = search.solve()
+    if solved is None:
         program._search = None
-        raise Infeasible(_minimize_core([program.constraints[j] for j in result]))
+        raise Infeasible()
+    values, scaled = solved
     assignment = dict(zip(program.variables, values))
-    optimum = Fraction(result, search.scale)
+    optimum = Fraction(scaled, search.scale)
     assert all(_holds(con, assignment) for con in program.constraints)
     assert sum((w for v, w in program.objective if assignment[v]), Fraction(0)) == optimum
     return assignment, optimum
@@ -441,30 +426,6 @@ def solve(program: IlpProgram) -> Tuple[Dict[str, int], Fraction]:
 def _holds(con: LinearConstraint, assignment: Dict[str, int]) -> bool:
     lhs = sum(c * assignment[v] for v, c in con.terms)
     return lhs >= con.bound if con.relation == ">=" else lhs <= con.bound
-
-
-def _minimize_core(core: List[LinearConstraint]) -> list:
-    """Best-effort irreducible infeasible subset of one infeasible component,
-    by deletion filtering (kept whole past ``_CORE_LIMIT`` constraints)."""
-    if len(core) > _CORE_LIMIT:
-        return core
-    variables = list(dict.fromkeys(v for con in core for v, _ in con.terms))
-    return deletion_filter(core, lambda trial: _Search().update(variables, trial, ()).solve()[0] is None)
-
-
-def deletion_filter(items: Sequence, conflicting: Callable[[list], bool]) -> list:
-    """Drop each of the conflicting ``items`` in turn, in order, for good
-    whenever the rest still satisfy ``conflicting``: what is left conflicts,
-    and no single item of it can go."""
-    core = list(items)
-    i = 0
-    while i < len(core):
-        trial = core[:i] + core[i + 1:]
-        if conflicting(trial):
-            core = trial
-        else:
-            i += 1
-    return core
 
 
 def dump(program: IlpProgram) -> str:

@@ -272,9 +272,8 @@ def parse_kb(text: str) -> ParseResult:
                 sorts[name] = sort
                 pools[sort].add(name)
             elif previous != sort:
-                errors.append(
-                    ParseError(lineno, 1, f"'{name}' already used as a {previous}, now as a {sort}")
-                )
+                was, now = (("an " if noun[0] in "aeiou" else "a ") + noun for noun in (previous, sort))
+                errors.append(ParseError(lineno, 1, f"'{name}' already used as {was}, now as {now}"))
     for keyword in ("TOP", "BOT"):
         pools["concept"].discard(keyword)
 

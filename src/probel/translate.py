@@ -247,11 +247,7 @@ def _p(pred, *args):
 
 
 TEMPLATE_ORDER = {f"F{i}": i for i in range(1, 28)}
-TEMPLATE_ORDER.update({"SUBNOM": 28, "UNA": 29, "COH": 30, "EV": 31, "FORCE": 32})
-
-
-def template_sort_key(template_id: str) -> int:
-    return TEMPLATE_ORDER[template_id]
+TEMPLATE_ORDER.update({"SUBNOM": 28, "UNA": 29, "COH": 30, "EV": 31})
 
 
 def concept_constants(sig: Signature) -> list:

@@ -14,7 +14,7 @@ import pytest
 from probel.cli import main as cli_main
 from probel.engine import brute_force_distribution, map_inference, probability_of
 from probel.grounding import EvidenceAtom, eval_op, find_violated, saturate
-from probel.ilp import HardConflict, IlpProgram, Infeasible, solve, translate_clause
+from probel.ilp import IlpProgram, Infeasible, solve, translate_clause
 from probel.grounding import ViolatedClause
 from probel.model import BOT, Gci, INFINITE, OPERATORS
 from probel.randgen import random_kb
@@ -150,7 +150,7 @@ def _random_program(rng):
             weight = Fraction(-rng.randint(1, 20), 10)
         try:
             translate_clause(ViolatedClause(pos, neg, weight, "F3"), program, frozenset())
-        except HardConflict:
+        except Infeasible:
             continue
         if len(program.variables) >= 15:
             break

@@ -93,6 +93,9 @@ class TestParse:
         result = parse_kb("r(a, b)\nA SUBCLASSOF r\n")
         assert result.kb is None
         assert any("already used as a role" in e.message for e in result.errors)
+        result = parse_kb("C(x)\nx SUBCLASSOF D\n")
+        assert result.kb is None
+        assert [e.message for e in result.errors] == ["'x' already used as an individual, now as a concept"]
 
     def test_reserved_prefix_rejected(self):
         result = parse_kb("_X SUBCLASSOF A\n")
@@ -302,6 +305,16 @@ class TestExitCodes:
                 run_cli(argv[0], str(toddler_path), *argv[1:])
             assert exit_info.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_negative_max_worlds_is_a_usage_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.kb"
+        empty.write_text("")
+        for command in (("oracle",), ("prob", "--query", str(empty))):
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli(command[0], str(empty), *command[1:], "--max-worlds", "-1")
+            assert exit_info.value.code == 2, command
+            assert "error: argument --max-worlds: N must be >= 0, not -1" in capsys.readouterr().err
+        assert run_cli("oracle", str(empty), "--max-worlds", "0")[0] == 0
 
     def test_check_reports_invalid(self, tmp_path):
         bad = tmp_path / "bad.kb"
