@@ -42,6 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import ilp
 from .grounding import (
+    INTEGER,
     REAL,
     Closure,
     EvidenceAtom,
@@ -62,6 +63,12 @@ _MAX_ITERATIONS = 100_000
 class ReasonerConfig:
     domain: str = REAL
     enumeration_cap: int = 16
+
+    def __post_init__(self):
+        if self.domain not in (REAL, INTEGER):
+            raise ValueError(f"domain must be {REAL!r} or {INTEGER!r}, not {self.domain!r}")
+        if self.enumeration_cap < 0:
+            raise ValueError(f"enumeration_cap must be >= 0, not {self.enumeration_cap}")
 
 
 DEFAULT_CONFIG = ReasonerConfig()

@@ -22,18 +22,20 @@ the objective exactly and deterministically:
   the new variables, objective entries and constraints, and re-solves only
   the components they changed.
 
-A program with no feasible assignment raises ``Infeasible``, which carries
+Variables are integers in declaration order; only ``dump`` names them. A
+program with no feasible assignment raises ``Infeasible``, which carries
 no conflict core: no MAP program is infeasible (see ``engine``).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .model import Nominal, format_value, is_infinite
-from .translate import Atom
+from .translate import Atom, atom_sort_key
 
 
 class Infeasible(Exception):
@@ -46,8 +48,8 @@ class LinearConstraint:
     relation: str  # ">=" or "<="
     bound: int
 
-    def render(self) -> str:
-        parts = " ".join(f"{'+' if c >= 0 else '-'}{abs(c)} {v}" for v, c in self.terms)
+    def render(self, names: Sequence[str]) -> str:
+        parts = " ".join(f"{'+' if c >= 0 else '-'}{abs(c)} {names[v]}" for v, c in self.terms)
         return f"{parts} {self.relation} {self.bound}"
 
 
@@ -72,9 +74,9 @@ def atom_token(atom: Atom) -> str:
 class IlpProgram:
     """Binary variables, linear constraints and a maximization objective.
 
-    One x variable per ground atom occurring in a constraint, one z variable
-    per finite-weight clause; objective coefficients attach only to z
-    variables.
+    Variables are integers in declaration order: ``variables[i]`` is the
+    atom of x variable i, or None for the z variable of a finite-weight
+    clause; objective coefficients attach only to z variables.
 
     The program is append-only between solves: ``solve`` keeps its search
     on the program and takes in only the variables, objective entries and
@@ -82,44 +84,27 @@ class IlpProgram:
     one writer in the package.
     """
 
-    variables: List[str] = field(default_factory=list)
+    variables: List[Optional[Atom]] = field(default_factory=list)
     constraints: List[LinearConstraint] = field(default_factory=list)
-    objective: List[Tuple[str, Fraction]] = field(default_factory=list)
-    _atom_vars: Dict[Atom, str] = field(default_factory=dict)
-    _names: set = field(default_factory=set)
-    _clauses: int = 0
-    _tokens: Dict[Atom, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    objective: List[Tuple[int, Fraction]] = field(default_factory=list)
+    _atom_vars: Dict[Atom, int] = field(default_factory=dict)
     _search: Optional[_Search] = field(default=None, init=False, repr=False, compare=False)
 
-    def _token(self, atom: Atom) -> str:
-        token = self._tokens.get(atom)
-        if token is None:
-            token = self._tokens[atom] = atom_token(atom)
-        return token
+    def atom_var(self, atom: Atom) -> int:
+        var = self._atom_vars.get(atom)
+        if var is None:
+            var = self._atom_vars[atom] = len(self.variables)
+            self.variables.append(atom)
+        return var
 
-    def atom_var(self, atom: Atom) -> str:
-        name = self._atom_vars.get(atom)
-        if name is None:
-            name = "x_" + self._token(atom)
-            while name in self._names:  # distinct atoms may mangle identically
-                name += "_"
-            self._declare(name)
-            self._atom_vars[atom] = name
-        return name
+    def clause_var(self, weight: Fraction) -> int:
+        var = len(self.variables)
+        self.variables.append(None)
+        self.objective.append((var, weight))
+        return var
 
-    def clause_var(self, weight: Fraction) -> str:
-        self._clauses += 1
-        name = f"z_{self._clauses}"
-        self._declare(name)
-        self.objective.append((name, weight))
-        return name
-
-    def _declare(self, name: str):
-        self._names.add(name)
-        self.variables.append(name)
-
-    def true_atoms(self, assignment: Dict[str, int]) -> frozenset:
-        return frozenset(a for a, v in self._atom_vars.items() if assignment.get(v) == 1)
+    def true_atoms(self, assignment: Sequence[int]) -> frozenset:
+        return frozenset(a for a, v in self._atom_vars.items() if assignment[v] == 1)
 
 
 def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozenset()) -> list:
@@ -140,8 +125,8 @@ def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozen
         return []  # the clause already holds; a soft z is free to take 1
     if hard and not pos and not neg:
         raise Infeasible()
-    terms = [(program.atom_var(a), 1) for a in sorted(pos, key=program._token)]
-    terms += [(program.atom_var(a), -1) for a in sorted(neg, key=program._token)]
+    terms = [(program.atom_var(a), 1) for a in sorted(pos, key=atom_sort_key)]
+    terms += [(program.atom_var(a), -1) for a in sorted(neg, key=atom_sort_key)]
     if hard:
         made = LinearConstraint(tuple(terms), ">=", 1 - len(neg))
     elif clause.weight < 0:
@@ -176,7 +161,6 @@ class _Search:
     """
 
     def __init__(self):
-        self.index: Dict[str, int] = {}
         self.scale = 1
         self.weight: List[int] = []
         self.loss: Tuple[List[int], List[int]] = ([], [])  # loss[value][var]: how much ub drops
@@ -201,13 +185,12 @@ class _Search:
             i = parent[i]
         return i
 
-    def update(self, variables: Sequence[str], constraints: Sequence[LinearConstraint],
-               objective: Sequence[Tuple[str, Fraction]]) -> _Search:
+    def update(self, variables: Sequence[Optional[Atom]], constraints: Sequence[LinearConstraint],
+               objective: Sequence[Tuple[int, Fraction]]) -> _Search:
         """Take in the variables, objective entries and constraints appended since the last call."""
-        index, value, weight, loss, occ = self.index, self.value, self.weight, self.loss, self.occ
+        value, weight, loss, occ = self.value, self.weight, self.loss, self.occ
         members, cons, dirty, find = self.members, self.cons, self.dirty, self._find
         new = range(len(value), len(variables))
-        index.update(zip(variables[new.start:], new))
         for column in (weight, *loss):
             column += [0] * len(new)
         for column in (*occ, cons):
@@ -216,13 +199,12 @@ class _Search:
         value += [-1] * len(new)
         self.parent += new
         dirty.update(new)
-        for v, w in objective[self.entries:]:
+        for i, w in objective[self.entries:]:
             if self.scale % w.denominator:
                 factor = math.lcm(self.scale, w.denominator) // self.scale
                 self.scale *= factor
                 for column in (weight, *loss):
                     column[:] = [x * factor for x in column]
-            i = index[v]
             weight[i] += w.numerator * (self.scale // w.denominator)
             loss[0][i], loss[1][i] = max(weight[i], 0), max(-weight[i], 0)
             dirty.add(find(i))
@@ -231,8 +213,7 @@ class _Search:
             con = constraints[j]
             sign = 1 if con.relation == ">=" else -1
             merged: Dict[int, int] = {}
-            for v, c in con.terms:
-                i = index[v]
+            for i, c in con.terms:
                 merged[i] = merged.get(i, 0) + sign * c
             terms = sorted(((i, abs(c), int(c > 0)) for i, c in merged.items() if c),
                            key=lambda t: -t[1])
@@ -377,11 +358,11 @@ class _Search:
             return None
         self.dirty.clear()
         self.cancelled.clear()
-        return self.value, sum(w for w, x in zip(weight, self.value) if x)
+        return self.value[:], sum(w for w, x in zip(weight, self.value) if x)
 
 
-def solve(program: IlpProgram) -> Tuple[Dict[str, int], Fraction]:
-    """Maximize the objective; exact rational value, deterministic assignment.
+def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
+    """Maximize the objective: (each variable's 0/1 value, the exact rational optimum).
 
     The objective is scaled to integers by the least common multiple of the
     weight denominators, so the search does integer arithmetic only and the
@@ -415,28 +396,39 @@ def solve(program: IlpProgram) -> Tuple[Dict[str, int], Fraction]:
     if solved is None:
         program._search = None
         raise Infeasible()
-    values, scaled = solved
-    assignment = dict(zip(program.variables, values))
+    assignment, scaled = solved
     optimum = Fraction(scaled, search.scale)
     assert all(_holds(con, assignment) for con in program.constraints)
     assert sum((w for v, w in program.objective if assignment[v]), Fraction(0)) == optimum
     return assignment, optimum
 
 
-def _holds(con: LinearConstraint, assignment: Dict[str, int]) -> bool:
+def _holds(con: LinearConstraint, assignment: Sequence[int]) -> bool:
     lhs = sum(c * assignment[v] for v, c in con.terms)
     return lhs >= con.bound if con.relation == ">=" else lhs <= con.bound
 
 
 def dump(program: IlpProgram) -> str:
-    """Serialize to the textual LP format, byte-stable across runs."""
+    """Serialize to the textual LP format, byte-stable across runs. Variables
+    are named here alone, in declared order: ``x_`` and the atom's token,
+    plus ``_`` while distinct atoms mangle alike, or ``z_k`` for the k-th z."""
+    names, taken, clauses = [], set(), itertools.count(1)
+    for atom in program.variables:
+        if atom is None:
+            name = f"z_{next(clauses)}"
+        else:
+            name = "x_" + atom_token(atom)
+            while name in taken:
+                name += "_"
+            taken.add(name)
+        names.append(name)
     lines = ["OBJECTIVE"]
     for var, weight in program.objective:
-        lines.append(f"  {format_value(weight)} {var}")
+        lines.append(f"  {format_value(weight)} {names[var]}")
     lines.append("CONSTRAINTS")
     for con in program.constraints:
-        lines.append("  " + con.render())
+        lines.append("  " + con.render(names))
     lines.append("BINARY")
-    for var in program.variables:
-        lines.append(f"  {var}")
+    for name in names:
+        lines.append(f"  {name}")
     return "\n".join(lines) + "\n"

@@ -154,16 +154,16 @@ def naive_saturate(templates, atoms, sig, domain="real"):
 def enumerate_solve(program):
     """Optimum of a binary program by checking all 2^n assignments.
 
-    Returns (assignment, value) with the same lexicographic tie-break as the
+    Returns (assignment, value), the assignment a list of the variables'
+    values in declared order, with the same lexicographic tie-break as the
     solver, or None when infeasible.
     """
     import numpy as np
 
     n = len(program.variables)
     if n == 0:
-        return {}, Fraction(0)
+        return [], Fraction(0)
     assert n <= 20, "enumeration oracle capped at 20 variables"
-    index = {v: i for i, v in enumerate(program.variables)}
     rows = np.arange(1 << n, dtype=np.int64)
     cols = np.empty((1 << n, n), dtype=np.int8)
     for i in range(n):
@@ -172,14 +172,14 @@ def enumerate_solve(program):
     for con in program.constraints:
         lhs = np.zeros(1 << n, dtype=np.int64)
         for var, coef in con.terms:
-            lhs += coef * cols[:, index[var]].astype(np.int64)
+            lhs += coef * cols[:, var].astype(np.int64)
         feasible &= (lhs >= con.bound) if con.relation == ">=" else (lhs <= con.bound)
     if not feasible.any():
         return None
 
     weights = {}
     for var, w in program.objective:
-        weights[index[var]] = weights.get(index[var], Fraction(0)) + w
+        weights[var] = weights.get(var, Fraction(0)) + w
     scale = 1
     for w in weights.values():
         scale = scale * w.denominator // __import__("math").gcd(scale, w.denominator)
@@ -191,7 +191,7 @@ def enumerate_solve(program):
     best = totals.max()
     ties = np.nonzero(totals == best)[0]
     row = min(ties, key=lambda r: tuple(int(b) for b in cols[r]))
-    assignment = {v: int(cols[row, index[v]]) for v in program.variables}
+    assignment = [int(b) for b in cols[row]]
     return assignment, Fraction(int(best), scale)
 
 

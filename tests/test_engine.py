@@ -161,6 +161,17 @@ class TestEdgeCases:
         with pytest.raises(EnumerationCapExceeded):
             brute_force_distribution(kb, ReasonerConfig(enumeration_cap=2))
 
+    def test_negative_enumeration_cap_is_rejected(self):
+        # it would report an empty KB as exceeding the cap
+        with pytest.raises(ValueError, match="enumeration_cap must be >= 0, not -1"):
+            brute_force_distribution(parse_kb("").kb, ReasonerConfig(enumeration_cap=-1))
+        assert brute_force_distribution(parse_kb("").kb, ReasonerConfig(enumeration_cap=0)).worlds
+
+    def test_unknown_value_domain_is_rejected(self):
+        # it would be solved over the reals without a word
+        with pytest.raises(ValueError, match="domain must be 'real' or 'integer', not 'rational'"):
+            ReasonerConfig(domain="rational")
+
     def test_classify_is_deterministic_only(self, toddler_kb):
         classified = classify_deterministic(toddler_kb)
         assert Gci(And(("Toddler", "Adult")), BOT) in classified
@@ -295,13 +306,36 @@ class TestMapInvariants:
             compiled = engine._compile(kb, config)
             program = ilp.IlpProgram()
             engine._cutting_planes(kb, compiled, config, program)
-            assignment = {v: int(a in compiled.closure.atoms) for a, v in program._atom_vars.items()}
+            assignment = [int(a in compiled.closure.atoms) for a in program.variables]
             soft = {z for z, _ in program.objective}
             for con in program.constraints:
                 if not any(v in soft for v, _ in con.terms):
                     assert ilp._holds(con, assignment), (kb, con)
                     checked += 1
         assert checked >= 500
+
+    @pytest.mark.parametrize("domain", ["real", "integer"])
+    def test_each_translated_clause_declares_at_most_one_atom_variable(self, domain, monkeypatch):
+        # a clause's body atoms are true in the world it is grounded against,
+        # so each is fixed true or already a variable: at most its head is new,
+        # and the order translate_clause puts its atoms in never decides the
+        # order variables are declared in
+        config = ReasonerConfig(domain=domain)
+        translate, declared = ilp.translate_clause, Counter()
+
+        def counting(clause, program, *args):
+            before = len(program.variables)
+            made = translate(clause, program, *args)
+            declared[sum(a is not None for a in program.variables[before:])] += 1
+            return made
+
+        monkeypatch.setattr(ilp, "translate_clause", counting)
+        rng = random.Random(29)
+        for _ in range(100):
+            kb = random_kb(rng, max_uncertain=12)
+            explain_selection(kb, map_inference(kb, config), config)
+        assert set(declared) == {0, 1}, declared
+        assert sum(declared.values()) >= 3000, declared
 
 
 def _reference_distribution(kb, domain):
@@ -500,7 +534,7 @@ class TestFactsOutOfTheIlp:
 
     @staticmethod
     def atoms_of(program) -> frozenset:
-        return program.true_atoms(dict.fromkeys(program.variables, 1))
+        return program.true_atoms([1] * len(program.variables))
 
     @pytest.mark.parametrize("domain", ["real", "integer"])
     def test_no_fact_is_an_ilp_variable(self, domain):

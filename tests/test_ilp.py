@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,7 @@ from probel.ilp import (
     solve,
     translate_clause,
 )
-from probel.model import INFINITE
+from probel.model import INFINITE, Nominal
 from probel.translate import Atom
 
 from oracles import enumerate_solve
@@ -44,8 +48,10 @@ class TestTranslateClause:
         made = translate_clause(clause(["p"], ["q"], Fraction(8, 10)), program, frozenset())
         x_p = program.atom_var(atom("p"))
         x_q = program.atom_var(atom("q"))
-        assert made == [LinearConstraint(((x_p, 1), (x_q, -1), ("z_1", -1)), ">=", -1)]
-        assert program.objective == [("z_1", Fraction(8, 10))]
+        # variables are numbered in declaration order, the clause's z first
+        assert program.variables == [None, atom("p"), atom("q")]
+        assert made == [LinearConstraint(((x_p, 1), (x_q, -1), (0, -1)), ">=", -1)]
+        assert program.objective == [(0, Fraction(8, 10))]
 
     def test_negative_weight_clause(self):
         program = IlpProgram()
@@ -55,7 +61,8 @@ class TestTranslateClause:
         (constraint,) = made
         assert constraint.relation == "<="
         assert constraint.bound == 0
-        assert dict(constraint.terms) == {x_p: 1, x_q: 1, "z_1": -2}
+        assert program.variables[0] is None  # the clause's z
+        assert dict(constraint.terms) == {x_p: 1, x_q: 1, 0: -2}
 
     def test_declaration_order(self):
         # the lexicographic tie-break reads variables in declaration order: a
@@ -65,11 +72,12 @@ class TestTranslateClause:
         fixed = frozenset({atom("e")})
         assert translate_clause(clause(["e"], ["p"], Fraction(1, 2)), program, fixed) == []
         assert translate_clause(clause(["e"], ["p"], Fraction(0)), program, fixed) == []
-        assert program.variables == ["z_1", "z_2"]
+        assert program.variables == [None, None]
         (made,) = translate_clause(clause(["e", "q"], ["p"], Fraction(-1, 2)), program, fixed)
         x_q, x_p = program.atom_var(atom("q")), program.atom_var(atom("p"))
-        assert made == LinearConstraint(((x_q, 1), (x_p, -1), ("z_3", -3)), "<=", -2)
-        assert program.variables == ["z_1", "z_2", "z_3", x_q, x_p]
+        assert made == LinearConstraint(((x_q, 1), (x_p, -1), (2, -3)), "<=", -2)
+        assert program.variables == [None, None, None, atom("q"), atom("p")]
+        assert (x_q, x_p) == (3, 4)
         assert translate_clause(clause(["e"], ["r"], INFINITE), program, fixed) == []
         assert len(program.variables) == 5 and len(program.constraints) == 1
 
@@ -78,8 +86,8 @@ class TestTranslateClause:
         fixed = frozenset((atom("e"),))
         made = translate_clause(clause(["p"], ["e", "q"], INFINITE), program, fixed)
         (constraint,) = made
-        names = {v for v, _ in constraint.terms}
-        assert "x_" + "sub_e_e" not in names
+        assert atom("e") not in {program.variables[v] for v, _ in constraint.terms}
+        assert atom("e") not in program.variables
         assert constraint.bound == 1 - 1  # one remaining negated literal
 
     def test_hard_conflict(self):
@@ -99,7 +107,7 @@ class TestSolve:
         assert assignment[program.atom_var(atom("p"))] == 1
 
     def test_empty_program(self):
-        assert solve(IlpProgram()) == ({}, 0)
+        assert solve(IlpProgram()) == ([], 0)
 
     def test_rejecting_is_optimal_when_hard_clause_bites(self):
         # pay 0.1 for q, but q together with p is forbidden and p is worth 1.0
@@ -110,7 +118,7 @@ class TestSolve:
         _, value = solve(program)
         assert value == 1
 
-    def test_infeasible_reports_core(self):
+    def test_infeasible_program_raises(self):
         program = IlpProgram()
         translate_clause(clause(["p"], [], INFINITE), program, frozenset())
         translate_clause(clause([], ["p"], INFINITE), program, frozenset())
@@ -118,8 +126,9 @@ class TestSolve:
         with pytest.raises(Infeasible):
             solve(program)
 
-    def test_core_is_minimized_within_the_infeasible_component(self):
-        # 202 constraints in all, but the conflict lies in p's component alone
+    def test_infeasible_component_among_many(self):
+        # 202 constraints in all, and the conflict lies in p's component alone:
+        # the 200 feasible components beside it do not hide it
         program = IlpProgram()
         translate_clause(clause(["p"], [], INFINITE), program, frozenset())
         translate_clause(clause([], ["p"], INFINITE), program, frozenset())
@@ -175,16 +184,16 @@ def _random_program(rng: random.Random):
 
 
 def _disjoint_union(first: IlpProgram, second: IlpProgram) -> IlpProgram:
-    """``first`` and a renamed copy of ``second``, variables interleaved in declared order."""
-    rename = {v: "b_" + v for v in second.variables}
-    pairs = itertools.zip_longest(first.variables, [rename[v] for v in second.variables])
+    """``first`` and a renumbered copy of ``second``, variables interleaved in declared order."""
+    parts = (first, second)
+    pairs = itertools.zip_longest(*([(k, v) for v in range(len(p.variables))] for k, p in enumerate(parts)))
+    order = [kv for pair in pairs for kv in pair if kv is not None]
+    new = {kv: i for i, kv in enumerate(order)}
     return IlpProgram(
-        variables=[v for pair in pairs for v in pair if v is not None],
-        constraints=first.constraints + [
-            LinearConstraint(tuple((rename[v], c) for v, c in con.terms), con.relation, con.bound)
-            for con in second.constraints
-        ],
-        objective=first.objective + [(rename[v], w) for v, w in second.objective],
+        variables=[parts[k].variables[v] for k, v in order],
+        constraints=[LinearConstraint(tuple((new[k, v], c) for v, c in con.terms), con.relation, con.bound)
+                     for k, p in enumerate(parts) for con in p.constraints],
+        objective=[(new[k, v], w) for k, p in enumerate(parts) for v, w in p.objective],
     )
 
 
@@ -295,7 +304,7 @@ def _copy(program: IlpProgram) -> IlpProgram:
 
 def _components(program: IlpProgram) -> dict:
     """Each variable's connected component, as a shared set of variables."""
-    component = {v: {v} for v in program.variables}
+    component = {v: {v} for v in range(len(program.variables))}
     for con in program.constraints:
         merged = set().union(*(component[v] for v, _ in con.terms))
         for v in merged:
@@ -372,7 +381,7 @@ class TestKeptSearch:
         assert repr(solved) == repr(unsolved)
         assert dump(solved) == dump(unsolved)
 
-    def test_infeasible_again_with_the_same_core(self):
+    def test_infeasible_again_after_a_feasible_solve(self):
         program = IlpProgram()
         for made in self.CLAUSES:
             translate_clause(made, program, frozenset())
@@ -384,9 +393,10 @@ class TestKeptSearch:
         with pytest.raises(Infeasible):
             solve(program)
 
-    def test_core_keeps_constraint_order_across_merges(self):
+    def test_infeasible_after_a_merge(self):
         # the last clause merges p's component into the larger {q, r}, whose
-        # constraints come first in the merged list
+        # constraints come first in the merged list; the merged component is
+        # infeasible
         program = IlpProgram()
         translate_clause(clause(["p"], [], INFINITE), program, frozenset())
         translate_clause(clause(["q", "r"], [], INFINITE), program, frozenset())
@@ -408,6 +418,60 @@ class TestDump:
         assert "0.8 z_1" in text
         assert "x_sub_p_p" in text
         assert dump(program) == text
+
+    # sub(C, {a}) and sub(C, nom_a) mangle to the same token
+    NOMINAL, NAMED = Atom("sub", ("C", Nominal("a"))), Atom("sub", ("C", "nom_a"))
+
+    def test_exact_text_of_a_hand_built_program(self):
+        # the atom declared second takes a "_" suffix; a value's "-" and "/"
+        # mangle to "m" and "d"; z_k is the k-th clause variable
+        value = Atom("rsupEx", ("C", "f", "<=", Fraction(-1, 3)))
+        program = IlpProgram()
+        translate_clause(ViolatedClause(frozenset({self.NOMINAL}), frozenset(), Fraction(1, 2), "F3"), program)
+        translate_clause(ViolatedClause(frozenset({self.NAMED}), frozenset({self.NOMINAL}), INFINITE, "F3"), program)
+        translate_clause(ViolatedClause(frozenset({value}), frozenset({self.NAMED}), Fraction(-3, 4), "F3"), program)
+        assert dump(program) == (
+            "OBJECTIVE\n"
+            "  0.5 z_1\n"
+            "  -0.75 z_2\n"
+            "CONSTRAINTS\n"
+            "  +1 x_sub_C_nom_a -1 z_1 >= 0\n"
+            "  +1 x_sub_C_nom_a_ -1 x_sub_C_nom_a >= 0\n"
+            "  +1 x_rsupEx_C_f_le_m1d3 -1 x_sub_C_nom_a_ -2 z_2 <= -1\n"
+            "BINARY\n"
+            "  z_1\n"
+            "  x_sub_C_nom_a\n"
+            "  x_sub_C_nom_a_\n"
+            "  z_2\n"
+            "  x_rsupEx_C_f_le_m1d3\n"
+        )
+
+    def test_colliding_atoms_in_one_clause_keep_their_order_under_any_hash_seed(self):
+        # the two atoms are one frozenset, whose order varies with the hash
+        # seed; translate_clause orders them by atom_sort_key, not by token
+        script = (
+            "from fractions import Fraction\n"
+            "from probel.grounding import ViolatedClause\n"
+            "from probel.ilp import IlpProgram, dump, translate_clause\n"
+            "from probel.model import Nominal\n"
+            "from probel.translate import Atom\n"
+            "atoms = frozenset({Atom('sub', ('C', Nominal('a'))), Atom('sub', ('C', 'nom_a'))})\n"
+            "program = IlpProgram()\n"
+            "translate_clause(ViolatedClause(atoms, frozenset(), Fraction(1), 'F3'), program)\n"
+            "print(program.variables)\n"
+            "print(dump(program), end='')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[0] == repr([None, self.NAMED, self.NOMINAL])
+        assert "+1 x_sub_C_nom_a +1 x_sub_C_nom_a_ -1 z_1 >= 0" in outputs[0]
 
     def test_every_returned_assignment_checks_numerically(self):
         rng = random.Random(31)
