@@ -1,14 +1,20 @@
 """Line-based text format for weighted knowledge bases.
 
-One statement per line, optional leading decimal weight (absent means the
-statement is deterministic), ``#`` comments. Names are declared on first
-use; the sort of a name follows from its position. Examples::
+One statement per line, optional leading weight (absent means the
+statement is deterministic), ``#`` comments. A weight or a value is a
+decimal or a ``p/q`` rational; a decimal takes no denominator. Names are
+declared on first use; the sort of a name follows from its position.
+Examples::
 
     Toddler AND Adult SUBCLASSOF BOT
     0.8 Toddler SUBCLASSOF age SOME (<=, 3)
     0.7 age(john, 2)
     ROLECHAIN hasParent hasParent SUBROLEOF hasGrandparent
     {mary} SUBCLASSOF Person
+
+``parse_kb`` makes one pass per line: it tokenizes the line, reads it by
+recursive descent, converts each distinct number literal once and records
+each name's sort as it reads the name. It then normalizes the statements.
 """
 from __future__ import annotations
 
@@ -34,21 +40,23 @@ from .model import (
     RoleAssertion,
     RoleInclusion,
     WeightedStatement,
-    axiom_names,
     format_value,
     is_infinite,
     is_ref,
     make_signature,
 )
-from .normalize import normalize
+# the parse path needs no name check (see parse_kb); the name keeps the
+# normalization layer where perfbench/tracing.py times it
+from .normalize import rewrite as normalize
 
 KEYWORDS = {"AND", "SOME", "SUBCLASSOF", "ROLECHAIN", "SUBROLEOF", "TOP", "BOT"}
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)"
+    r"(?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op><=|>=|<|>|=)"
-    r"|(?P<punct>[(){},]))"
+    r"|(?P<punct>[(){},])"
+    r"|(?P<bad>\S)"
 )
 
 
@@ -61,176 +69,173 @@ class ParseError(NamedTuple):
         return f"line {self.line}, column {self.column}: {self.message}"
 
 
-class _Token(NamedTuple):
-    kind: str  # number | name | keyword | op | punct | end
-    value: str
-    column: int
-
-
 class _LineSyntax(Exception):
     def __init__(self, column: int, message: str):
         self.column = column
         self.message = message
 
 
-def _tokenize(line: str) -> List[_Token]:
-    text = line.split("#", 1)[0]
+def _tokenize(line: str) -> list:
+    """The (kind, text, column) tokens of one line without its comment,
+    then four end tokens, so that every lookahead is a plain index. The
+    kind of a keyword or of punctuation is its text."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip():
-                raise _LineSyntax(pos + 1, f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        pos = match.end()
-        column = match.start(match.lastgroup) + 1
-        value = match.group(match.lastgroup)
-        kind = match.lastgroup
-        if kind == "name" and value in KEYWORDS:
-            kind = "keyword"
-        tokens.append(_Token(kind, value, column))
-    tokens.append(_Token("end", "", len(text) + 1))
-    return tokens
-
-
-def _parse_number(token: _Token) -> Fraction:
-    try:
-        return Fraction(token.value)
-    except ZeroDivisionError:
-        raise _LineSyntax(token.column, f"zero denominator in {token.value!r}") from None
+    end = 0  # an unexpected character is reported where the last token ends
+    for match in _TOKEN.finditer(line):
+        kind, text = match.lastgroup, match.group()
+        if kind == "bad":
+            raise _LineSyntax(end + 1, f"unexpected character {text!r}")
+        if kind == "punct" or (kind == "name" and text in KEYWORDS):
+            kind = text
+        tokens.append((kind, text, match.start() + 1))
+        end = match.end()
+    return tokens + [("end", "", len(line) + 1)] * 4
 
 
 class _LineParser:
-    def __init__(self, tokens: List[_Token]):
-        self.tokens = tokens
+    """Recursive descent over one line. ``names`` gets each name's
+    (sort, name) as the name is read, in text order, which is
+    ``axiom_names`` order; ``numbers`` maps each literal read so far to
+    its value."""
+
+    def __init__(self, line: str, numbers: dict):
+        self.tokens = _tokenize(line)
         self.pos = 0
+        self.names: List[Tuple[str, str]] = []
+        self.numbers = numbers
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def take(self) -> _Token:
+    def expect(self, kind: str):
         token = self.tokens[self.pos]
-        if token.kind != "end":
-            self.pos += 1
-        return token
+        if token[0] != kind:
+            raise _LineSyntax(token[2], f"expected {kind}, found {token[1] or 'end of line'!r}")
+        self.pos += 1
 
-    def expect(self, kind: str, value: Optional[str] = None) -> _Token:
-        token = self.peek()
-        if token.kind != kind or (value is not None and token.value != value):
-            want = value or kind
-            raise _LineSyntax(token.column, f"expected {want}, found {token.value or 'end of line'!r}")
-        return self.take()
+    def name(self, what: str, sort: Optional[str] = None) -> str:
+        kind, text, column = self.tokens[self.pos]
+        if kind != "name":
+            raise _LineSyntax(column, f"expected {what}, found {text or 'end of line'!r}")
+        if text.startswith(RESERVED_PREFIX):
+            raise _LineSyntax(column, f"names starting with '{RESERVED_PREFIX}' are reserved")
+        self.pos += 1
+        if sort is not None:
+            self.names.append((sort, text))
+        return text
 
-    def name(self, what: str) -> str:
-        token = self.peek()
-        if token.kind != "name":
-            raise _LineSyntax(token.column, f"expected {what}, found {token.value or 'end of line'!r}")
-        if token.value.startswith(RESERVED_PREFIX):
-            raise _LineSyntax(token.column, f"names starting with '{RESERVED_PREFIX}' are reserved")
-        return self.take().value
+    def number(self) -> Fraction:
+        _, text, column = self.tokens[self.pos]
+        self.pos += 1
+        value = self.numbers.get(text)
+        if value is None:
+            try:
+                value = self.numbers[text] = Fraction(text)
+            except ZeroDivisionError:
+                raise _LineSyntax(column, f"zero denominator in {text!r}") from None
+            except ValueError:  # a decimal with a denominator, or too many digits
+                raise _LineSyntax(column, f"invalid number {text!r}") from None
+        return value
 
     # ---- grammar ----
 
     def statement(self) -> Tuple[Axiom, Optional[Fraction]]:
-        weight = None
-        if self.peek().kind == "number":
-            weight = _parse_number(self.take())
-        token = self.peek()
-        if token.kind == "keyword" and token.value == "ROLECHAIN":
+        tokens = self.tokens
+        weight = self.number() if tokens[0][0] == "number" else None
+        kind = tokens[self.pos][0]
+        if kind == "ROLECHAIN":
             axiom = self.role_inclusion()
-        elif token.kind == "name" and self.peek(1).kind == "punct" and self.peek(1).value == "(":
+        elif kind == "name" and tokens[self.pos + 1][0] == "(":
             axiom = self.assertion()
-        elif token.value in ("TOP", "BOT", "{") and self.peek(1 if token.kind == "keyword" else 3).value == "(":
+        elif kind in ("TOP", "BOT", "{") and tokens[self.pos + (3 if kind == "{" else 1)][0] == "(":
             concept = self.primary()  # TOP(a), BOT(a) or {b}(a)
-            self.expect("punct", "(")
-            axiom = ConceptAssertion(concept, self.name("individual name"))
-            self.expect("punct", ")")
+            self.expect("(")
+            axiom = ConceptAssertion(concept, self.name("individual name", "individual"))
+            self.expect(")")
         else:
             left = self.expression()
-            self.expect("keyword", "SUBCLASSOF")
-            right = self.expression()
-            axiom = Gci(left, right)
-        end = self.peek()
-        if end.kind != "end":
-            raise _LineSyntax(end.column, f"unexpected trailing {end.value!r}")
+            self.expect("SUBCLASSOF")
+            axiom = Gci(left, self.expression())
+        kind, text, column = tokens[self.pos]
+        if kind != "end":
+            raise _LineSyntax(column, f"unexpected trailing {text!r}")
         return axiom, weight
 
     def role_inclusion(self) -> RoleInclusion:
-        self.expect("keyword", "ROLECHAIN")
-        chain = [self.name("role name")]
-        while self.peek().kind == "name":
-            chain.append(self.name("role name"))
-        self.expect("keyword", "SUBROLEOF")
-        sup = self.name("role name")
-        return RoleInclusion(tuple(chain), sup)
+        self.pos += 1  # ROLECHAIN
+        chain = [self.name("role name", "role")]
+        while self.tokens[self.pos][0] == "name":
+            chain.append(self.name("role name", "role"))
+        self.expect("SUBROLEOF")
+        return RoleInclusion(tuple(chain), self.name("role name", "role"))
 
     def assertion(self) -> Axiom:
         predicate = self.name("predicate name")
-        self.expect("punct", "(")
+        self.pos += 1  # (
         subject = self.name("individual name")
-        if self.peek().kind == "punct" and self.peek().value == ",":
-            self.take()
-            token = self.peek()
-            if token.kind == "number":
-                value = _parse_number(self.take())
-                self.expect("punct", ")")
+        if self.tokens[self.pos][0] == ",":
+            self.pos += 1
+            if self.tokens[self.pos][0] == "number":
+                value = self.number()
+                self.expect(")")
+                self.names += (("feature", predicate), ("individual", subject))
                 return FeatureAssertion(predicate, subject, value)
             obj = self.name("individual name")
-            self.expect("punct", ")")
+            self.expect(")")
+            self.names += (("role", predicate), ("individual", subject), ("individual", obj))
             return RoleAssertion(predicate, subject, obj)
-        self.expect("punct", ")")
+        self.expect(")")
+        self.names += (("concept", predicate), ("individual", subject))
         return ConceptAssertion(predicate, subject)
 
     def expression(self) -> Concept:
         parts = [self.term()]
-        while self.peek().kind == "keyword" and self.peek().value == "AND":
-            self.take()
+        while self.tokens[self.pos][0] == "AND":
+            self.pos += 1
             parts.append(self.term())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def term(self) -> Concept:
-        token = self.peek()
-        if token.kind == "name" and self.peek(1).kind == "keyword" and self.peek(1).value == "SOME":
+        if self.tokens[self.pos][0] == "name" and self.tokens[self.pos + 1][0] == "SOME":
             name = self.name("role or feature name")
-            self.take()  # SOME
+            self.pos += 1  # SOME
             return self.some_argument(name)
         return self.primary()
 
     def some_argument(self, name: str) -> Concept:
-        token = self.peek()
-        if token.kind == "punct" and token.value == "(":
-            if self.peek(1).kind == "op":
-                self.take()
-                op = self.take().value
-                self.expect("punct", ",")
-                number = self.peek()
-                if number.kind != "number":
-                    raise _LineSyntax(number.column, "expected a numeric value")
-                value = _parse_number(self.take())
-                self.expect("punct", ")")
+        tokens = self.tokens
+        if tokens[self.pos][0] == "(":
+            kind, op, _ = tokens[self.pos + 1]
+            if kind == "op":
+                self.pos += 2
+                self.expect(",")
+                if tokens[self.pos][0] != "number":
+                    raise _LineSyntax(tokens[self.pos][2], "expected a numeric value")
+                value = self.number()
+                self.expect(")")
+                self.names.append(("feature", name))
                 return DataSome(name, Restriction(op, value))
-            self.take()
+            self.pos += 1
+            self.names.append(("role", name))
             inner = self.expression()
-            self.expect("punct", ")")
+            self.expect(")")
             return Exists(name, inner)
+        self.names.append(("role", name))
         return Exists(name, self.primary())
 
     def primary(self) -> Concept:
-        token = self.peek()
-        if token.kind == "keyword" and token.value in ("TOP", "BOT"):
-            return self.take().value
-        if token.kind == "punct" and token.value == "{":
-            self.take()
-            individual = self.name("individual name")
-            self.expect("punct", "}")
+        kind = self.tokens[self.pos][0]
+        if kind == "TOP" or kind == "BOT":
+            self.pos += 1
+            return kind
+        if kind == "{":
+            self.pos += 1
+            individual = self.name("individual name", "individual")
+            self.expect("}")
             return Nominal(individual)
-        if token.kind == "punct" and token.value == "(":
-            self.take()
+        if kind == "(":
+            self.pos += 1
             inner = self.expression()
-            self.expect("punct", ")")
+            self.expect(")")
             return inner
-        return self.name("concept name")
+        return self.name("concept name", "concept")
 
 
 @dataclass
@@ -242,51 +247,53 @@ class ParseResult:
 
 
 def parse_kb(text: str) -> ParseResult:
-    """Parse the text format into a validated, normalized knowledge base."""
+    """Parse the text format into a normalized knowledge base.
+
+    Parsing checks each line's syntax and number literals, rejects reserved
+    names and checks that each name keeps one sort; ``errors`` lists the
+    syntax errors in line order, then the sort clashes. The KB is not
+    validated: one with a statement in both parts comes back in ``kb``, and
+    ``model.validate`` reports it.
+    """
     axioms: List[Tuple[Axiom, object]] = []
     lines: List[int] = []
     errors: List[ParseError] = []
+    clashes: List[ParseError] = []
+    sorts: dict = {}  # name -> sort, in order of first use
+    numbers: dict = {}  # literal -> value, for this call only
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        line = raw.split("#", 1)[0]
+        if not line or line.isspace():
             continue
         try:
-            parser = _LineParser(_tokenize(raw))
+            parser = _LineParser(line, numbers)
             axiom, weight = parser.statement()
         except _LineSyntax as err:
             errors.append(ParseError(lineno, err.column, err.message))
             continue
         except RecursionError:  # the descent is recursive: one frame chain per nesting level
-            errors.append(ParseError(lineno, parser.peek().column, "nesting too deep"))
+            errors.append(ParseError(lineno, parser.tokens[parser.pos][2], "nesting too deep"))
             continue
+        for sort, name in parser.names:
+            previous = sorts.setdefault(name, sort)
+            if previous != sort:
+                was, now = (("an " if noun[0] in "aeiou" else "a ") + noun for noun in (previous, sort))
+                clashes.append(ParseError(lineno, 1, f"'{name}' already used as {was}, now as {now}"))
         axioms.append((axiom, INFINITE if weight is None else weight))
         lines.append(lineno)
 
-    sorts: dict = {}
-    pools = {"concept": set(), "role": set(), "feature": set(), "individual": set()}
-    for (axiom, _), lineno in zip(axioms, lines):
-        for sort, name in axiom_names(axiom):
-            previous = sorts.get(name)
-            if previous is None:
-                sorts[name] = sort
-                pools[sort].add(name)
-            elif previous != sort:
-                was, now = (("an " if noun[0] in "aeiou" else "a ") + noun for noun in (previous, sort))
-                errors.append(ParseError(lineno, 1, f"'{name}' already used as {was}, now as {now}"))
-    for keyword in ("TOP", "BOT"):
-        pools["concept"].discard(keyword)
-
+    errors += clashes
     if errors:
         return ParseResult(None, errors, {}, lines)
 
+    pools: dict = {"concept": [], "role": [], "feature": [], "individual": []}
+    for name, sort in sorts.items():
+        pools[sort].append(name)
     sig = make_signature(pools["concept"], pools["role"], pools["feature"], pools["individual"])
+    # the signature holds each name with the sort it is used with, so the
+    # rewriting needs no name check; it has nothing to report on parsed axioms
     result = normalize(axioms, sig)
-    for diag in result.diagnostics:
-        lineno = lines[diag.index] if diag.index is not None and diag.index < len(lines) else 0
-        errors.append(ParseError(lineno, 1, diag.reason))
-    if errors:
-        return ParseResult(None, errors, {}, lines)
     return ParseResult(result.kb, [], result.name_map, lines)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 TOP = "TOP"
 BOT = "BOT"
@@ -283,57 +283,46 @@ def make_kb(signature: Signature, deterministic=(), uncertain=()) -> KnowledgeBa
     return KnowledgeBase(signature, tuple(deterministic), tuple(uncertain))
 
 
-def axiom_names(axiom: Axiom) -> Iterator[tuple]:
-    """Yield (sort, name) for every signature element an axiom mentions."""
+def _mentions(axiom: Axiom) -> tuple:
+    """The (sort, name) of every signature element an axiom mentions, and
+    its datatype restrictions, in one walk."""
+    names: list = []
+    restrictions: list = []
 
     def walk(concept: Concept):
         if isinstance(concept, str):
-            yield "concept", concept
+            names.append(("concept", concept))
         elif isinstance(concept, Nominal):
-            yield "individual", concept.individual
+            names.append(("individual", concept.individual))
         elif isinstance(concept, And):
             for part in concept.parts:
-                yield from walk(part)
+                walk(part)
         elif isinstance(concept, Exists):
-            yield "role", concept.role
-            yield from walk(concept.filler)
+            names.append(("role", concept.role))
+            walk(concept.filler)
         elif isinstance(concept, DataSome):
-            yield "feature", concept.feature
+            names.append(("feature", concept.feature))
+            restrictions.append(concept.restriction)
 
     if isinstance(axiom, (Gci, Equiv)):
-        yield from walk(axiom.left)
-        yield from walk(axiom.right)
+        walk(axiom.left)
+        walk(axiom.right)
     elif isinstance(axiom, RoleInclusion):
-        for role in axiom.chain:
-            yield "role", role
-        yield "role", axiom.sup
+        names += [("role", role) for role in axiom.chain]
+        names.append(("role", axiom.sup))
     elif isinstance(axiom, ConceptAssertion):
-        yield from walk(axiom.concept)
-        yield "individual", axiom.individual
+        walk(axiom.concept)
+        names.append(("individual", axiom.individual))
     elif isinstance(axiom, RoleAssertion):
-        yield "role", axiom.role
-        yield "individual", axiom.subject
-        yield "individual", axiom.object
+        names += (("role", axiom.role), ("individual", axiom.subject), ("individual", axiom.object))
     elif isinstance(axiom, FeatureAssertion):
-        yield "feature", axiom.feature
-        yield "individual", axiom.subject
+        names += (("feature", axiom.feature), ("individual", axiom.subject))
+    return names, restrictions
 
 
-def _restrictions(axiom: Axiom) -> Iterator[Restriction]:
-    def walk(concept: Concept):
-        if isinstance(concept, And):
-            for part in concept.parts:
-                yield from walk(part)
-        elif isinstance(concept, Exists):
-            yield from walk(concept.filler)
-        elif isinstance(concept, DataSome):
-            yield concept.restriction
-
-    if isinstance(axiom, (Gci, Equiv)):
-        yield from walk(axiom.left)
-        yield from walk(axiom.right)
-    elif isinstance(axiom, ConceptAssertion):
-        yield from walk(axiom.concept)
+def axiom_names(axiom: Axiom) -> list:
+    """(sort, name) for every signature element an axiom mentions."""
+    return _mentions(axiom)[0]
 
 
 def validate(kb: KnowledgeBase) -> list:
@@ -365,13 +354,14 @@ def validate(kb: KnowledgeBase) -> list:
             if not is_normal_form(statement):
                 diagnostics.append(Diagnostic(part, index, "statement is not in normal form"))
                 continue
-            for sort, name in axiom_names(statement):
+            names, restrictions = _mentions(statement)
+            for sort, name in names:
                 declared = sorts.get(name)
                 if declared is None:
                     diagnostics.append(Diagnostic(part, index, f"unknown name '{name}'"))
                 elif declared != sort:
                     diagnostics.append(Diagnostic(part, index, f"'{name}' used as {sort} but declared as {declared}"))
-            for restriction in _restrictions(statement):
+            for restriction in restrictions:
                 if restriction.op not in OPERATORS:
                     diagnostics.append(Diagnostic(part, index, f"unknown comparison operator '{restriction.op}'"))
                 if not isinstance(restriction.value, Fraction):
@@ -382,7 +372,6 @@ def validate(kb: KnowledgeBase) -> list:
                 diagnostics.append(Diagnostic(part, index, "finite weight inside deterministic part"))
             if part == "uncertain" and is_infinite(weight):
                 diagnostics.append(Diagnostic(part, index, "infinite weight outside deterministic part"))
-            if statement in seen and seen[statement] != part:
+            if seen.setdefault(statement, part) != part:
                 diagnostics.append(Diagnostic(part, index, "statement appears in both parts"))
-            seen.setdefault(statement, part)
     return diagnostics

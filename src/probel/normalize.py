@@ -81,6 +81,9 @@ class _Rewriter:
 
     def emit(self, axiom: Axiom, weight: Weight):
         assert is_normal_form(axiom), axiom
+        self.add(axiom, weight)
+
+    def add(self, axiom: Axiom, weight: Weight):
         statement = WeightedStatement(axiom, weight)
         if is_infinite(weight):
             self.deterministic[statement] = None
@@ -176,17 +179,33 @@ def normalize(
 ) -> NormalizeResult:
     """Rewrite weighted axioms into normal statements over an extended
     signature. Already-normal axioms pass through unchanged; equivalences
-    contribute their weight to both directions.
+    contribute their weight to both directions. An axiom with a name the
+    signature lacks, or holds with another sort, is left out with a
+    diagnostic.
     """
-    rewriter = _Rewriter(sig)
     diagnostics = []
-
-    expanded = []
+    known = []
     for index, (axiom, weight) in enumerate(axioms):
         problem = _check_names(axiom, sig)
         if problem is not None:
             diagnostics.append(Diagnostic("input", index, problem))
-            continue
+        else:
+            known.append((axiom, weight))
+    result = rewrite(known, sig)
+    result.diagnostics[:0] = diagnostics
+    return result
+
+
+def rewrite(
+    axioms: Sequence[Tuple[Axiom, Weight]], sig: Signature
+) -> NormalizeResult:
+    """The rewriting of :func:`normalize` alone, for axioms whose every name
+    the signature already holds with the sort the axiom uses it with."""
+    rewriter = _Rewriter(sig)
+    diagnostics = []
+
+    expanded = []
+    for axiom, weight in axioms:
         if isinstance(axiom, Equiv):
             left, right = _flatten(axiom.left), _flatten(axiom.right)
             expanded.append((Gci(left, right), weight))
@@ -200,7 +219,7 @@ def normalize(
 
     for axiom, weight in expanded:
         if is_normal_form(axiom):
-            rewriter.emit(axiom, weight)
+            rewriter.add(axiom, weight)
             continue
         if isinstance(axiom, Gci):
             if is_infinite(weight):

@@ -251,6 +251,20 @@ class TestExitCodes:
             code, _ = run_cli(command, str(bad))
             assert code == 2
 
+    @pytest.mark.parametrize("text, diagnostic", (
+        ("0.5/3 A SUBCLASSOF B\n", "line 1, column 1: invalid number '0.5/3'"),
+        ("f(a, 1.5/2)\n", "line 1, column 6: invalid number '1.5/2'"),
+    ))
+    def test_unreadable_number_literal_is_2(self, tmp_path, capsys, text, diagnostic):
+        # the token pattern admits a decimal with a denominator, which
+        # Fraction cannot read
+        bad = tmp_path / "literal.kb"
+        bad.write_text(text)
+        for command in ("check", "solve"):
+            assert run_cli(command, str(bad))[0] == 2
+            assert "Traceback" not in capsys.readouterr().err
+        assert [str(error) for error in parse_kb(text).errors] == [diagnostic]
+
     @pytest.mark.parametrize("opening", ("r SOME (", "("))
     def test_deep_nesting_is_2(self, tmp_path, capsys, opening):
         # the recursive descent overflows near 330 levels; 300 still parse
@@ -344,6 +358,114 @@ class TestExitCodes:
         code, _ = run_cli("solve", str(dup))
         assert code == 2
 
+
+
+# One input per parse diagnostic, each with the exact `check --format json`
+# diagnostics. The column of "nesting too deep" is where the interpreter's
+# stack ran out, which depends on the caller's depth, so that row is a pattern.
+_DEEP = re.compile(r"kb\.kb:line 1, column \d+: nesting too deep")
+DIAGNOSTICS = (
+    ("A SUBCLASSOF B $\n", ["kb.kb:line 1, column 15: unexpected character '$'"]),
+    ("$A\n", ["kb.kb:line 1, column 1: unexpected character '$'"]),
+    ("A B\n", ["kb.kb:line 1, column 3: expected SUBCLASSOF, found 'B'"]),
+    ("A SUBCLASSOF (B\n", ["kb.kb:line 1, column 16: expected ), found 'end of line'"]),
+    ("A SUBCLASSOF f SOME (<=, 0/0)\n", ["kb.kb:line 1, column 26: zero denominator in '0/0'"]),
+    ("_X SUBCLASSOF A\n", ["kb.kb:line 1, column 1: names starting with '_' are reserved"]),
+    ("A(a) B\n", ["kb.kb:line 1, column 6: unexpected trailing 'B'"]),
+    ("A SUBCLASSOF f SOME (<=, x)\n", ["kb.kb:line 1, column 26: expected a numeric value"]),
+    (f"A SUBCLASSOF {'(' * 1000}B{')' * 1000}\n", [_DEEP]),
+    ("r(a, b)\nA SUBCLASSOF r\n", ["kb.kb:line 2, column 1: 'r' already used as a role, now as a concept"]),
+    ("C(x)\nx SUBCLASSOF D\n", ["kb.kb:line 2, column 1: 'x' already used as an individual, now as a concept"]),
+    ("A SUBCLASSOF B\n0.5 A SUBCLASSOF B\n", ["uncertain[0]: statement appears in both parts"]),
+    (
+        "r(a, b)\n0.5 A SUBCLASSOF\nA SUBCLASSOF r  # comment\n\n{a} SUBCLASSOF B\n"
+        "ROLECHAIN r SUBROLEOF\nB(r)\nf(a, 1/0)\nx SUBCLASSOF f SOME (<, 1)\n  TOP(x) $\n"
+        "f SOME (=, 2) SUBCLASSOF a\n",
+        [
+            "kb.kb:line 2, column 17: expected concept name, found 'end of line'",
+            "kb.kb:line 6, column 22: expected role name, found 'end of line'",
+            "kb.kb:line 8, column 6: zero denominator in '1/0'",
+            "kb.kb:line 10, column 9: unexpected character '$'",
+            "kb.kb:line 3, column 1: 'r' already used as a role, now as a concept",
+            "kb.kb:line 7, column 1: 'r' already used as a role, now as an individual",
+            "kb.kb:line 11, column 1: 'a' already used as an individual, now as a concept",
+        ],
+    ),
+)
+
+
+@pytest.mark.parametrize("text, expected", DIAGNOSTICS)
+def test_check_reports_each_diagnostic_exactly(tmp_path, monkeypatch, text, expected):
+    monkeypatch.chdir(tmp_path)
+    Path("kb.kb").write_text(text)
+    code, out = run_cli("check", "kb.kb", "--format", "json")
+    report = json.loads(out)
+    assert (code, report["ok"], len(report["diagnostics"])) == (2, False, len(expected))
+    for diagnostic, want in zip(report["diagnostics"], expected):
+        assert want.fullmatch(diagnostic) if isinstance(want, re.Pattern) else diagnostic == want
+
+
+# Lines of two kinds: runs of the grammar's tokens, stray characters and
+# number-like runs of digits, '.', '/' and '-', joined with or without
+# spaces; and statements of the grammar whose numbers are such runs.
+_GRAMMAR_TOKENS = (
+    "A", "B", "r", "f", "a", "_x", "TOP", "BOT", "AND", "SOME", "SUBCLASSOF",
+    "ROLECHAIN", "SUBROLEOF", "(", ")", "{", "}", ",", "<", "<=", "=", ">=", ">",
+)
+_numbers = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(("", "-")),
+        st.text("0123456789", min_size=1, max_size=3),
+        st.sampled_from(("", "", ".", ".5", ".25")),
+        st.sampled_from(("", "", "/", "/3", "/0")),
+    ),
+)
+_pieces = st.one_of(
+    st.sampled_from(_GRAMMAR_TOKENS),
+    _numbers,
+    st.text("0123456789./-", min_size=1, max_size=4),
+    st.sampled_from(("$", "!", "\u00e9", "#", "\t", "  ")),
+)
+_token_runs = st.lists(st.tuples(_pieces, st.sampled_from((" ", ""))), max_size=10).map(
+    lambda pairs: "".join(piece + gap for piece, gap in pairs)
+)
+_concepts = st.recursive(
+    st.sampled_from(("A", "B", "C", "TOP", "BOT", "{a}")),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(" AND ".join),
+        inner.map(lambda filler: f"r SOME ({filler})"),
+        st.tuples(st.sampled_from(("<", "<=", "=", ">=", ">")), _numbers).map(
+            lambda pair: f"f SOME ({pair[0]}, {pair[1]})"
+        ),
+    ),
+    max_leaves=4,
+)
+_statements = st.one_of(
+    st.tuples(_concepts, _concepts).map(" SUBCLASSOF ".join),
+    st.lists(st.sampled_from(("r", "s")), min_size=1, max_size=3).map(
+        lambda chain: f"ROLECHAIN {' '.join(chain)} SUBROLEOF r"
+    ),
+    st.sampled_from(("A(a)", "{b}(a)", "TOP(b)", "r(a, b)")),
+    _numbers.map(lambda value: f"f(a, {value})"),
+)
+_lines = st.one_of(
+    _token_runs,
+    st.tuples(st.one_of(st.just(""), _numbers.map(lambda weight: weight + " ")), _statements).map("".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_lines, min_size=1, max_size=4))
+def test_parser_fuzz(lines):
+    text = "\n".join(lines) + "\n"
+    result = parse_kb(text)
+    for error in result.errors:
+        line = lines[error.line - 1]
+        assert error.line >= 1 and line.split("#", 1)[0].strip(), error
+        assert 1 <= error.column <= len(line) + 1, error
+    if result.kb is not None and not result.name_map:
+        assert parse_kb(serialize_kb(result.kb)).kb == result.kb
 
 class TestMoreSurface:
     def test_integer_domain_flag_changes_classification(self, tmp_path):
