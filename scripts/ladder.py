@@ -1,0 +1,172 @@
+#!/usr/bin/env python3
+"""The scale ladder: large generated KBs solved by one or more source trees,
+one JSON row per rung and tree.
+
+Rungs: G(150,400,15), G(300,800,30) at seeds 0 and 1, G(450,1200,45),
+G(600,1600,60) and G(1200,3200,120), the independent KBs of 1100 and 3000
+statements, each through ``solve --format json``, and ``solve --explain
+--format json`` on G(40,100,6) and G(100,250,10); seed 0 unless said.
+The KBs come from ``perfbench/gen.py`` and the machine-speed reference
+loop from ``perfbench/speed.py``, both imported, not changed, from this
+checkout, so every tree solves the same texts.
+
+Each row runs in its own child interpreter with ``PYTHONPATH`` set to one
+tree's ``src``, under a per-row wall-clock limit. A row records:
+
+- ``status``: ``ok``, ``timeout`` (killed at the limit; kept, not dropped)
+  or ``error`` (a nonzero exit or an exception, with its message);
+- ``cpu_s``, the CPU seconds of the CLI call, and ``scaled_s``, the same at
+  reference machine speed: divided by the slowdown of reference loops
+  timed just before and after it (see ``speed.py``);
+- the exact objective and the cutting-plane rounds of the MAP result;
+- ``ilp_variables`` and ``ilp_constraints``: the size of the MAP's ILP at
+  its last solve (with ``--explain``, of the MAP run before the flips);
+- ``report_sha256``: the digest of the report on standard output.
+
+Each rung runs on every side in turn before the next rung, so a slow
+spell of a shared machine falls on both. The ladder is a record, not a gate: nothing fails on a figure.
+
+    python3 scripts/ladder.py --side parent=PARENT/src --side change=src --out BENCH_17.json
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+# (label, generator in gen, its sizes, seed, CLI command)
+SOLVE = ("solve", "--format", "json")
+EXPLAIN = ("solve", "--explain", "--format", "json")
+RUNGS = (
+    ("G(150,400,15)", "g_kb", (150, 400, 15), 0, SOLVE),
+    ("G(300,800,30) seed 0", "g_kb", (300, 800, 30), 0, SOLVE),
+    ("G(300,800,30) seed 1", "g_kb", (300, 800, 30), 1, SOLVE),
+    ("G(450,1200,45)", "g_kb", (450, 1200, 45), 0, SOLVE),
+    ("G(600,1600,60)", "g_kb", (600, 1600, 60), 0, SOLVE),
+    ("G(1200,3200,120)", "g_kb", (1200, 3200, 120), 0, SOLVE),
+    ("independent n=1100", "independent_kb", (1100,), 0, SOLVE),
+    ("independent n=3000", "independent_kb", (3000,), 0, SOLVE),
+    ("G(40,100,6) --explain", "g_kb", (40, 100, 6), 0, EXPLAIN),
+    ("G(100,250,10) --explain", "g_kb", (100, 250, 10), 0, EXPLAIN),
+)
+REFERENCE_LOOPS = 5  # timed before and after the call each
+# wall-clock seconds per row: about three times the slowest rung that
+# finished before the witness tie-break (--explain on G(100,250,10), 36 s
+# CPU); G(1200,3200,120) did not finish in 600 s then
+LIMIT_S = 120
+
+
+def child(spec: dict) -> dict:
+    """Run one row in this interpreter, whose ``probel`` is the side's."""
+    import hashlib
+    import io
+    import random
+    import statistics
+    import tempfile
+    from contextlib import redirect_stderr, redirect_stdout
+
+    sys.path.insert(0, str(PERFBENCH))
+    import gen
+    import speed
+    from probel import ilp
+    from probel.cli import main
+
+    programs = []  # the programs ilp.solve is given, in order of first solve
+    solve = ilp.solve
+
+    def watched(program):
+        if not programs or programs[-1] is not program:
+            programs.append(program)
+        return solve(program)
+
+    ilp.solve = watched  # the engine looks it up on the module at each call
+    text = getattr(gen, spec["generator"])(random.Random(spec["seed"]), *spec["sizes"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "kb.kb"
+        path.write_text(text)
+        loops = [speed.time_reference() for _ in range(REFERENCE_LOOPS)]
+        out, err = io.StringIO(), io.StringIO()
+        started = time.process_time()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([spec["command"][0], str(path), *spec["command"][1:]])
+        cpu = time.process_time() - started
+        loops += [speed.time_reference() for _ in range(REFERENCE_LOOPS)]
+    if code != 0:
+        return {"status": "error", "message": f"exit {code}: {err.getvalue().strip()[:200]}"}
+    report = json.loads(out.getvalue())
+    program = programs[0]
+    return {
+        "status": "ok",
+        "cpu_s": round(cpu, 3),
+        "scaled_s": round(cpu * speed.REFERENCE_S / statistics.median(loops), 3),
+        "objective": report["objective"],
+        "rounds": report["iterations"],
+        "ilp_variables": len(program.variables),
+        "ilp_constraints": len(program.constraints),
+        "report_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+    }
+
+
+def run_row(rung: tuple, src: str) -> dict:
+    _, generator, sizes, seed, command = rung
+    spec = {"generator": generator, "sizes": sizes, "seed": seed, "command": command}
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    try:
+        done = subprocess.run(
+            [sys.executable, str(Path(__file__).resolve()), "--child", json.dumps(spec)],
+            capture_output=True, text=True, env=env, timeout=LIMIT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return {"status": "timeout"}
+    if done.returncode != 0:
+        lines = done.stderr.strip().splitlines() or ["no output"]
+        return {"status": "error", "message": f"child exited {done.returncode}: {lines[-1][:200]}"}
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--side", action="append", metavar="NAME=SRC",
+                        help="a source tree to run, by name and its src directory (default: change=src)")
+    parser.add_argument("--out", help="write the record as JSON to this file")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        print(json.dumps(child(json.loads(args.child))))
+        return 0
+    sides = [side.split("=", 1) for side in args.side or [f"change={ROOT / 'src'}"]]
+    if any(len(side) != 2 for side in sides):
+        parser.error("--side takes NAME=SRC")
+    rows = []
+    for rung in RUNGS:
+        for name, src in sides:
+            row = {"rung": rung[0], "command": " ".join(rung[4]), "side": name, "limit_s": LIMIT_S,
+                   **run_row(rung, src)}
+            rows.append(row)
+            shown = {k: v for k, v in row.items() if k not in ("rung", "side", "command", "limit_s")}
+            print(f"{rung[0]} [{name}]: {shown}", flush=True)
+    if args.out:
+        sys.path.insert(0, str(PERFBENCH))
+        import speed
+
+        record = {
+            "python": platform.python_version(),
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+            "reference_s": speed.REFERENCE_S,
+            "sides": [name for name, _ in sides],
+            "rows": rows,
+        }
+        Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,15 +2,17 @@
 """Pinned ``solve --format json`` and ``solve --explain --format json``
 reports on generated KBs.
 
-Builds G(150,400,15) at seed 0, G(300,800,30) at seeds 0 and 1, and the
-independent KBs of 1100 and 3000 statements at seed 0 with
-``perfbench/gen.py`` (imported, not changed), solves each through the CLI
-in this process, and compares the sha256 of each report with the digest
-pinned below. The pinned reports of the benchmark stop at G(30,50,4) and
+Builds G(150,400,15), G(450,1200,45) and G(600,1600,60) at seed 0,
+G(300,800,30) at seeds 0 and 1, and the independent KBs of 1100 and 3000
+statements at seed 0 with ``perfbench/gen.py`` (imported, not changed),
+solves each through the CLI in this process, and compares the sha256 of
+each report with the digest pinned below. The pinned reports of the benchmark stop at G(30,50,4) and
 150 independent statements. On these G rungs ILP components meet at shared
 atoms, and the independent KBs carry thousands of facts (1100 statements
 once overflowed the solver's recursion), so a change to what the ILP holds
-or to how the loop treats facts must leave them byte-identical.
+or to how the loop treats facts must leave them byte-identical. The two
+largest G rungs are where the ILP's tie-break among optimal assignments
+does the most work.
 
 The explain reports of the first five KBs of the map-scaled workload's
 seed-0 batch (``perfbench/workloads.py``) and of G(40,100,6) at seed 0 are
@@ -48,6 +50,8 @@ PINNED = {
     (SOLVE, ("g_kb", (150, 400, 15), 0)): "069de3678b2961cf5636a41c73babd728c094b46e69da7a7037aacdc5db617fc",
     (SOLVE, ("g_kb", (300, 800, 30), 0)): "5994fbd006e16fc9134765e82e39591b7b9fcf0fe5bd7505e4d4331a27c8d376",
     (SOLVE, ("g_kb", (300, 800, 30), 1)): "eb51c5b48ac48c788fa4a8734d7924d218191bc7546934897e552413ad4e5b43",
+    (SOLVE, ("g_kb", (450, 1200, 45), 0)): "626cc3113ddd9ab7181c65499b0e5eb27fb1644e7543b298409a053073801212",
+    (SOLVE, ("g_kb", (600, 1600, 60), 0)): "2bff213c4b285bc0eed710dabe58cd95952cd25177a884882fc82b013f2f22b4",
     (SOLVE, ("independent_kb", (1100,), 0)): "68ebc8b0292782a3782ec876ee18335df366877848c378fc07c76e696ee7492c",
     (SOLVE, ("independent_kb", (3000,), 0)): "2b160ee5345557b8889990eb34d30047bc2c523823e73129c3c7baaa6349ab9b",
     (EXPLAIN, ("map-scaled", 0)): "a53067882ffb16b443f932a5afdeecedcb8045a775196507db78e03a703597c1",

@@ -13,14 +13,23 @@ the objective exactly and deterministically:
   is kept up to date the same way. Assignments go on a trail that is
   undone on backtracking, and an explicit stack replaces recursion.
 - The program is split into connected components of its constraint graph,
-  each solved on its own: branch and bound finds a component's optimum,
-  then one descent in declared order finds its lexicographically smallest
-  optimal assignment. Components share no variable, so these combine into
-  the smallest optimal assignment of the whole program (see ``solve``).
+  each solved on its own: branch and bound finds a component's optimum and
+  keeps its best leaf as a witness; a walk in declared order then turns
+  the witness into the lexicographically smallest optimal assignment,
+  with one first-leaf search wherever the witness has a 1 (lexicographic
+  optimization as one optimization plus decision calls, Marques-Silva,
+  Argelich, Graca & Lynce 2011). Components share no variable, so these
+  combine into the smallest optimal assignment of the whole program (see
+  ``solve``).
 - Programs are append-only, and the search is kept on the program across
   solves (Een & Sorensson 2003): each cutting-plane round takes in only
-  the new variables, objective entries and constraints, and re-solves only
-  the components they changed.
+  the new variables, objective entries and constraints. A round that adds
+  no positive weight first carries the last assignment: old variables
+  keep their values and only the new variables are searched. An extension
+  that loses no weight is the new smallest optimum, as projecting onto the
+  old variables cannot lower a score and the old variables come first in
+  declared order. Where every extension loses weight or the new
+  constraints conflict, the round re-solves the components it changed.
 
 Variables are integers in declaration order; only ``dump`` names them. A
 program with no feasible assignment raises ``Infeasible``, which carries
@@ -155,9 +164,10 @@ class _Search:
     call. The components live in a union-find (``parent``) with the
     ``members`` and ``cons`` of each root, the smaller lists merged into
     the larger. A root is dirty when its component gains a variable, an
-    objective entry or a constraint, or merges with another component;
-    ``solve`` searches the dirty components only and keeps the values of
-    every other one.
+    objective entry or a constraint, or merges with another component.
+    ``solve`` first tries ``_carry``, whose work is only what was appended;
+    failing that, it searches the dirty components only and keeps the
+    values of every other one.
     """
 
     def __init__(self):
@@ -174,6 +184,9 @@ class _Search:
         self.dirty = set()
         self.cancelled: List[int] = []  # unchecked constraints whose terms all cancel
         self.entries = 0  # objective entries taken in
+        # (variables, constraints) of the last solve while its lexmin may be
+        # carried: no objective entry since has a positive weight or an old variable
+        self.carried: Optional[Tuple[int, int]] = None
         self.trail: List[int] = []
         self.head = 0  # trail entries before head have been propagated
         self.ub = 0
@@ -190,7 +203,8 @@ class _Search:
         """Take in the variables, objective entries and constraints appended since the last call."""
         value, weight, loss, occ = self.value, self.weight, self.loss, self.occ
         members, cons, dirty, find = self.members, self.cons, self.dirty, self._find
-        new = range(len(value), len(variables))
+        old = len(value)
+        new = range(old, len(variables))
         for column in (weight, *loss):
             column += [0] * len(new)
         for column in (*occ, cons):
@@ -200,6 +214,10 @@ class _Search:
         self.parent += new
         dirty.update(new)
         for i, w in objective[self.entries:]:
+            # the carry (see solve) needs each entry on a new variable, as
+            # translate_clause makes it, and of weight <= 0
+            if w > 0 or i < old:
+                self.carried = None
             if self.scale % w.denominator:
                 factor = math.lcm(self.scale, w.denominator) // self.scale
                 self.scale *= factor
@@ -295,20 +313,26 @@ class _Search:
                 value[i] = -1
                 for j, a in occ[v][i]:
                     slack[j] += a
-        self.trail, self.head = [], 0
-        self.ub = sum(self.loss[0][i] for i in variables)
+        return self._start(sum(self.loss[0][i] for i in variables), constraints)
+
+    def _start(self, ub: int, constraints: Sequence[int]) -> bool:
+        """Begin a search on an empty trail with ``ub``: check, force and
+        propagate ``constraints``; False on a conflict."""
+        self.trail, self.head, self.ub = [], 0, ub
         for j in constraints:
             if self.slack[j] < 0:
                 return False
             self._force(j)
         return self._propagate()
 
-    def _dfs(self, order: List[int], first: int, floor: int, first_leaf: bool) -> Optional[int]:
+    def _dfs(self, order: Sequence[int], first: int, floor: int, first_leaf: bool,
+             keep: Sequence[int] = ()) -> Optional[Tuple[int, List[int]]]:
         """Depth-first search over ``order``, ``first`` value first, pruning ub < floor.
 
-        Returns the best leaf value found, raising the floor past each leaf,
-        or the value of the first leaf when ``first_leaf`` is set (its
-        assignment is then left in place). None when no leaf reaches the floor.
+        Returns the value of the best leaf found, raising the floor past
+        each leaf, and the values of ``keep`` at that leaf; or the first
+        leaf when ``first_leaf`` is set (its assignment is then left in
+        place). None when no leaf reaches the floor.
         """
         value, trail = self.value, self.trail
         stack = []  # (trail mark, variable, position in order, value still to try or -1)
@@ -324,10 +348,11 @@ class _Search:
                     self._assign(var, first)
                     ok = self._propagate()
                     continue
-                best = self.ub  # every variable is set, so ub is the value
+                # every variable is set, so ub is the value
+                best = self.ub, [value[i] for i in keep]
                 if first_leaf:
                     return best
-                floor = best + 1
+                floor = self.ub + 1
             while stack:
                 mark, var, pos, other = stack.pop()
                 self._undo(mark)
@@ -339,25 +364,68 @@ class _Search:
             else:
                 return best
 
+    def _lexmin(self, variables: List[int], branch_order: List[int], optimum: int, witness: List[int]):
+        """Set ``variables``, in declared order, to the smallest optimal
+        assignment, given ``witness``, their values at an optimal leaf.
+
+        The walk keeps the witness an extension of what it has set. Where
+        the witness has 0, so does the smallest optimum. Where it has 1, a
+        first-leaf search in branch order looks for an optimal leaf with 0
+        there, which becomes the witness; failing that, 1 it is.
+        """
+        value = self.value
+        for k, var in enumerate(variables):
+            if value[var] >= 0:
+                continue
+            if witness[k]:
+                mark = len(self.trail)
+                self._assign(var, 0)
+                if self._propagate():
+                    leaf = len(self.trail)
+                    if self._dfs(branch_order, 1, optimum, True) is not None:
+                        witness[k + 1:] = [value[i] for i in variables[k + 1:]]
+                        self._undo(leaf)
+                        continue
+                self._undo(mark)
+            self._assign(var, witness[k])
+            extended = self._propagate()
+            assert extended, "the witness extends the assignment"
+
+    def _carry(self, variables: int, constraints: int) -> bool:
+        """Extend the last solve's assignment, whose program had
+        ``variables`` and ``constraints``, to what was appended since: keep
+        every old variable, check and propagate the new constraints, and set
+        the new variables, 0 first in declared order, to the first leaf that
+        loses no weight. False, everything new undone, when there is none.
+        """
+        if (self._start(0, range(constraints, len(self.slack)))
+                and self._dfs(range(variables, len(self.value)), 0, 0, True) is not None):
+            return True
+        self._undo(0)
+        return False
+
     def solve(self) -> Optional[Tuple[List[int], int]]:
         """(values, scaled optimum), or None when the program is infeasible.
 
-        The dirty components share no variable, so they go in any order.
+        Carries the last solve's assignment where ``_carry`` can; else
+        searches the dirty components, which share no variable, in any order.
         """
         weight = self.weight
-        for root in self.dirty:
-            variables = sorted(self.members[root])
-            if not self._root(variables, self.cons[root]):
+        if self.carried is None or not self._carry(*self.carried):
+            for root in self.dirty:
+                variables = sorted(self.members[root])
+                if not self._root(variables, self.cons[root]):
+                    return None
+                branch_order = sorted(variables, key=lambda i: (-weight[i], i))
+                found = self._dfs(branch_order, 1, -math.inf, False, variables)
+                if found is None:
+                    return None
+                self._lexmin(variables, branch_order, *found)
+            if any(self.slack[j] < 0 for j in self.cancelled):
                 return None
-            branch_order = sorted(variables, key=lambda i: (-weight[i], i))
-            optimum = self._dfs(branch_order, 1, -math.inf, False)
-            if optimum is None:
-                return None
-            self._dfs(variables, 0, optimum, True)
-        if any(self.slack[j] < 0 for j in self.cancelled):
-            return None
         self.dirty.clear()
         self.cancelled.clear()
+        self.carried = len(self.value), len(self.slack)
         return self.value[:], sum(w for w, x in zip(weight, self.value) if x)
 
 
@@ -373,21 +441,41 @@ def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
 
     The program splits into connected components of its constraint graph
     (variables sharing a constraint), and each component is solved on its
-    own: a branch-and-bound pass (largest weight first, 1 before 0) finds
-    its optimum, then one descent in declared variable order, 0 before 1,
-    pruned wherever the optimum is out of reach, stops at the first leaf:
-    the component's lexicographically smallest optimal assignment. The
-    components share no variable or constraint, so an assignment is optimal
-    exactly when each component's part is, and comparing two optimal
-    assignments in declared order is comparing their component parts. Hence
-    the union of each component's smallest optimum is the lexicographically
-    smallest optimal assignment of the whole program, in declared variable
-    order with 0 before 1.
+    own. A branch-and-bound pass (largest weight first, 1 before 0) finds
+    its optimum and keeps the best leaf as a witness. A walk in declared
+    variable order then fixes each variable in turn, keeping the witness an
+    optimal extension of what it has fixed: where the witness has 0, so does
+    the smallest optimum; where it has 1, a search for the first leaf that
+    reaches the optimum with a 0 there (in the first pass's branch order)
+    either finds one, which becomes the witness, or proves that 1 it must
+    be. The walk ends at the component's lexicographically smallest optimal
+    assignment. The components share no variable or constraint, so an
+    assignment is optimal exactly when each component's part is, and
+    comparing two optimal assignments in declared order is comparing their
+    component parts. Hence the union of each component's smallest optimum
+    is the lexicographically smallest optimal assignment of the whole
+    program, in declared variable order with 0 before 1.
 
     The same argument lets a repeated solve of a grown program re-solve
     only the components that gained a variable, an objective entry or a
     constraint since the last solve, or merged: every other component has
     the same part of the program as before, so its smallest optimum stands.
+
+    A round whose new objective entries all have weight <= 0, each on a
+    variable new since the last solve (``translate_clause`` declares a
+    clause's z with its entry), is first carried instead: every old
+    variable keeps its value L, the new constraints are checked and
+    propagated, and the new variables alone are searched, 0 first in
+    declared order, for the first leaf that loses no weight. Where one
+    exists, it is the new program's smallest optimum. Projecting any
+    feasible assignment of the new program onto the old variables gives a
+    feasible assignment of the old program that scores no less, so the
+    optimum cannot rise, and the leaf attains it. Every optimum of the new
+    program thus projects onto an optimum of the old one, which is no
+    smaller than L, and the old variables come first in declared order; so
+    no optimum is smaller than L extended by the smallest lossless leaf.
+    Where the check conflicts or every extension loses weight, the carry
+    is undone and the dirty components are solved as above.
     """
     if program._search is None:
         program._search = _Search()

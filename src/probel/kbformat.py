@@ -51,6 +51,13 @@ from .normalize import rewrite as normalize
 
 KEYWORDS = {"AND", "SOME", "SUBCLASSOF", "ROLECHAIN", "SUBROLEOF", "TOP", "BOT"}
 
+# The most parentheses a concept may nest, those of ``r SOME (...)``
+# included. Reading, normalizing and rendering a concept recurse once per
+# level: a line at the limit needs about half of the interpreter's default
+# stack in every command, and the first parenthesis past it is reported at
+# the same column from any caller.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(
     r"(?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -101,6 +108,7 @@ class _LineParser:
     def __init__(self, line: str, numbers: dict):
         self.tokens = _tokenize(line)
         self.pos = 0
+        self.depth = 0  # parentheses open around the position
         self.names: List[Tuple[str, str]] = []
         self.numbers = numbers
 
@@ -212,13 +220,21 @@ class _LineParser:
                 self.expect(")")
                 self.names.append(("feature", name))
                 return DataSome(name, Restriction(op, value))
-            self.pos += 1
             self.names.append(("role", name))
-            inner = self.expression()
-            self.expect(")")
-            return Exists(name, inner)
+            return Exists(name, self.nested())
         self.names.append(("role", name))
         return Exists(name, self.primary())
+
+    def nested(self) -> Concept:
+        """The parenthesized expression at the position, parentheses and all."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _LineSyntax(self.tokens[self.pos][2], "nesting too deep")
+        self.pos += 1
+        inner = self.expression()
+        self.expect(")")
+        self.depth -= 1
+        return inner
 
     def primary(self) -> Concept:
         kind = self.tokens[self.pos][0]
@@ -231,10 +247,7 @@ class _LineParser:
             self.expect("}")
             return Nominal(individual)
         if kind == "(":
-            self.pos += 1
-            inner = self.expression()
-            self.expect(")")
-            return inner
+            return self.nested()
         return self.name("concept name", "concept")
 
 
@@ -271,9 +284,6 @@ def parse_kb(text: str) -> ParseResult:
             axiom, weight = parser.statement()
         except _LineSyntax as err:
             errors.append(ParseError(lineno, err.column, err.message))
-            continue
-        except RecursionError:  # the descent is recursive: one frame chain per nesting level
-            errors.append(ParseError(lineno, parser.tokens[parser.pos][2], "nesting too deep"))
             continue
         for sort, name in parser.names:
             previous = sorts.setdefault(name, sort)

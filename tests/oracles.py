@@ -158,11 +158,22 @@ def enumerate_solve(program):
     values in declared order, with the same lexicographic tie-break as the
     solver, or None when infeasible.
     """
+    found = enumerate_optima(program)
+    return found and (found[0][0], found[1])
+
+
+def enumerate_optima(program):
+    """Every optimal assignment of a binary program, by checking all 2^n.
+
+    Returns (assignments, value), the assignments lists of the variables'
+    values in declared order, sorted lexicographically, or None when
+    infeasible.
+    """
     import numpy as np
 
     n = len(program.variables)
     if n == 0:
-        return [], Fraction(0)
+        return [[]], Fraction(0)
     assert n <= 20, "enumeration oracle capped at 20 variables"
     rows = np.arange(1 << n, dtype=np.int64)
     cols = np.empty((1 << n, n), dtype=np.int8)
@@ -190,9 +201,7 @@ def enumerate_solve(program):
     totals[~feasible] = np.iinfo(np.int64).min
     best = totals.max()
     ties = np.nonzero(totals == best)[0]
-    row = min(ties, key=lambda r: tuple(int(b) for b in cols[r]))
-    assignment = [int(b) for b in cols[row]]
-    return assignment, Fraction(int(best), scale)
+    return sorted([int(b) for b in cols[row]] for row in ties), Fraction(int(best), scale)
 
 
 # ---------------------------------------------------------------------------

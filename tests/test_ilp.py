@@ -14,6 +14,7 @@ from probel.ilp import (
     IlpProgram,
     Infeasible,
     LinearConstraint,
+    _Search,
     dump,
     solve,
     translate_clause,
@@ -21,7 +22,7 @@ from probel.ilp import (
 from probel.model import INFINITE, Nominal
 from probel.translate import Atom
 
-from oracles import enumerate_solve
+from oracles import enumerate_optima, enumerate_solve
 
 
 def atom(name):
@@ -312,14 +313,27 @@ def _components(program: IlpProgram) -> dict:
     return component
 
 
-def test_incremental_solve_matches_a_fresh_solve():
+def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
     # grow programs clause by clause and solve the same program after each
     # clause: the search kept on it must answer as a fresh copy does, infeasible
-    # programs included, and as enumeration does while it can
+    # programs included, and as enumeration does while it can. After a solve,
+    # a clause of weight <= 0 is first carried (the last assignment extended
+    # to the new variables), which may fall back to a search; a clause of
+    # positive weight is never carried
+    carries = []
+    carry = _Search._carry
+
+    def counted(search, *args):
+        carries.append(carry(search, *args))
+        return carries[-1]
+
+    monkeypatch.setattr(_Search, "_carry", counted)
     rng = random.Random(4242)
-    seen = dict.fromkeys(("raised scale", "joined", "cancelled", "zero weight", "infeasible"), 0)
+    seen = dict.fromkeys(("raised scale", "joined", "cancelled", "zero weight", "infeasible",
+                          "carried", "fell back", "skipped"), 0)
     for _ in range(60):
         program = IlpProgram()
+        solved = False
         names = [f"a{i}" for i in range(rng.randint(3, 9))]
         scale = 1  # the least common multiple of the weight denominators so far
         for step in range(rng.randint(3, 18)):
@@ -357,10 +371,45 @@ def test_incremental_solve_matches_a_fresh_solve():
                 assert len(program.variables) > 20 or enumerate_solve(program) is None
                 seen["infeasible"] += 1
                 break
+            carries.clear()
             assert solve(program) == expected
+            if solved and weight is not INFINITE and weight > 0:
+                assert carries == []
+                seen["skipped"] += 1
+            elif solved:
+                (carried,) = carries
+                seen["carried" if carried else "fell back"] += 1
+            solved = True
             if len(program.variables) <= 20:
                 assert enumerate_solve(program) == expected
     assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_tie_break_on_programs_with_many_optima():
+    # equal weights give programs several optimal assignments; the solver's
+    # is the smallest in declared order, found from the optimum pass's best
+    # leaf and the leaves that replace it as the walk goes
+    rng = random.Random(1729)
+    weights = (INFINITE, Fraction(1, 10), Fraction(1, 10), Fraction(2, 10), Fraction(-1, 10))
+    tied = 0
+    for _ in range(150):
+        program = IlpProgram()
+        names = [f"t{i}" for i in range(rng.randint(3, 8))]
+        for _ in range(rng.randint(2, 10)):
+            pos, neg = _random_literals(rng, names)
+            try:
+                translate_clause(clause(pos, neg, rng.choice(weights)), program, frozenset())
+            except Infeasible:
+                continue
+        if len(program.variables) > 16:
+            continue
+        found = enumerate_optima(program)
+        if found is None or len(found[0]) < 2:
+            continue
+        optima, value = found
+        assert solve(program) == (optima[0], value)
+        tied += 1
+    assert tied >= 50, tied
 
 
 class TestKeptSearch:
@@ -392,6 +441,18 @@ class TestKeptSearch:
             solve(program)
         with pytest.raises(Infeasible):
             solve(program)
+
+    def test_weight_added_to_a_solved_variable(self):
+        # translate_clause never does this, but the program is public: a
+        # negative entry on an old variable must not be carried, as it can
+        # change which old values are optimal
+        program = IlpProgram()
+        translate_clause(clause(["p"], [], Fraction(1, 2)), program, frozenset())
+        translate_clause(clause(["q"], [], Fraction(1, 2)), program, frozenset())
+        translate_clause(clause([], ["p", "q"], INFINITE), program, frozenset())
+        assert solve(program) == ([0, 0, 1, 1], Fraction(1, 2))  # z_p, x_p, z_q, x_q
+        program.objective.append((2, Fraction(-1)))
+        assert solve(program) == solve(_copy(program)) == ([1, 1, 0, 0], Fraction(1, 2))
 
     def test_infeasible_after_a_merge(self):
         # the last clause merges p's component into the larger {q, r}, whose
