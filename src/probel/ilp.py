@@ -13,23 +13,18 @@ the objective exactly and deterministically:
   is kept up to date the same way. Assignments go on a trail that is
   undone on backtracking, and an explicit stack replaces recursion.
 - The program is split into connected components of its constraint graph,
-  each solved on its own: branch and bound finds a component's optimum and
-  keeps its best leaf as a witness; a walk in declared order then turns
-  the witness into the lexicographically smallest optimal assignment,
-  with one first-leaf search wherever the witness has a 1 (lexicographic
+  each solved on its own: branch and bound finds a component's optimum,
+  and a walk in declared order from its best leaf gives the component's
+  lexicographically smallest optimal assignment (lexicographic
   optimization as one optimization plus decision calls, Marques-Silva,
-  Argelich, Graca & Lynce 2011). Components share no variable, so these
-  combine into the smallest optimal assignment of the whole program (see
-  ``solve``).
+  Argelich, Graca & Lynce 2011). ``solve`` shows why these make up the
+  smallest optimum of the whole program.
 - Programs are append-only, and the search is kept on the program across
   solves (Een & Sorensson 2003): each cutting-plane round takes in only
   the new variables, objective entries and constraints. A round that adds
-  no positive weight first carries the last assignment: old variables
-  keep their values and only the new variables are searched. An extension
-  that loses no weight is the new smallest optimum, as projecting onto the
-  old variables cannot lower a score and the old variables come first in
-  declared order. Where every extension loses weight or the new
-  constraints conflict, the round re-solves the components it changed.
+  no positive weight first tries to carry the last assignment, searching
+  only the new variables (``solve`` shows why that is exact); otherwise
+  it re-solves the components it changed.
 
 Variables are integers in declaration order; only ``dump`` names them. A
 program with no feasible assignment raises ``Infeasible``, which carries
@@ -366,13 +361,8 @@ class _Search:
 
     def _lexmin(self, variables: List[int], branch_order: List[int], optimum: int, witness: List[int]):
         """Set ``variables``, in declared order, to the smallest optimal
-        assignment, given ``witness``, their values at an optimal leaf.
-
-        The walk keeps the witness an extension of what it has set. Where
-        the witness has 0, so does the smallest optimum. Where it has 1, a
-        first-leaf search in branch order looks for an optimal leaf with 0
-        there, which becomes the witness; failing that, 1 it is.
-        """
+        assignment, given ``witness``, their values at an optimal leaf, by
+        the walk that ``solve`` describes and justifies."""
         value = self.value
         for k, var in enumerate(variables):
             if value[var] >= 0:

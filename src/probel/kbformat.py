@@ -256,7 +256,6 @@ class ParseResult:
     kb: Optional[KnowledgeBase]
     errors: List[ParseError]
     name_map: dict
-    lines: List[int]  # input line number per parsed axiom
 
 
 def parse_kb(text: str) -> ParseResult:
@@ -269,7 +268,6 @@ def parse_kb(text: str) -> ParseResult:
     ``model.validate`` reports it.
     """
     axioms: List[Tuple[Axiom, object]] = []
-    lines: List[int] = []
     errors: List[ParseError] = []
     clashes: List[ParseError] = []
     sorts: dict = {}  # name -> sort, in order of first use
@@ -291,11 +289,10 @@ def parse_kb(text: str) -> ParseResult:
                 was, now = (("an " if noun[0] in "aeiou" else "a ") + noun for noun in (previous, sort))
                 clashes.append(ParseError(lineno, 1, f"'{name}' already used as {was}, now as {now}"))
         axioms.append((axiom, INFINITE if weight is None else weight))
-        lines.append(lineno)
 
     errors += clashes
     if errors:
-        return ParseResult(None, errors, {}, lines)
+        return ParseResult(None, errors, {})
 
     pools: dict = {"concept": [], "role": [], "feature": [], "individual": []}
     for name, sort in sorts.items():
@@ -304,7 +301,7 @@ def parse_kb(text: str) -> ParseResult:
     # the signature holds each name with the sort it is used with, so the
     # rewriting needs no name check; it has nothing to report on parsed axioms
     result = normalize(axioms, sig)
-    return ParseResult(result.kb, [], result.name_map, lines)
+    return ParseResult(result.kb, [], result.name_map)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@ spellings.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 TOP = "TOP"
 BOT = "BOT"
@@ -121,68 +120,55 @@ class FeatureAssertion:
 Axiom = Union[Gci, Equiv, RoleInclusion, ConceptAssertion, RoleAssertion, FeatureAssertion]
 
 
-class Form(enum.Enum):
-    """The admitted normal statement shapes."""
+def normal_atom(axiom: Axiom) -> Optional[Tuple[str, tuple]]:
+    """The predicate and arguments of a normal statement's ground atom, or
+    None if the statement has no normal shape.
 
-    CONCEPT_ASSERTION = "C(a)"
-    ROLE_ASSERTION = "R(a,b)"
-    FEATURE_ASSERTION = "F(a,v)"
-    SUB = "A <= C"
-    SUB_NOMINAL = "A <= {c}"
-    CONJUNCTION = "A and B <= C"
-    CONJUNCTION_DATA = "A and B <= some F.r"
-    EXISTS_LEFT = "some R.A <= C"
-    EXISTS_RIGHT = "A <= some R.B"
-    DATA_RIGHT = "A <= some F.r"
-    DATA_LEFT = "some F.r <= A"
-    ROLE_SUB = "R1 <= R2"
-    ROLE_CHAIN = "R1 o R2 <= R"
-
-
-def classify_normal(axiom: Axiom) -> Optional[Form]:
-    """Return the normal-form shape of an axiom, or None if it has none.
-
+    This is the one table from the normal shapes to the stored predicates.
     Atomic positions admit concept names and nominals; composite expressions
     anywhere else disqualify the axiom (the normalizer rewrites those).
+    ``translate.make_atom`` builds the atom, turning inst with a nominal
+    concept into ninst.
     """
-    if isinstance(axiom, ConceptAssertion):
-        return Form.CONCEPT_ASSERTION if is_ref(axiom.concept) else None
-    if isinstance(axiom, RoleAssertion):
-        return Form.ROLE_ASSERTION
-    if isinstance(axiom, FeatureAssertion):
-        return Form.FEATURE_ASSERTION
-    if isinstance(axiom, RoleInclusion):
-        if len(axiom.chain) == 1:
-            return Form.ROLE_SUB
-        if len(axiom.chain) == 2:
-            return Form.ROLE_CHAIN
-        return None
     if isinstance(axiom, Gci):
         left, right = axiom.left, axiom.right
-        if is_ref(left) and is_ref(right):
-            if isinstance(left, str) and isinstance(right, Nominal):
-                return Form.SUB_NOMINAL
-            return Form.SUB
-        if isinstance(left, And) and len(left.parts) == 2 and all(is_ref(p) for p in left.parts):
+        if is_ref(left):
             if is_ref(right):
-                return Form.CONJUNCTION
+                if isinstance(right, Nominal) and isinstance(left, str):
+                    return "subNom", (left, right.individual)
+                return "sub", (left, right)
+            if isinstance(right, Exists) and is_ref(right.filler):
+                return "rsup", (left, right.role, right.filler)
             if isinstance(right, DataSome):
-                return Form.CONJUNCTION_DATA
-            return None
-        if isinstance(left, Exists) and is_ref(left.filler) and is_ref(right):
-            return Form.EXISTS_LEFT
-        if is_ref(left) and isinstance(right, Exists) and is_ref(right.filler):
-            return Form.EXISTS_RIGHT
-        if is_ref(left) and isinstance(right, DataSome):
-            return Form.DATA_RIGHT
-        if isinstance(left, DataSome) and is_ref(right):
-            return Form.DATA_LEFT
+                return "rsupEx", (left, right.feature, *right.restriction)
+        elif isinstance(left, And):
+            if len(left.parts) == 2 and is_ref(left.parts[0]) and is_ref(left.parts[1]):
+                if is_ref(right):
+                    return "int", (*left.parts, right)
+                if isinstance(right, DataSome):
+                    return "intEx", (*left.parts, right.feature, *right.restriction)
+        elif is_ref(right):
+            if isinstance(left, Exists) and is_ref(left.filler):
+                return "rsub", (left.filler, left.role, right)
+            if isinstance(left, DataSome):
+                return "rsubEx", (left.feature, *left.restriction, right)
         return None
+    if isinstance(axiom, ConceptAssertion):
+        return ("inst", (axiom.individual, axiom.concept)) if is_ref(axiom.concept) else None
+    if isinstance(axiom, RoleAssertion):
+        return "rinst", (axiom.subject, axiom.role, axiom.object)
+    if isinstance(axiom, FeatureAssertion):
+        return "rinst", (axiom.subject, axiom.feature, axiom.value)
+    if isinstance(axiom, RoleInclusion):
+        if len(axiom.chain) == 1:
+            return "psub", (axiom.chain[0], axiom.sup)
+        if len(axiom.chain) == 2:
+            return "pcom", (*axiom.chain, axiom.sup)
     return None  # Equiv is never normal
 
 
 def is_normal_form(axiom: Axiom) -> bool:
-    return classify_normal(axiom) is not None
+    return normal_atom(axiom) is not None
 
 
 # ---------------------------------------------------------------------------

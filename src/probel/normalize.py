@@ -21,7 +21,6 @@ from .model import (
     Diagnostic,
     Equiv,
     Exists,
-    DataSome,
     Gci,
     INFINITE,
     KnowledgeBase,
@@ -114,9 +113,7 @@ class _Rewriter:
         elif isinstance(expr, Exists):
             filler = self.left_ref(expr.filler)
             self.emit(Gci(Exists(expr.role, filler), target), INFINITE)
-        elif isinstance(expr, DataSome):
-            self.emit(Gci(expr, target), INFINITE)
-        else:  # ref
+        else:  # DataSome or ref
             self.emit(Gci(expr, target), INFINITE)
 
     # -- right side: returns a ref with (ref <= expr) among the definitions --

@@ -26,15 +26,14 @@ from .model import (
     DataSome,
     Exists,
     FeatureAssertion,
-    Form,
     Gci,
     Nominal,
     Restriction,
     RoleAssertion,
     RoleInclusion,
     Signature,
-    classify_normal,
     format_value,
+    normal_atom,
 )
 
 
@@ -94,42 +93,11 @@ class NoAxiomCounterpart(ValueError):
 
 
 def phi(axiom: Axiom) -> Atom:
-    """Map a normal statement to its ground atom."""
-    form = classify_normal(axiom)
-    if form is None:
+    """Map a normal statement to its ground atom (see ``model.normal_atom``)."""
+    atom = normal_atom(axiom)
+    if atom is None:
         raise NotNormal(f"not a normal statement: {axiom!r}")
-    if form is Form.CONCEPT_ASSERTION:
-        return make_atom("inst", axiom.individual, axiom.concept)
-    if form is Form.ROLE_ASSERTION:
-        return make_atom("rinst", axiom.subject, axiom.role, axiom.object)
-    if form is Form.FEATURE_ASSERTION:
-        return make_atom("rinst", axiom.subject, axiom.feature, axiom.value)
-    if form is Form.SUB:
-        return make_atom("sub", axiom.left, axiom.right)
-    if form is Form.SUB_NOMINAL:
-        return make_atom("subNom", axiom.left, axiom.right.individual)
-    if form is Form.CONJUNCTION:
-        a, b = axiom.left.parts
-        return make_atom("int", a, b, axiom.right)
-    if form is Form.CONJUNCTION_DATA:
-        a, b = axiom.left.parts
-        r = axiom.right.restriction
-        return make_atom("intEx", a, b, axiom.right.feature, r.op, r.value)
-    if form is Form.EXISTS_LEFT:
-        return make_atom("rsub", axiom.left.filler, axiom.left.role, axiom.right)
-    if form is Form.EXISTS_RIGHT:
-        return make_atom("rsup", axiom.left, axiom.right.role, axiom.right.filler)
-    if form is Form.DATA_RIGHT:
-        r = axiom.right.restriction
-        return make_atom("rsupEx", axiom.left, axiom.right.feature, r.op, r.value)
-    if form is Form.DATA_LEFT:
-        r = axiom.left.restriction
-        return make_atom("rsubEx", axiom.left.feature, r.op, r.value, axiom.right)
-    if form is Form.ROLE_SUB:
-        return make_atom("psub", axiom.chain[0], axiom.sup)
-    if form is Form.ROLE_CHAIN:
-        return make_atom("pcom", axiom.chain[0], axiom.chain[1], axiom.sup)
-    raise NotNormal(f"unhandled form {form}")  # pragma: no cover
+    return make_atom(atom[0], *atom[1])
 
 
 def phi_inverse(atom: Atom) -> Axiom:
@@ -238,10 +206,6 @@ class ClauseTemplate:
     facts: tuple = ()
 
 
-def _v(name, sort):
-    return Var(name, sort)
-
-
 def _p(pred, *args):
     return PatternAtom(pred, tuple(args))
 
@@ -268,17 +232,17 @@ def rule_templates(sig: Signature) -> list:
     assertion-level rules. eval literals are evaluated by the grounder, not
     stored. F1, F2 and UNA have no body and come ground, as ``facts``.
     """
-    c, d, e, f_ = _v("c", S_CONCEPT), _v("d", S_CONCEPT), _v("e", S_CONCEPT), _v("f", S_CONCEPT)
-    d1, d2 = _v("d1", S_CONCEPT), _v("d2", S_CONCEPT)
-    r, s, r1, r2 = _v("r", S_ROLE), _v("s", S_ROLE), _v("r1", S_ROLE), _v("r2", S_ROLE)
-    a_i, b_i = _v("a", S_IND), _v("b", S_IND)
-    feat = _v("ft", S_FEATURE)
-    o1, v1, o2, v2 = _v("o1", S_OP), _v("v1", S_VALUE), _v("o2", S_OP), _v("v2", S_VALUE)
+    c, d, e, f_ = Var("c", S_CONCEPT), Var("d", S_CONCEPT), Var("e", S_CONCEPT), Var("f", S_CONCEPT)
+    d1, d2 = Var("d1", S_CONCEPT), Var("d2", S_CONCEPT)
+    r, s, r1, r2 = Var("r", S_ROLE), Var("s", S_ROLE), Var("r1", S_ROLE), Var("r2", S_ROLE)
+    a_i, b_i = Var("a", S_IND), Var("b", S_IND)
+    feat = Var("ft", S_FEATURE)
+    o1, v1, o2, v2 = Var("o1", S_OP), Var("v1", S_VALUE), Var("o2", S_OP), Var("v2", S_VALUE)
 
-    A, B, A1, A2, C_ = _v("A", S_CONCEPT), _v("B", S_CONCEPT), _v("A1", S_CONCEPT), _v("A2", S_CONCEPT), _v("C", S_CONCEPT)
-    x, y, z = _v("x", S_IND), _v("y", S_IND), _v("z", S_IND)
-    xn = _v("x", S_NAMED_IND)
-    R_, S_, R1_, R2_, R3_ = _v("R", S_ROLE), _v("S", S_ROLE), _v("R1", S_ROLE), _v("R2", S_ROLE), _v("R3", S_ROLE)
+    A, B, A1, A2, C_ = Var("A", S_CONCEPT), Var("B", S_CONCEPT), Var("A1", S_CONCEPT), Var("A2", S_CONCEPT), Var("C", S_CONCEPT)
+    x, y, z = Var("x", S_IND), Var("y", S_IND), Var("z", S_IND)
+    xn = Var("x", S_NAMED_IND)
+    R_, S_, R1_, R2_, R3_ = Var("R", S_ROLE), Var("S", S_ROLE), Var("R1", S_ROLE), Var("R2", S_ROLE), Var("R3", S_ROLE)
 
     consts = concept_constants(sig)
     inds = sorted(sig.individuals)
@@ -330,7 +294,7 @@ def rule_templates(sig: Signature) -> list:
             _p("int", NomOf(a_i), NomOf(b_i), BOT),
             facts=tuple(make_atom("int", Nominal(p), Nominal(q), BOT) for p, q in _pairs(inds)),
         ),
-        ClauseTemplate("COH", (_p("sub", _v("c", S_CONCEPT_NONBOT), BOT),), None),
+        ClauseTemplate("COH", (_p("sub", Var("c", S_CONCEPT_NONBOT), BOT),), None),
     ]
     return templates
 

@@ -1,4 +1,5 @@
-"""Hypothesis strategies for normal statements over a small fixed signature."""
+"""Hypothesis strategies for normal and non-normal statements over a small
+fixed signature."""
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -7,6 +8,7 @@ from probel.model import (
     And,
     ConceptAssertion,
     DataSome,
+    Equiv,
     Exists,
     FeatureAssertion,
     Gci,
@@ -61,4 +63,22 @@ data_statements = st.one_of(
     st.builds(Gci, concept_refs, fine_data_somes),
     st.builds(Gci, fine_data_somes, concept_refs),
     st.builds(FeatureAssertion, features, individuals, fine_values),
+)
+
+pairs = st.builds(lambda p, q: And((p, q)), concept_refs, concept_refs)
+existentials = st.builds(Exists, roles, concept_refs)
+nested_existentials = st.builds(lambda r, s, c: Exists(r, Exists(s, c)), roles, roles, concept_refs)
+
+# shapes that have no atom: the normalizer rewrites them first
+non_normal_statements = st.one_of(
+    st.builds(Gci, concept_refs, nested_existentials),
+    st.builds(Gci, nested_existentials, concept_refs),
+    st.builds(lambda p, q, t, c: Gci(And((p, q, t)), c), concept_refs, concept_refs, concept_refs, concept_refs),
+    st.builds(Gci, concept_refs, pairs),
+    st.builds(Gci, existentials, existentials),
+    st.builds(Gci, data_somes, data_somes),
+    st.builds(Gci, pairs, existentials),
+    st.builds(lambda r1, r2, r3, r: RoleInclusion((r1, r2, r3), r), roles, roles, roles, roles),
+    st.builds(Equiv, concept_refs, concept_refs),
+    st.builds(ConceptAssertion, st.one_of(pairs, existentials, data_somes), individuals),
 )

@@ -20,6 +20,7 @@ from probel.model import (
     format_value,
     is_normal_form,
     make_signature,
+    normal_atom,
     validate,
 )
 
@@ -121,6 +122,11 @@ class TestNormalForm:
         assert is_normal_form(ConceptAssertion(Nominal("b"), "a"))
         assert not is_normal_form(ConceptAssertion(And(("A", "B")), "a"))
         assert is_normal_form(FeatureAssertion("f", "a", Fraction(2)))
+
+    def test_atom_of_conjunction_data_variant(self):
+        restriction = Restriction("=", Fraction(2))
+        axiom = Gci(And(("A", Nominal("b"))), DataSome("f", restriction))
+        assert normal_atom(axiom) == ("intEx", ("A", Nominal("b"), "f", "=", Fraction(2)))
 
     @given(normal_statements)
     def test_deterministic_on_generated_statements(self, statement):

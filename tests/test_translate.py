@@ -1,7 +1,8 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import Phase, find, given, settings
 
 from probel.model import (
     BOT,
@@ -12,6 +13,7 @@ from probel.model import (
     Nominal,
     Restriction,
     TOP,
+    is_normal_form,
     make_signature,
 )
 from probel.translate import (
@@ -25,7 +27,7 @@ from probel.translate import (
     rule_templates,
 )
 
-from strategies import normal_statements
+from strategies import non_normal_statements, normal_statements
 
 
 class TestPhi:
@@ -80,6 +82,28 @@ def test_round_trip_statement(statement):
     atom = phi(statement)
     assert phi_inverse(atom) == statement
     assert phi(phi_inverse(atom)) == atom
+
+
+@given(st.one_of(normal_statements, non_normal_statements))
+def test_normal_exactly_when_phi_maps(statement):
+    try:
+        phi(statement)
+    except NotNormal:
+        assert not is_normal_form(statement)
+    else:
+        assert is_normal_form(statement)
+
+
+@given(non_normal_statements)
+def test_non_normal_shapes_are_rejected(statement):
+    assert not is_normal_form(statement)
+
+
+@pytest.mark.parametrize("pred", sorted(set(PREDICATE_SORTS) - {"eval"}))
+def test_every_stored_predicate_is_the_image_of_a_statement(pred):
+    # find raises NoSuchExample when no drawn statement maps to pred
+    once = settings(database=None, max_examples=1000, phases=(Phase.generate,))
+    find(normal_statements, lambda s: phi(s).pred == pred, settings=once)
 
 
 def test_make_atom_canonicalizes_nominal_instance():
