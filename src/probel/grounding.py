@@ -27,10 +27,13 @@ argument positions. Only rules with a body are joined: the body-less ones
   that; a clause it skips was reported by the round that searched the
   base, so it is never fresh.
 - extend_closure() is the semi-naive chase behind every deterministic
-  closure: saturate() runs it from the empty closure over the input atoms
-  and the facts, the enumeration oracle from a closed one. Its plans
-  (chase_plans) put each body pattern first in turn. incoherence_atoms()
-  tests a closure for concepts under BOT.
+  closure: saturate() runs it from the closure of the facts over the input
+  atoms, the enumeration oracle from a closed one. The facts need no chase
+  of their own: as rule_templates makes them, they are closed under every
+  rule with a body. The chase's plans (chase_plans) put each body pattern
+  first in turn, grouped by that pattern's predicate, so a pass runs only
+  the plans its delta can anchor. incoherence_atoms() tests a closure for
+  concepts under BOT.
 
 The chase indexes each atom once: a pass indexes only its delta and merges
 that into the previous pass's index (_merge), copying the two dicts and
@@ -122,14 +125,18 @@ def _interval(op: str, v: Fraction, domain: str):
 # ---------------------------------------------------------------------------
 
 class EvidenceAtom:
-    """A statement atom with its weight; deterministic atoms carry INFINITE."""
+    """A statement atom with its weight; deterministic atoms carry INFINITE.
+    ``wanted`` is the truth value of the atom that satisfies its unit
+    clause: True for an infinite or positive weight, False for a negative
+    one, and None for zero, which no world violates."""
 
-    __slots__ = ("atom", "weight", "origin")
+    __slots__ = ("atom", "weight", "origin", "wanted")
 
     def __init__(self, atom: Atom, weight, origin: Optional[int] = None):
         self.atom = atom
         self.weight = weight
         self.origin = origin
+        self.wanted = True if is_infinite(weight) or weight > 0 else False if weight < 0 else None
 
 
 @dataclass(frozen=True)
@@ -425,13 +432,7 @@ def find_violated(
                 plan.run(*delta, *old, *index, current, domain, emit)
 
     for ev in evidence:
-        if is_infinite(ev.weight) or ev.weight > 0:
-            violated = ev.atom not in current
-        elif ev.weight < 0:
-            violated = ev.atom in current
-        else:
-            violated = False  # zero-weight statements cannot move the objective
-        if violated:
+        if ev.wanted is not None and (ev.atom in current) is not ev.wanted:
             found.add(ViolatedClause(frozenset((ev.atom,)), frozenset(), ev.weight, "EV", ev.origin))
 
     result = Violations(sorted(found, key=ViolatedClause.sort_key))
@@ -439,15 +440,23 @@ def find_violated(
     return result
 
 
-def chase_plans(templates: Sequence[ClauseTemplate]) -> tuple:
-    """The join plans extend_closure runs: every rule with a head and a body,
-    anchored at each body pattern in turn. A caller that extends many
-    closures of one KB builds this once."""
-    return tuple(plan for t in templates if t.head is not None and t.body for plan in _plans(t.body, t.head))
+def chase_plans(templates: Sequence[ClauseTemplate]) -> dict:
+    """The join plans extend_closure runs, by the predicate of their anchor:
+    every rule with a head and a body, anchored at each body pattern in
+    turn, so that a chase pass runs only the plans whose anchor can bind a
+    delta atom. The body-less rules are left out: their facts, as
+    rule_templates makes them, are closed under every rule with a body. A
+    caller that extends many closures of one KB builds this once."""
+    plans = {}
+    for t in templates:
+        if t.head is not None and t.body:
+            for plan in _plans(t.body, t.head):
+                plans.setdefault(plan.first, []).append(plan)
+    return plans
 
 
 def extend_closure(
-    plans: tuple,
+    plans: dict,
     base: Closure,
     new_atoms: Iterable[Atom],
     domain: str = REAL,
@@ -455,12 +464,12 @@ def extend_closure(
     """Close ``base`` and ``new_atoms`` under the rules of ``plans`` (from
     chase_plans).
 
-    ``base`` must already be closed under them, as the empty closure and
-    every closure this module returns are. The chase is semi-naive: each pass
-    grounds only substitutions that touch at least one atom derived in the
-    previous pass, which is exhaustive over a closed base, and indexes only
-    those atoms, merging their index into the previous one. ``base`` and its
-    index are left as they are.
+    ``base`` must already be closed under them, as the facts of the
+    body-less rules and every closure this module returns are. The chase is
+    semi-naive: each pass grounds only substitutions that touch at least one
+    atom derived in the previous pass, which is exhaustive over a closed
+    base, and indexes only those atoms, merging their index into the
+    previous one. ``base`` and its index are left as they are.
     """
     current = set(base.atoms)
     delta = set(new_atoms) - current
@@ -474,8 +483,8 @@ def extend_closure(
         # so each new grounding is produced exactly once
         indexes = (*delta_idx, *old_idx, *cur_idx)
         heads = set()
-        for plan in plans:
-            if plan.first in delta_idx[0]:
+        for pred in delta_idx[0]:
+            for plan in plans.get(pred, ()):
                 plan.run(*indexes, current, domain, lambda head, _: heads.add(head))
         # the old atoms of the next pass are this pass's current ones
         old_idx = cur_idx
@@ -490,13 +499,14 @@ def saturate(
 ) -> Closure:
     """Deterministic closure: chase the hard rules to a fixpoint.
 
-    The chase (extend_closure) starts from the empty closure with ``atoms``
-    and the facts of the body-less rules (F1, F2, UNA), and its Closure,
-    index included, is returned. incoherence_atoms() tells whether the
-    closure's atoms put a concept under BOT.
+    The chase (extend_closure) starts from the closure of the facts of the
+    body-less rules (F1, F2, UNA), which, as rule_templates makes them, are
+    closed under every rule with a body, and takes ``atoms`` as its first
+    delta. Its Closure, index included, is returned. incoherence_atoms()
+    tells whether the closure's atoms put a concept under BOT.
     """
-    start = set(atoms).union(*(t.facts for t in templates))
-    return extend_closure(chase_plans(templates), _EMPTY, start, domain)
+    facts = Closure.of(frozenset().union(*(t.facts for t in templates)))
+    return extend_closure(chase_plans(templates), facts, atoms, domain)
 
 
 def incoherence_atoms(closure: frozenset) -> list:

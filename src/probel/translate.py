@@ -60,7 +60,17 @@ def make_atom(pred: str, *args) -> Atom:
 
 
 def atom_sort_key(atom: Atom) -> tuple:
-    return (atom.pred, tuple(_arg_str(a) for a in atom.args))
+    """The canonical order of atoms: the flat tuple of the predicate and the
+    arguments' strings, or of the predicate and the arguments themselves
+    when they are all strings. Like the nested key ``(pred, (arg
+    strings...))`` it compares the predicates first and then the argument
+    strings lexicographically, so it orders every pair of atoms as that key
+    does, without building an inner tuple."""
+    pred, args = atom
+    for arg in args:
+        if arg.__class__ is not str:
+            return (pred, *map(_arg_str, args))
+    return (pred, *args)
 
 
 # Argument sorts per predicate, used for validation and by the grounding

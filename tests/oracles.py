@@ -6,7 +6,7 @@ exhaustive 0/1 enumeration, and witness-sampled interval containment.
 from fractions import Fraction
 
 from probel.grounding import ViolatedClause, eval_op
-from probel.model import BOT, Nominal, OPERATORS, is_infinite
+from probel.model import BOT, Nominal, OPERATORS, format_value, is_infinite
 from probel.translate import (
     Atom,
     NomOf,
@@ -145,6 +145,17 @@ def naive_saturate(templates, atoms, sig, domain="real"):
         if not heads:
             return current, {clause for clause in violated if not clause.positive}
         current |= heads
+
+
+def nested_atom_key(atom):
+    """The canonical atom order as a nested key: the predicate, then the
+    tuple of the arguments' strings (a name as it is, a nominal as {a}, a
+    value in its exact textual form)."""
+    def text(arg):
+        if isinstance(arg, Fraction):
+            return format_value(arg)
+        return str(arg)
+    return (atom.pred, tuple(text(arg) for arg in atom.args))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +17,7 @@ from probel.kbformat import MAX_NESTING, parse_kb, serialize_kb
 from probel.model import (
     INFINITE,
     DataSome,
+    Equiv,
     Gci,
     Nominal,
     Restriction,
@@ -26,7 +27,7 @@ from probel.model import (
 )
 from probel.randgen import random_kb
 
-from strategies import SIG, data_statements, fine_values, normal_statements
+from strategies import SIG, data_statements, fine_values, non_normal_statements, normal_statements
 
 
 def run_cli(*argv):
@@ -494,6 +495,35 @@ def test_parser_fuzz(lines):
         assert 1 <= error.column <= len(line) + 1, error
     if result.kb is not None and not result.name_map:
         assert parse_kb(serialize_kb(result.kb)).kb == result.kb
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(normal_statements, data_statements, non_normal_statements), min_size=1, max_size=12),
+    st.lists(st.one_of(fine_values, st.just(Fraction(0))), max_size=10),
+)
+def test_cli_fuzz(tmp_path_factory, statements, weights):
+    # every command on drawn KBs: the statements with a drawn weight are
+    # uncertain, the rest deterministic, so a statement drawn twice may land
+    # in both parts; each run ends in a documented exit code, 0 to 3. The
+    # text format has no equivalence: one is written as its two inclusions
+    statements = [
+        half for s in statements
+        for half in ((Gci(s.left, s.right), Gci(s.right, s.left)) if isinstance(s, Equiv) else (s,))
+    ]
+    uncertain = [WeightedStatement(s, w) for s, w in zip(statements, weights)]
+    deterministic = [WeightedStatement(s, INFINITE) for s in statements[len(uncertain):]]
+    path = tmp_path_factory.mktemp("fuzz") / "drawn.kb"
+    path.write_text(serialize_kb(make_kb(SIG, deterministic, uncertain)))
+    runs = [("check", str(path))]
+    for domain in ("real", "integer"):
+        for command in (("solve",), ("classify",), ("oracle", "--max-worlds", "6"), ("dump-ilp",)):
+            runs.append((*command, str(path), "--domain", domain))
+    for argv in runs:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(list(argv))
+        assert code in (0, 1, 2, 3), (argv, path.read_text())
+
 
 class TestMoreSurface:
     def test_integer_domain_flag_changes_classification(self, tmp_path):

@@ -26,6 +26,7 @@ from probel.model import (
     INFINITE,
     KnowledgeBase,
     WeightedStatement,
+    axiom_names,
     make_signature,
 )
 from probel.randgen import random_kb
@@ -263,6 +264,93 @@ class TestEngineOracleAgreement:
             objective = [map_inference(parse_kb("\n".join(lines)).kb).objective
                          for lines in (first, second, first + second)]
             assert objective[2] == objective[0] + objective[1]
+
+
+class TestMetamorphicMap:
+    """Relations between the MAP objectives of two KBs, at sizes the
+    enumeration oracle cannot reach (up to 60 uncertain statements). Each
+    follows from the objective being the largest sum, over the coherent
+    closed worlds, of the weights of the uncertain statements a world
+    entails."""
+
+    COUNT = 40
+
+    @staticmethod
+    def solved_kbs(seed, domain):
+        """Random KBs with their MAP result, skipping those whose
+        deterministic part is incoherent in ``domain``."""
+        rng = random.Random(seed)
+        config = ReasonerConfig(domain=domain)
+        found = []
+        while len(found) < TestMetamorphicMap.COUNT:
+            kb = random_kb(rng, max_uncertain=60)
+            try:
+                found.append((kb, map_inference(kb, config), rng))
+            except IncoherentDeterministic:
+                continue
+        return config, found
+
+    @pytest.mark.parametrize("domain", ["real", "integer"])
+    def test_zero_weight_statements_never_move_the_objective(self, domain):
+        # zero-weight copies of the KB's own uncertain statements, and
+        # statements of another random KB over this KB's names; a new name
+        # would change the signature, and with it the facts
+        config, solved = self.solved_kbs(41, domain)
+        added = 0
+        for kb, result, rng in solved:
+            sig = kb.signature
+            names = {"concept": sig.concepts, "role": sig.roles, "feature": sig.features,
+                     "individual": sig.individuals}
+            hard = {ws.statement for ws in kb.deterministic}
+            other = [ws.statement for ws in random_kb(rng, max_uncertain=60).uncertain]
+            zero = rng.sample([ws.statement for ws in kb.uncertain], min(5, len(kb.uncertain)))
+            zero += [s for s in other if s not in hard and all(n in names[sort] for sort, n in axiom_names(s))]
+            added += len(zero)
+            wider = KnowledgeBase(
+                sig, kb.deterministic, kb.uncertain + tuple(WeightedStatement(s, Fraction(0)) for s in zero)
+            )
+            assert map_inference(wider, config).objective == result.objective
+        assert added >= 2 * self.COUNT
+
+    @pytest.mark.parametrize("domain", ["real", "integer"])
+    def test_raising_a_selected_weight_raises_the_objective_by_the_difference(self, domain):
+        # a world without the statement scored at most the optimum before,
+        # so only worlds with it reach the raised optimum
+        config, solved = self.solved_kbs(42, domain)
+        raised_count = 0
+        for kb, result, rng in solved:
+            if not result.selected:
+                continue
+            raised_count += 1
+            index = kb.uncertain.index(rng.choice(result.selected))
+            raise_by = Fraction(rng.randint(1, 15), 10)
+            uncertain = list(kb.uncertain)
+            uncertain[index] = WeightedStatement(uncertain[index].statement, uncertain[index].weight + raise_by)
+            raised = map_inference(KnowledgeBase(kb.signature, kb.deterministic, tuple(uncertain)), config)
+            assert raised.objective == result.objective + raise_by
+            assert uncertain[index] in raised.selected
+        assert raised_count >= self.COUNT // 2
+
+    @pytest.mark.parametrize("domain", ["real", "integer"])
+    def test_making_a_selected_statement_hard_lowers_the_objective_by_its_weight(self, domain):
+        # the MAP world stays coherent with the statement hard, and no world
+        # that entails it scored more before
+        config, solved = self.solved_kbs(43, domain)
+        moved = 0
+        for kb, result, rng in solved:
+            counts = Counter(phi(ws.statement) for ws in kb.uncertain)
+            once = [ws for ws in result.selected if counts[phi(ws.statement)] == 1]
+            if not once:
+                continue
+            ws = rng.choice(once)
+            hard = KnowledgeBase(
+                kb.signature,
+                kb.deterministic + (WeightedStatement(ws.statement, INFINITE),),
+                tuple(other for other in kb.uncertain if other != ws),
+            )
+            assert map_inference(hard, config).objective == result.objective - ws.weight
+            moved += 1
+        assert moved >= self.COUNT // 2
 
 
 class TestMapInvariants:

@@ -97,6 +97,26 @@ def test_all_false_assignment_violates_no_fact():
     assert saturate(templates, ()).atoms == facts
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sets(st.sampled_from(("A", "B", "A1")), max_size=3),
+    st.sets(st.sampled_from(("a", "b", "c", "d")), max_size=4),
+    st.sets(st.sampled_from(("r", "s")), max_size=2),
+    st.sets(st.sampled_from(("f",)), max_size=1),
+    st.sampled_from(("real", "integer")),
+)
+def test_the_facts_are_closed(concepts, individuals, roles, features, domain):
+    # saturate starts its chase from the facts of the body-less rules (F1,
+    # F2 and, with two individuals or more, UNA) without chasing them: the
+    # naive fixpoint of no input atoms must add nothing to them
+    sig = make_signature(concepts=concepts, roles=roles, features=features, individuals=individuals)
+    templates = rule_templates(sig)
+    facts = set().union(*(t.facts for t in templates))
+    closure, conflicts = naive_saturate(templates, (), sig, domain)
+    assert closure == facts
+    assert conflicts == set()
+
+
 def test_saturated_assignment_yields_nothing():
     sig = make_signature(concepts=("A", "B"))
     templates = rule_templates(sig)

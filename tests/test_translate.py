@@ -6,6 +6,7 @@ from hypothesis import Phase, find, given, settings
 
 from probel.model import (
     BOT,
+    OPERATORS,
     ConceptAssertion,
     DataSome,
     Exists,
@@ -21,12 +22,15 @@ from probel.translate import (
     NoAxiomCounterpart,
     NotNormal,
     PREDICATE_SORTS,
+    atom_sort_key,
     make_atom,
     phi,
     phi_inverse,
     rule_templates,
+    successor_name,
 )
 
+from oracles import nested_atom_key
 from strategies import non_normal_statements, normal_statements
 
 
@@ -104,6 +108,56 @@ def test_every_stored_predicate_is_the_image_of_a_statement(pred):
     # find raises NoSuchExample when no drawn statement maps to pred
     once = settings(database=None, max_examples=1000, phases=(Phase.generate,))
     find(normal_statements, lambda s: phi(s).pred == pred, settings=once)
+
+
+# names that are prefixes of each other, or that differ where "_" and a
+# digit sort apart from a letter
+_KEY_NAMES = ("A", "A1", "A_1", "AB", "B", "a", "a1", "TOP", "BOT")
+# values written as decimals and as n/d, negative ones included; hypothesis
+# draws the first ones most, and 1/2 and 1 would sort apart if a value
+# were written as n/d
+_KEY_VALUES = tuple(Fraction(v) for v in ("1/2", "1", "-1/2", "-1", "1/4", "1/3", "0", "-3/2", "2/7", "10"))
+
+
+def _key_atoms(names, operators, values):
+    """Atoms of every stored predicate over ``names``, ``operators`` and
+    ``values``: predicates that are prefixes of each other (int/intEx,
+    sub/subNom, rsub/rsubEx) all occur, and rinst holds an individual or a
+    value."""
+    name, value = st.sampled_from(names), st.sampled_from(values)
+    individual = st.one_of(name, st.builds(successor_name, name, name, st.one_of(name, st.builds(Nominal, name))))
+    args = {
+        "C": st.one_of(name, st.builds(Nominal, name)),
+        "I": individual,
+        "R": name,
+        "F": name,
+        "O": st.sampled_from(operators),
+        "V": value,
+    }
+    return st.one_of(
+        *(
+            st.builds(lambda pred, *a: Atom(pred, a), st.just(pred), *(args[sort] for sort in sorts))
+            for pred, sorts in PREDICATE_SORTS.items()
+            if pred not in ("eval", "rinst")
+        ),
+        st.builds(lambda x, r, y: Atom("rinst", (x, r, y)), individual, name, individual),
+        st.builds(lambda x, f, v: Atom("rinst", (x, f, v)), individual, name, value),
+    )
+
+
+@given(st.data())
+def test_flat_atom_key_orders_as_the_nested_key(data):
+    # few names, operators and values per draw, so that atoms often differ
+    # in one argument only
+    names = data.draw(st.lists(st.sampled_from(_KEY_NAMES), min_size=1, max_size=3, unique=True))
+    operators = data.draw(st.lists(st.sampled_from(OPERATORS), min_size=1, max_size=2, unique=True))
+    values = data.draw(st.lists(st.sampled_from(_KEY_VALUES), min_size=2, max_size=3, unique=True))
+    atoms = data.draw(st.lists(_key_atoms(tuple(names), tuple(operators), tuple(values)), min_size=15, max_size=40))
+    assert sorted(atoms, key=atom_sort_key) == sorted(atoms, key=nested_atom_key)
+    for a in atoms:
+        for b in atoms:
+            flat, nested = (atom_sort_key(a), atom_sort_key(b)), (nested_atom_key(a), nested_atom_key(b))
+            assert (flat[0] < flat[1], flat[0] == flat[1]) == (nested[0] < nested[1], nested[0] == nested[1])
 
 
 def test_make_atom_canonicalizes_nominal_instance():
