@@ -4,8 +4,10 @@ one JSON row per rung and tree.
 
 Rungs: G(150,400,15), G(300,800,30) at seeds 0 and 1, G(450,1200,45),
 G(600,1600,60) and G(1200,3200,120), the independent KBs of 1100 and 3000
-statements, each through ``solve --format json``, and ``solve --explain
---format json`` on G(40,100,6) and G(100,250,10); seed 0 unless said.
+statements, each through ``solve --format json``; ``solve --explain
+--format json`` on G(40,100,6) and G(100,250,10); and ``oracle --format
+json`` on the small random KBs of 12, 14 and 16 uncertain statements
+(``small_kb``), which the oracle enumerates in full; seed 0 unless said.
 The KBs come from ``perfbench/gen.py`` and the machine-speed reference
 loop from ``perfbench/speed.py``, both imported, not changed, from this
 checkout, so every tree solves the same texts.
@@ -18,9 +20,11 @@ tree's ``src``, under a per-row wall-clock limit. A row records:
 - ``cpu_s``, the CPU seconds of the CLI call, and ``scaled_s``, the same at
   reference machine speed: divided by the slowdown of reference loops
   timed just before and after it (see ``speed.py``);
-- the exact objective and the cutting-plane rounds of the MAP result;
-- ``ilp_variables`` and ``ilp_constraints``: the size of the MAP's ILP at
-  its last solve (with ``--explain``, of the MAP run before the flips);
+- for ``solve``, the exact objective and the cutting-plane rounds of the
+  MAP result, and ``ilp_variables`` and ``ilp_constraints``: the size of
+  the MAP's ILP at its last solve (with ``--explain``, of the MAP run
+  before the flips);
+- for ``oracle``, ``worlds``: the number of distinct coherent worlds;
 - ``report_sha256``: the digest of the report on standard output.
 
 Each rung runs on every side in turn before the next rung, so a slow
@@ -45,6 +49,7 @@ PERFBENCH = ROOT / "perfbench"
 # (label, generator in gen, its sizes, seed, CLI command)
 SOLVE = ("solve", "--format", "json")
 EXPLAIN = ("solve", "--explain", "--format", "json")
+ORACLE = ("oracle", "--format", "json")
 RUNGS = (
     ("G(150,400,15)", "g_kb", (150, 400, 15), 0, SOLVE),
     ("G(300,800,30) seed 0", "g_kb", (300, 800, 30), 0, SOLVE),
@@ -56,6 +61,9 @@ RUNGS = (
     ("independent n=3000", "independent_kb", (3000,), 0, SOLVE),
     ("G(40,100,6) --explain", "g_kb", (40, 100, 6), 0, EXPLAIN),
     ("G(100,250,10) --explain", "g_kb", (100, 250, 10), 0, EXPLAIN),
+    ("small_kb n=12 oracle", "small_kb", (12,), 0, ORACLE),
+    ("small_kb n=14 oracle", "small_kb", (14,), 0, ORACLE),
+    ("small_kb n=16 oracle", "small_kb", (16,), 0, ORACLE),
 )
 REFERENCE_LOOPS = 5  # timed before and after the call each
 # wall-clock seconds per row: about three times the slowest rung that
@@ -102,17 +110,23 @@ def child(spec: dict) -> dict:
     if code != 0:
         return {"status": "error", "message": f"exit {code}: {err.getvalue().strip()[:200]}"}
     report = json.loads(out.getvalue())
-    program = programs[0]
-    return {
+    row = {
         "status": "ok",
         "cpu_s": round(cpu, 3),
         "scaled_s": round(cpu * speed.REFERENCE_S / statistics.median(loops), 3),
-        "objective": report["objective"],
-        "rounds": report["iterations"],
-        "ilp_variables": len(program.variables),
-        "ilp_constraints": len(program.constraints),
-        "report_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
     }
+    if spec["command"][0] == "oracle":
+        row["worlds"] = len(report["worlds"])
+    else:
+        program = programs[0]
+        row.update(
+            objective=report["objective"],
+            rounds=report["iterations"],
+            ilp_variables=len(program.variables),
+            ilp_constraints=len(program.constraints),
+        )
+    row["report_sha256"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return row
 
 
 def run_row(rung: tuple, src: str) -> dict:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Pinned ``solve --format json`` and ``solve --explain --format json``
-reports on generated KBs.
+"""Pinned ``solve --format json``, ``solve --explain --format json`` and
+``oracle --format json`` reports on generated KBs.
 
 Builds G(150,400,15), G(450,1200,45) and G(600,1600,60) at seed 0,
 G(300,800,30) at seeds 0 and 1, and the independent KBs of 1100 and 3000
@@ -18,6 +18,11 @@ The explain reports of the first five KBs of the map-scaled workload's
 seed-0 batch (``perfbench/workloads.py``) and of G(40,100,6) at seed 0 are
 pinned too: explain runs the cutting-plane loop once per statement from a
 program holding one FORCE clause, a start no solve report covers.
+
+So are the oracle reports of the small random KBs of 12, 14 and 16
+uncertain statements at seed 0 (``small_kb``): the tests enumerate at most
+10 uncertain statements and the benchmark's oracle-sweep 7, and the lattice
+walk skips more whole subtrees of subsets the more statements there are.
 
 Exit status 0 when every report matches, 1 otherwise; a mismatch prints
 the digest it found.
@@ -43,6 +48,7 @@ from probel.cli import main as cli_main  # noqa: E402
 
 SOLVE = ("solve", "--format", "json")
 EXPLAIN = ("solve", "--explain", "--format", "json")
+ORACLE = ("oracle", "--format", "json")
 
 # (command, KB) -> sha256 of the report. A KB is (generator in gen, its
 # sizes, seed), or ("map-scaled", i), the i-th KB of that workload's seed-0 batch
@@ -60,6 +66,9 @@ PINNED = {
     (EXPLAIN, ("map-scaled", 3)): "d28cbea4076915d37decf6493d45fac869f0b42e40caecaee7cda14495babc26",
     (EXPLAIN, ("map-scaled", 4)): "777d325d0ee2e7f6e966f3700006ca050341ea908c2d67054bfa608aae793dec",
     (EXPLAIN, ("g_kb", (40, 100, 6), 0)): "baf5139634360aa5a88cd7d84739313f9be2ee59ce67a399c613e19918fc4544",
+    (ORACLE, ("small_kb", (12,), 0)): "cb9e7da1623f0ec59b0518d9a39d1bb5770ad63a6bc2570d0c29a2f51617d3eb",
+    (ORACLE, ("small_kb", (14,), 0)): "975e0222092e0f4bf34694f4c730f6d89cc71cc60f6a2b4243083ffc2ff9fd07",
+    (ORACLE, ("small_kb", (16,), 0)): "6866be1f3a949ab3f0d2b3d2bfba5631fdc20219e4edc1ee9ebb69d1a5f1683d",
 }
 
 

@@ -26,14 +26,19 @@ rationals inside formal sums of exponentials.
 The oracle walks the subset lattice in ascending mask order, from the
 compiled closure, index included. A mask's parent is the mask without its
 lowest bit, so its closure extends the parent's Closure, index included, by
-one atom. The children of p are p + 2^k for 2^k below p's lowest bit, so
-the last of them is p + lowbit(p)/2, or 2^(count-1) when p = 0: the
-parent's Closure is dropped there, and odd masks, which have no children,
-are never kept. At most one Closure per level is live, not one per mask.
+one atom, and the subtree of mask m is the run of masks from m up to
+m + lowbit(m). A world is named by the mask of the uncertain statements its
+closure entails, which grows, with the score and incoherence, by the atoms
+each extension adds. The walk steps past a whole subtree when its root is
+incoherent or adds a statement its parent already entails, so no closure is
+extended under an incoherent or a repeated one. The last walked mask of each
+lowest bit holds its Closure until the next one replaces it: at most one
+Closure per level is live, not one per mask.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -333,49 +338,71 @@ def brute_force_distribution(
     hard rules together with the deterministic part, drop incoherent worlds,
     deduplicate by closure, and score each world by the weights of all
     uncertain statements its closure entails.
+
+    A world is named by the bitmask E of the uncertain statements its
+    closure entails, every statement whose atom it holds, so two statements
+    with one atom set both bits. A subset S lies in E(S), whose atoms lie
+    in closure(S), so closure(S) is the closure of the deterministic part
+    and E(S): equal masks are equal worlds, and ``seen`` is keyed by E.
+    Each mask extends its parent's closure by one statement's atom, and E,
+    the integer score and incoherence grow by the atoms the extension adds,
+    since closures only grow. Two kinds of subtree are skipped whole: under
+    an incoherent closure every closure is incoherent; and if mask m adds
+    statement k to a parent P whose closure already entails it, then every
+    descendant m + S closes as P + S, a mask walked earlier in P's subtree.
     """
     compiled = _compile(kb, config, cap=config.enumeration_cap)
     units = compiled.units
-    count = len(units)
+    full = 1 << len(units)
     plans = chase_plans(compiled.templates)
     # scores are summed as integers over the weights' common denominator
     scale = math.lcm(*(ws.weight.denominator for ws in kb.uncertain))
-    weights = [
-        (unit.atom, ws.weight.numerator * (scale // ws.weight.denominator))
-        for ws, unit in zip(kb.uncertain, units)
-    ]
-    live = {0: compiled.closure}  # the closures that still have a child to close
-    seen = {}
-    for mask in range(1 << count):
-        if mask:
-            low = mask & -mask
-            parent = mask ^ low
-            # a parent's last child adds the bit just below the parent's lowest
-            last = low << 1 == (parent & -parent if parent else 1 << count)
-            base = live.pop(parent) if last else live[parent]
-            extra = units[low.bit_length() - 1].atom
-            if extra in base.atoms:
-                closure = base
-            else:
-                closure = extend_closure(plans, base, (extra,), domain=config.domain)
-            if not mask & 1:
-                live[mask] = closure
-        else:
-            closure = live[0]
-        atoms = closure.atoms
-        if atoms not in seen and not incoherence_atoms(atoms):
-            seen[atoms] = sum(weight for atom, weight in weights if atom in atoms)
+    weights = {}  # unit atom -> (its statements' bits, their summed scaled weight)
+    for i, (ws, unit) in enumerate(zip(kb.uncertain, units)):
+        bits, total = weights.get(unit.atom, (0, 0))
+        weights[unit.atom] = (bits | 1 << i, total + ws.weight.numerator * (scale // ws.weight.denominator))
+    unit_atoms = frozenset(weights)
 
-    scores = {total: Fraction(total, scale) for total in seen.values()}
-    partition = ExpSum.of(scores[total] for total in seen.values())
+    def grow(entailed, total, atoms):
+        for atom in unit_atoms.intersection(atoms):
+            bits, weight = weights[atom]
+            entailed, total = entailed | bits, total + weight
+        return entailed, total
+
+    root = compiled.closure
+    entailed, total = grow(0, 0, root.atoms)
+    # level j holds the last walked coherent mask whose lowest bit is 2^j,
+    # and level len(units) the root: a mask's parent is always there
+    levels = [None] * len(units) + [(root, entailed, total)]
+    seen = {entailed: (root.atoms, total)}
+    mask = 1
+    while mask < full:
+        low = mask & -mask
+        parent = mask ^ low
+        base, entailed, total = levels[(parent & -parent or full).bit_length() - 1]
+        if not entailed & low:
+            level = low.bit_length() - 1
+            closure = extend_closure(plans, base, (units[level].atom,), domain=config.domain)
+            new = closure.atoms - base.atoms
+            if not incoherence_atoms(new):
+                entailed, total = grow(entailed, total, new)
+                levels[level] = (closure, entailed, total)
+                seen.setdefault(entailed, (closure.atoms, total))
+                mask += 1
+                continue
+        mask += low  # past the subtree of mask: incoherent or a repeat
+
+    counts = Counter(total for _, total in seen.values())
+    scores = {total: Fraction(total, scale) for total in sorted(counts)}
+    partition = ExpSum(tuple((score, counts[total]) for total, score in scores.items()))
     # worlds of one score share their probability, so it is computed once
-    probabilities = {total: Probability(ExpSum.of([score]), partition) for total, score in scores.items()}
+    probabilities = {total: Probability(ExpSum(((score, 1),)), partition) for total, score in scores.items()}
     # every distinct atom is ranked by its sort key and inverted once
-    order = sorted(set().union(*seen), key=atom_sort_key)
+    order = sorted(set().union(*(atoms for atoms, _ in seen.values())), key=atom_sort_key)
     rank = {atom: i for i, atom in enumerate(order)}
     axioms = [phi_inverse(atom) for atom in order]
     ranked = []
-    for atoms, total in seen.items():
+    for atoms, total in seen.values():
         ranks = tuple(sorted(map(rank.__getitem__, atoms)))
         world = World(
             statements=tuple(axioms[i] for i in ranks),

@@ -29,6 +29,7 @@ from .model import (
     Concept,
     ConceptAssertion,
     DataSome,
+    Equiv,
     Exists,
     FeatureAssertion,
     Gci,
@@ -349,6 +350,15 @@ def render_statement(ws: WeightedStatement) -> str:
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:
-    lines = [render_statement(ws) for ws in kb.deterministic]
-    lines += [render_statement(ws) for ws in kb.uncertain]
+    """The KB as text, deterministic statements first. The format has no
+    equivalence: one is written as its two inclusions, each with the
+    statement's weight, as normalization expands it."""
+    lines = []
+    for ws in kb.deterministic + kb.uncertain:
+        axiom = ws.statement
+        if isinstance(axiom, Equiv):
+            halves = (Gci(axiom.left, axiom.right), Gci(axiom.right, axiom.left))
+            lines += [render_statement(WeightedStatement(half, ws.weight)) for half in halves]
+        else:
+            lines.append(render_statement(ws))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -68,6 +68,7 @@ data_statements = st.one_of(
 pairs = st.builds(lambda p, q: And((p, q)), concept_refs, concept_refs)
 existentials = st.builds(Exists, roles, concept_refs)
 nested_existentials = st.builds(lambda r, s, c: Exists(r, Exists(s, c)), roles, roles, concept_refs)
+equivalences = st.builds(Equiv, concept_refs, concept_refs)
 
 # shapes that have no atom: the normalizer rewrites them first
 non_normal_statements = st.one_of(
@@ -79,6 +80,6 @@ non_normal_statements = st.one_of(
     st.builds(Gci, data_somes, data_somes),
     st.builds(Gci, pairs, existentials),
     st.builds(lambda r1, r2, r3, r: RoleInclusion((r1, r2, r3), r), roles, roles, roles, roles),
-    st.builds(Equiv, concept_refs, concept_refs),
+    equivalences,
     st.builds(ConceptAssertion, st.one_of(pairs, existentials, data_somes), individuals),
 )

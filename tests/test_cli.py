@@ -16,8 +16,8 @@ from probel.cli import main
 from probel.kbformat import MAX_NESTING, parse_kb, serialize_kb
 from probel.model import (
     INFINITE,
+    ConceptAssertion,
     DataSome,
-    Equiv,
     Gci,
     Nominal,
     Restriction,
@@ -25,9 +25,17 @@ from probel.model import (
     WeightedStatement,
     make_kb,
 )
+from probel.normalize import normalize
 from probel.randgen import random_kb
 
-from strategies import SIG, data_statements, fine_values, non_normal_statements, normal_statements
+from strategies import (
+    SIG,
+    data_statements,
+    equivalences,
+    fine_values,
+    non_normal_statements,
+    normal_statements,
+)
 
 
 def run_cli(*argv):
@@ -142,6 +150,31 @@ class TestRoundTrip:
         reparsed = parse_kb(serialize_kb(kb))
         assert not reparsed.errors, (serialize_kb(kb), reparsed.errors)
         assert (reparsed.kb.deterministic, reparsed.kb.uncertain) == (kb.deterministic, kb.uncertain)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # the text format has no assertion of a composite concept, and every
+        # concept assertion among the non-normal statements is one
+        st.lists(non_normal_statements.filter(lambda s: not isinstance(s, ConceptAssertion)), max_size=6),
+        st.lists(st.one_of(fine_values, st.just(Fraction(0))), max_size=6),
+        equivalences,
+        equivalences,
+        fine_values,
+    )
+    def test_non_normal_kbs_reparse_to_their_normalization(self, statements, weights, hard, soft, weight):
+        # the text format has no equivalence: serialize_kb writes one as its
+        # two inclusions, which is what normalization makes of it
+        uncertain = [WeightedStatement(s, w) for s, w in zip(statements, weights)]
+        uncertain.append(WeightedStatement(soft, weight))
+        deterministic = [WeightedStatement(s, INFINITE) for s in statements[len(weights):]]
+        deterministic.append(WeightedStatement(hard, INFINITE))
+        axioms = [(ws.statement, ws.weight) for ws in deterministic + uncertain]
+        expected = normalize(axioms, SIG)
+        reparsed = parse_kb(serialize_kb(make_kb(SIG, deterministic, uncertain)))
+        assert not reparsed.errors
+        assert (reparsed.kb.deterministic, reparsed.kb.uncertain, reparsed.name_map) == (
+            expected.kb.deterministic, expected.kb.uncertain, expected.name_map
+        )
 
     def test_non_decimal_rationals_round_trip(self):
         text = "1/3 A SUBCLASSOF B\nf(a, 2/7)\n"
@@ -505,12 +538,7 @@ def test_parser_fuzz(lines):
 def test_cli_fuzz(tmp_path_factory, statements, weights):
     # every command on drawn KBs: the statements with a drawn weight are
     # uncertain, the rest deterministic, so a statement drawn twice may land
-    # in both parts; each run ends in a documented exit code, 0 to 3. The
-    # text format has no equivalence: one is written as its two inclusions
-    statements = [
-        half for s in statements
-        for half in ((Gci(s.left, s.right), Gci(s.right, s.left)) if isinstance(s, Equiv) else (s,))
-    ]
+    # in both parts; each run ends in a documented exit code, 0 to 3
     uncertain = [WeightedStatement(s, w) for s, w in zip(statements, weights)]
     deterministic = [WeightedStatement(s, INFINITE) for s in statements[len(uncertain):]]
     path = tmp_path_factory.mktemp("fuzz") / "drawn.kb"

@@ -16,7 +16,7 @@ from probel.engine import (
     map_inference,
     probability_of,
 )
-from probel.grounding import find_violated, saturate
+from probel.grounding import find_violated, incoherence_atoms, saturate
 from probel.kbformat import KEYWORDS, parse_kb, serialize_kb
 from probel.model import (
     And,
@@ -474,6 +474,62 @@ def test_oracle_matches_an_independent_enumeration(domain):
             assert world.probability.numerator.terms == ((world.score, 1),)
             assert world.probability.denominator.terms == partition
     assert max(counts) == 10
+
+
+# each KB reaches a subtree the oracle's walk skips or a world it names by
+# the statements it entails: a statement the deterministic part entails; one
+# statement twice with two weights; a statement two others entail (over the
+# integers only, in the datatype one); a pair whose union is incoherent; and
+# individuals
+PRUNED_BRANCH_KBS = (
+    "A SUBCLASSOF B\nB SUBCLASSOF C\n0.5 A SUBCLASSOF C\n0.3 C SUBCLASSOF D\n-0.4 A SUBCLASSOF D\n",
+    "0.5 A SUBCLASSOF B\n0.3 B SUBCLASSOF C\n-0.2 A SUBCLASSOF B\n0.7 A SUBCLASSOF C\n",
+    "0.5 A SUBCLASSOF B\n0.4 B SUBCLASSOF C\n0.3 A SUBCLASSOF C\n-0.1 C SUBCLASSOF B\n",
+    "0.6 A SUBCLASSOF B\n0.7 A SUBCLASSOF f SOME (>, 1)\n0.8 f SOME (>=, 2) SUBCLASSOF B\n-0.5 B SUBCLASSOF A\n",
+    "B AND C SUBCLASSOF BOT\n0.6 A SUBCLASSOF B\n0.2 D SUBCLASSOF A\n0.5 A SUBCLASSOF C\n-0.3 D SUBCLASSOF C\n",
+    "0.4 A SUBCLASSOF B\n0.7 A(a)\n-0.3 B(a)\n0.2 r(a, b)\n0.5 r SOME B SUBCLASSOF C\n",
+    "A AND B SUBCLASSOF BOT\n0.5 f(a, 2)\n0.6 f SOME (>, 1) SUBCLASSOF A\n0.3 B(a)\n-0.2 f SOME (>=, 2) SUBCLASSOF A\n",
+)
+
+
+@pytest.mark.parametrize("domain", ("real", "integer"))
+@pytest.mark.parametrize("text", PRUNED_BRANCH_KBS)
+def test_pruned_branches_match_an_independent_enumeration(text, domain):
+    kb = parse_kb(text).kb
+    dist = brute_force_distribution(kb, ReasonerConfig(domain=domain))
+    reference = _reference_distribution(kb, domain)
+    assert [(w.atoms, w.score) for w in dist.worlds] == reference
+    assert dist.partition.terms == tuple(sorted(Counter(score for _, score in reference).items()))
+
+
+def test_the_walk_skips_incoherent_and_repeated_subtrees(monkeypatch):
+    # the walk adds statements from the highest index down. B SUBCLASSOF C and
+    # C SUBCLASSOF D are incoherent together, so nothing below them is
+    # closed; B SUBCLASSOF C and A SUBCLASSOF B entail A SUBCLASSOF C, both
+    # copies of it, so no subset adding either copy to them is closed
+    kb = parse_kb(
+        "B AND D SUBCLASSOF BOT\n0.3 E SUBCLASSOF A\n0.5 A SUBCLASSOF C\n-0.3 A SUBCLASSOF C\n"
+        "0.2 C SUBCLASSOF D\n0.4 A SUBCLASSOF B\n0.6 B SUBCLASSOF C\n"
+    ).kb
+    calls = []
+    extend = engine.extend_closure
+
+    def spy(plans, base, atoms, domain):
+        closure = extend(plans, base, atoms, domain=domain)
+        calls.append((base, atoms, closure))
+        return closure
+
+    monkeypatch.setattr(engine, "extend_closure", spy)
+    dist = brute_force_distribution(kb)
+    # a walk that closes every subset whose statement its parent lacks makes 51
+    assert len(calls) == 31
+    made = {id(calls[0][0])}
+    for base, atoms, closure in calls:
+        assert id(base) in made and not incoherence_atoms(base.atoms)
+        assert not set(atoms) <= base.atoms
+        made.add(id(closure))
+    monkeypatch.undo()
+    assert [(w.atoms, w.score) for w in dist.worlds] == _reference_distribution(kb, "real")
 
 
 class TestDistribution:
