@@ -2,6 +2,14 @@
 """The scale ladder: large generated KBs solved by one or more source trees,
 one JSON row per rung and tree.
 
+Two start-up rungs come first. ``startup`` is the CPU time from a fresh
+interpreter's start to the end of ``import probel.cli``, at reference
+machine speed, the median of 15 launches: ``perfbench/run.py``'s
+``setup_s`` probe, imported, not changed. ``toddler end to end`` is the
+median CPU time of 15 fresh ``python -m probel.cli solve kbs/toddler.kb``
+processes, read from ``RUSAGE_CHILDREN``, with its report's digest. Each
+takes one unmeasured launch first.
+
 Rungs: G(150,400,15), G(300,800,30) at seeds 0 and 1, G(450,1200,45),
 G(600,1600,60) and G(1200,3200,120), the independent KBs of 1100 and 3000
 statements, each through ``solve --format json``; ``solve --explain
@@ -35,9 +43,13 @@ spell of a shared machine falls on both. The ladder is a record, not a gate: not
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import os
 import platform
+import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -65,6 +77,9 @@ RUNGS = (
     ("small_kb n=14 oracle", "small_kb", (14,), 0, ORACLE),
     ("small_kb n=16 oracle", "small_kb", (16,), 0, ORACLE),
 )
+STARTUP = "startup"
+TODDLER = "toddler end to end"
+LAUNCHES = 15  # fresh solve processes, as many as perfbench's setup_s probe launches
 REFERENCE_LOOPS = 5  # timed before and after the call each
 # wall-clock seconds per row: about three times the slowest rung that
 # finished before the witness tie-break (--explain on G(100,250,10), 36 s
@@ -74,10 +89,8 @@ LIMIT_S = 120
 
 def child(spec: dict) -> dict:
     """Run one row in this interpreter, whose ``probel`` is the side's."""
-    import hashlib
     import io
     import random
-    import statistics
     import tempfile
     from contextlib import redirect_stderr, redirect_stdout
 
@@ -129,6 +142,46 @@ def child(spec: dict) -> dict:
     return row
 
 
+def startup_row(src: str) -> dict:
+    """The ``setup_s`` of ``perfbench/run.py`` for one tree."""
+    sys.path.insert(0, str(PERFBENCH))
+    import run
+
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    return {"status": "ok", "scaled_s": round(run.measure_setup(env), 4)}
+
+
+def toddler_row(src: str) -> dict:
+    """The median CPU time of a whole ``solve`` process on the example KB."""
+    sys.path.insert(0, str(PERFBENCH))
+    import speed
+
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    command = [sys.executable, "-m", "probel.cli", "solve", str(ROOT / "kbs" / "toddler.kb")]
+    cpus, scaled, reports = [], [], set()
+    for launch in range(LAUNCHES + 1):
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        done = subprocess.run(command, capture_output=True, env=env, timeout=LIMIT_S)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        if done.returncode != 0:
+            return {"status": "error", "message": f"exit {done.returncode}: {done.stderr.decode()[-200:]}"}
+        reports.add(done.stdout)
+        if launch:
+            # each launch is scaled by reference loops timed right after it
+            cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+            loop = statistics.median(speed.time_reference() for _ in range(REFERENCE_LOOPS))
+            cpus.append(cpu)
+            scaled.append(cpu * speed.REFERENCE_S / loop)
+    if len(reports) != 1:
+        return {"status": "error", "message": "the launches printed different reports"}
+    return {
+        "status": "ok",
+        "cpu_s": round(statistics.median(cpus), 4),
+        "scaled_s": round(statistics.median(scaled), 4),
+        "report_sha256": hashlib.sha256(reports.pop()).hexdigest(),
+    }
+
+
 def run_row(rung: tuple, src: str) -> dict:
     _, generator, sizes, seed, command = rung
     spec = {"generator": generator, "sizes": sizes, "seed": seed, "command": command}
@@ -160,13 +213,14 @@ def main() -> int:
     if any(len(side) != 2 for side in sides):
         parser.error("--side takes NAME=SRC")
     rows = []
-    for rung in RUNGS:
+    measures = [(STARTUP, "import probel.cli", startup_row), (TODDLER, "solve kbs/toddler.kb", toddler_row)]
+    measures += [(rung[0], " ".join(rung[4]), functools.partial(run_row, rung)) for rung in RUNGS]
+    for label, command, measure in measures:
         for name, src in sides:
-            row = {"rung": rung[0], "command": " ".join(rung[4]), "side": name, "limit_s": LIMIT_S,
-                   **run_row(rung, src)}
+            row = {"rung": label, "command": command, "side": name, "limit_s": LIMIT_S, **measure(src)}
             rows.append(row)
             shown = {k: v for k, v in row.items() if k not in ("rung", "side", "command", "limit_s")}
-            print(f"{rung[0]} [{name}]: {shown}", flush=True)
+            print(f"{label} [{name}]: {shown}", flush=True)
     if args.out:
         sys.path.insert(0, str(PERFBENCH))
         import speed

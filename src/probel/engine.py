@@ -30,20 +30,21 @@ one atom, and the subtree of mask m is the run of masks from m up to
 m + lowbit(m). A world is named by the mask of the uncertain statements its
 closure entails, which grows, with the score and incoherence, by the atoms
 each extension adds. The walk steps past a whole subtree when its root is
-incoherent or adds a statement its parent already entails, so no closure is
-extended under an incoherent or a repeated one. The last walked mask of each
-lowest bit holds its Closure until the next one replaces it: at most one
-Closure per level is live, not one per mask.
+incoherent, adds a statement its parent already entails, or adds a
+statement that shares its atom with a lower-index one, so no closure is
+extended under an incoherent or a repeated one, nor twice from one base by
+one atom. The last walked mask of each lowest bit holds its Closure until
+the next one replaces it: at most one Closure per level is live, not one
+per mask.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import ilp
 from .grounding import (
@@ -64,16 +65,20 @@ from .translate import atom_sort_key, phi, phi_inverse, rule_templates
 _MAX_ITERATIONS = 100_000
 
 
-@dataclass(frozen=True)
-class ReasonerConfig:
-    domain: str = REAL
-    enumeration_cap: int = 16
+class _ConfigFields(NamedTuple):
+    domain: str
+    enumeration_cap: int
 
-    def __post_init__(self):
-        if self.domain not in (REAL, INTEGER):
-            raise ValueError(f"domain must be {REAL!r} or {INTEGER!r}, not {self.domain!r}")
-        if self.enumeration_cap < 0:
-            raise ValueError(f"enumeration_cap must be >= 0, not {self.enumeration_cap}")
+
+class ReasonerConfig(_ConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, domain: str = REAL, enumeration_cap: int = 16):
+        if domain not in (REAL, INTEGER):
+            raise ValueError(f"domain must be {REAL!r} or {INTEGER!r}, not {domain!r}")
+        if enumeration_cap < 0:
+            raise ValueError(f"enumeration_cap must be >= 0, not {enumeration_cap}")
+        return super().__new__(cls, domain, enumeration_cap)
 
 
 DEFAULT_CONFIG = ReasonerConfig()
@@ -106,15 +111,18 @@ class EnumerationCapExceeded(Exception):
 # Exact exponential sums
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpSum:
+class _ExpSumFields(NamedTuple):
+    terms: tuple  # sorted ((score, count), ...)
+
+
+class ExpSum(_ExpSumFields):
     """A formal sum of exp(score) terms with exact rational scores.
 
     Exponentials of distinct rationals are linearly independent over the
     rationals, so multiset equality of the scores is equality of the sums.
     """
 
-    terms: tuple  # sorted ((score, count), ...)
+    # without __slots__, an instance has the __dict__ cached_property needs
 
     @staticmethod
     def of(scores: Iterable[Fraction]) -> "ExpSum":
@@ -136,8 +144,7 @@ class ExpSum:
         return float(top) + math.log(acc)
 
 
-@dataclass(frozen=True)
-class Probability:
+class Probability(NamedTuple):
     """Ratio of two exponential sums; exact at 0 and 1, float elsewhere."""
 
     numerator: ExpSum
@@ -163,6 +170,10 @@ class Probability:
             return self.is_one()
         return NotImplemented
 
+    def __ne__(self, other) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
     __hash__ = None
 
 
@@ -170,14 +181,16 @@ class Probability:
 # MAP inference
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MapResult:
+class _MapFields(NamedTuple):
     atoms: frozenset
     selected: tuple
     rejected: tuple
     objective: Fraction
     iterations: int
 
+
+class MapResult(_MapFields):
+    # without __slots__, an instance has the __dict__ cached_property needs
     @cached_property
     def classified(self) -> tuple:
         """The world's statements in canonical order, built on first read:
@@ -185,8 +198,7 @@ class MapResult:
         return _statements(self.atoms)
 
 
-@dataclass(frozen=True)
-class _CompiledKB:
+class _CompiledKB(NamedTuple):
     """A validated KB: its rule templates, the deterministic and uncertain
     evidence atoms, the coherent closure of the deterministic part with its
     chase index, and the atoms fixed true in every world (the deterministic
@@ -317,16 +329,14 @@ def classify_deterministic(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_C
 # Exhaustive oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class World:
+class World(NamedTuple):
     statements: tuple
     score: Fraction
     probability: Probability
     atoms: frozenset
 
 
-@dataclass(frozen=True)
-class WorldDistribution:
+class WorldDistribution(NamedTuple):
     worlds: tuple
     partition: ExpSum
 
@@ -346,10 +356,14 @@ def brute_force_distribution(
     and E(S): equal masks are equal worlds, and ``seen`` is keyed by E.
     Each mask extends its parent's closure by one statement's atom, and E,
     the integer score and incoherence grow by the atoms the extension adds,
-    since closures only grow. Two kinds of subtree are skipped whole: under
-    an incoherent closure every closure is incoherent; and if mask m adds
+    since closures only grow. Three kinds of subtree are skipped whole:
+    under an incoherent closure every closure is incoherent; if mask m adds
     statement k to a parent P whose closure already entails it, then every
-    descendant m + S closes as P + S, a mask walked earlier in P's subtree.
+    descendant m + S closes as P + S, a mask walked earlier in P's subtree;
+    and if statement k shares its atom with a lower-index statement j, then
+    m + S closes as P + j + S, a smaller mask, as j lies below every bit of
+    m. A skipped mask's world is thus that of a smaller mask, and by
+    induction that of a walked one.
     """
     compiled = _compile(kb, config, cap=config.enumeration_cap)
     units = compiled.units
@@ -358,8 +372,11 @@ def brute_force_distribution(
     # scores are summed as integers over the weights' common denominator
     scale = math.lcm(*(ws.weight.denominator for ws in kb.uncertain))
     weights = {}  # unit atom -> (its statements' bits, their summed scaled weight)
+    twins = 0  # the bits of statements whose atom a lower-index statement has
     for i, (ws, unit) in enumerate(zip(kb.uncertain, units)):
         bits, total = weights.get(unit.atom, (0, 0))
+        if bits:
+            twins |= 1 << i
         weights[unit.atom] = (bits | 1 << i, total + ws.weight.numerator * (scale // ws.weight.denominator))
     unit_atoms = frozenset(weights)
 
@@ -380,7 +397,7 @@ def brute_force_distribution(
         low = mask & -mask
         parent = mask ^ low
         base, entailed, total = levels[(parent & -parent or full).bit_length() - 1]
-        if not entailed & low:
+        if not (entailed | twins) & low:
             level = low.bit_length() - 1
             closure = extend_closure(plans, base, (units[level].atom,), domain=config.domain)
             new = closure.atoms - base.atoms
@@ -390,7 +407,7 @@ def brute_force_distribution(
                 seen.setdefault(entailed, (closure.atoms, total))
                 mask += 1
                 continue
-        mask += low  # past the subtree of mask: incoherent or a repeat
+        mask += low  # past the subtree of mask: incoherent or repeated
 
     counts = Counter(total for _, total in seen.values())
     scores = {total: Fraction(total, scale) for total in sorted(counts)}
@@ -432,8 +449,7 @@ def probability_of(
 # Per-statement provenance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExplainEntry:
+class ExplainEntry(NamedTuple):
     statement: WeightedStatement
     selected: bool
     delta: Optional[Fraction]  # objective loss when the choice is flipped; None if flipping is incoherent

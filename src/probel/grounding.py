@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -139,8 +138,7 @@ class EvidenceAtom:
         self.wanted = True if is_infinite(weight) or weight > 0 else False if weight < 0 else None
 
 
-@dataclass(frozen=True)
-class ViolatedClause:
+class ViolatedClause(NamedTuple):
     """A ground clause falsified by the current assignment.
 
     positive holds the atoms occurring unnegated (the head, if any), negative

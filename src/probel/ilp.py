@@ -34,9 +34,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .model import Nominal, format_value, is_infinite
 from .translate import Atom, atom_sort_key
@@ -46,8 +45,7 @@ class Infeasible(Exception):
     """No assignment satisfies the hard constraints."""
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     terms: tuple  # ((variable, integer coefficient), ...)
     relation: str  # ">=" or "<="
     bound: int
@@ -74,7 +72,6 @@ def atom_token(atom: Atom) -> str:
     return "_".join(parts)
 
 
-@dataclass
 class IlpProgram:
     """Binary variables, linear constraints and a maximization objective.
 
@@ -88,11 +85,26 @@ class IlpProgram:
     one writer in the package.
     """
 
-    variables: List[Optional[Atom]] = field(default_factory=list)
-    constraints: List[LinearConstraint] = field(default_factory=list)
-    objective: List[Tuple[int, Fraction]] = field(default_factory=list)
-    _atom_vars: Dict[Atom, int] = field(default_factory=dict)
-    _search: Optional[_Search] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, variables=None, constraints=None, objective=None):
+        self.variables: List[Optional[Atom]] = [] if variables is None else variables
+        self.constraints: List[LinearConstraint] = [] if constraints is None else constraints
+        self.objective: List[Tuple[int, Fraction]] = [] if objective is None else objective
+        self._atom_vars: Dict[Atom, int] = {}
+        self._search: Optional[_Search] = None
+
+    def _state(self) -> tuple:
+        # the kept search is not part of the program
+        return self.variables, self.constraints, self.objective, self._atom_vars
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IlpProgram):
+            return NotImplemented
+        return self._state() == other._state()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "IlpProgram(variables=%r, constraints=%r, objective=%r, _atom_vars=%r)" % self._state()
 
     def atom_var(self, atom: Atom) -> int:
         var = self._atom_vars.get(atom)

@@ -3,7 +3,8 @@
 One statement per line, optional leading weight (absent means the
 statement is deterministic), ``#`` comments. A weight or a value is a
 decimal or a ``p/q`` rational; a decimal takes no denominator. Names are
-declared on first use; the sort of a name follows from its position.
+declared on first use; the sort of a name follows from its position. An
+assertion of a composite concept puts the concept in parentheses.
 Examples::
 
     Toddler AND Adult SUBCLASSOF BOT
@@ -11,6 +12,7 @@ Examples::
     0.7 age(john, 2)
     ROLECHAIN hasParent hasParent SUBROLEOF hasGrandparent
     {mary} SUBCLASSOF Person
+    0.6 (Person AND hasParent SOME Adult)(john)
 
 ``parse_kb`` makes one pass per line: it tokenizes the line, reads it by
 recursive descent, converts each distinct number literal once and records
@@ -19,7 +21,6 @@ each name's sort as it reads the name. It then normalizes the statements.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -154,18 +155,25 @@ class _LineParser:
         elif kind == "name" and tokens[self.pos + 1][0] == "(":
             axiom = self.assertion()
         elif kind in ("TOP", "BOT", "{") and tokens[self.pos + (3 if kind == "{" else 1)][0] == "(":
-            concept = self.primary()  # TOP(a), BOT(a) or {b}(a)
-            self.expect("(")
-            axiom = ConceptAssertion(concept, self.name("individual name", "individual"))
-            self.expect(")")
+            axiom = self.concept_assertion(self.primary())  # TOP(a), BOT(a) or {b}(a)
         else:
-            left = self.expression()
-            self.expect("SUBCLASSOF")
-            axiom = Gci(left, self.expression())
+            first = self.nested() if kind == "(" else None
+            if first is not None and tokens[self.pos][0] == "(":
+                axiom = self.concept_assertion(first)  # (concept)(a)
+            else:
+                left = self.expression(first)
+                self.expect("SUBCLASSOF")
+                axiom = Gci(left, self.expression())
         kind, text, column = tokens[self.pos]
         if kind != "end":
             raise _LineSyntax(column, f"unexpected trailing {text!r}")
         return axiom, weight
+
+    def concept_assertion(self, concept: Concept) -> ConceptAssertion:
+        self.expect("(")
+        axiom = ConceptAssertion(concept, self.name("individual name", "individual"))
+        self.expect(")")
+        return axiom
 
     def role_inclusion(self) -> RoleInclusion:
         self.pos += 1  # ROLECHAIN
@@ -194,8 +202,9 @@ class _LineParser:
         self.names += (("concept", predicate), ("individual", subject))
         return ConceptAssertion(predicate, subject)
 
-    def expression(self) -> Concept:
-        parts = [self.term()]
+    def expression(self, first: Optional[Concept] = None) -> Concept:
+        """The conjunction at the position, after ``first`` if it is read."""
+        parts = [self.term() if first is None else first]
         while self.tokens[self.pos][0] == "AND":
             self.pos += 1
             parts.append(self.term())
@@ -252,8 +261,7 @@ class _LineParser:
         return self.name("concept name", "concept")
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     kb: Optional[KnowledgeBase]
     errors: List[ParseError]
     name_map: dict
@@ -335,7 +343,10 @@ def render_axiom(axiom: Axiom) -> str:
     if isinstance(axiom, RoleInclusion):
         return f"ROLECHAIN {' '.join(axiom.chain)} SUBROLEOF {axiom.sup}"
     if isinstance(axiom, ConceptAssertion):
-        return f"{render_concept(axiom.concept)}({axiom.individual})"
+        concept = render_concept(axiom.concept)
+        if not is_ref(axiom.concept):
+            concept = f"({concept})"
+        return f"{concept}({axiom.individual})"
     if isinstance(axiom, RoleAssertion):
         return f"{axiom.role}({axiom.subject}, {axiom.object})"
     if isinstance(axiom, FeatureAssertion):

@@ -5,10 +5,15 @@ uncertain part (statements carrying finite weights). Weights are exact
 rationals, never floats, so objective values and partition scores can be
 compared exactly. TOP and BOT are ordinary concept names with reserved
 spellings.
+
+Every value type is a ``typing.NamedTuple``, which costs a tenth of a
+millisecond to create at import; a class with generated methods costs about
+a millisecond, in every process. Concepts and statements are immutable, hash
+as the tuple of their fields and are equal only to an instance of their own
+class, so ``Gci('A', 'B')`` is not ``Equiv('A', 'B')``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple, Union
 
@@ -35,6 +40,23 @@ class Nominal(NamedTuple):
 ConceptRef = Union[str, Nominal]
 
 
+def _value_type(cls):
+    """Make a NamedTuple class equal only to instances of itself: a plain
+    tuple comparison would equate two statement kinds with equal fields."""
+    cls.__eq__ = _eq
+    cls.__ne__ = _ne
+    cls.__hash__ = tuple.__hash__
+    return cls
+
+
+def _eq(self, other) -> bool:
+    return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+
+def _ne(self, other) -> bool:
+    return self.__class__ is not other.__class__ or tuple.__ne__(self, other)
+
+
 class Restriction(NamedTuple):
     """Numeric datatype restriction (o, v): the set of values x with x o v."""
 
@@ -45,19 +67,19 @@ class Restriction(NamedTuple):
         return f"({self.op}, {format_value(self.value)})"
 
 
-@dataclass(frozen=True)
-class And:
+@_value_type
+class And(NamedTuple):
     parts: tuple  # two or more concept expressions
 
 
-@dataclass(frozen=True)
-class Exists:
+@_value_type
+class Exists(NamedTuple):
     role: str
     filler: "Concept"
 
 
-@dataclass(frozen=True)
-class DataSome:
+@_value_type
+class DataSome(NamedTuple):
     feature: str
     restriction: Restriction
 
@@ -73,45 +95,45 @@ def is_ref(c: Concept) -> bool:
 # Axioms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Gci:
+@_value_type
+class Gci(NamedTuple):
     """General concept inclusion left <= right."""
 
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True)
-class Equiv:
+@_value_type
+class Equiv(NamedTuple):
     """Concept equivalence; expanded to two inclusions before normalization."""
 
     left: Concept
     right: Concept
 
 
-@dataclass(frozen=True)
-class RoleInclusion:
+@_value_type
+class RoleInclusion(NamedTuple):
     """chain[0] o ... o chain[k-1] <= sup; a single-role chain is plain R1 <= R2."""
 
     chain: tuple
     sup: str
 
 
-@dataclass(frozen=True)
-class ConceptAssertion:
+@_value_type
+class ConceptAssertion(NamedTuple):
     concept: Concept
     individual: str
 
 
-@dataclass(frozen=True)
-class RoleAssertion:
+@_value_type
+class RoleAssertion(NamedTuple):
     role: str
     subject: str
     object: str
 
 
-@dataclass(frozen=True)
-class FeatureAssertion:
+@_value_type
+class FeatureAssertion(NamedTuple):
     feature: str
     subject: str
     value: Fraction
@@ -224,8 +246,7 @@ def format_value(value: Fraction) -> str:
 # Signature and knowledge base
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     concepts: frozenset
     roles: frozenset
     features: frozenset
@@ -252,14 +273,12 @@ class Diagnostic(NamedTuple):
         return f"{where}: {self.reason}"
 
 
-@dataclass(frozen=True)
-class WeightedStatement:
+class WeightedStatement(NamedTuple):
     statement: Axiom
     weight: Weight
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(NamedTuple):
     signature: Signature
     deterministic: tuple
     uncertain: tuple

@@ -10,8 +10,7 @@ selecting the original axiom.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .model import (
     And,
@@ -40,8 +39,7 @@ FRESH_CONCEPT = RESERVED_PREFIX + "C"
 FRESH_ROLE = RESERVED_PREFIX + "R"
 
 
-@dataclass
-class NormalizeResult:
+class NormalizeResult(NamedTuple):
     kb: KnowledgeBase
     name_map: dict  # fresh name -> original subexpression (Concept or role chain tuple)
     diagnostics: list

@@ -12,7 +12,6 @@ directly off rsup atoms whose first argument is a nominal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -199,8 +198,7 @@ def is_anonymous(individual: str) -> bool:
     return individual.startswith("_w:")
 
 
-@dataclass(frozen=True)
-class ClauseTemplate:
+class ClauseTemplate(NamedTuple):
     """Universally quantified definite implication; head None means FALSE.
 
     A rule with an empty body (reflexivity F1, F2 and the unique-name clause

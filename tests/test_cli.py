@@ -16,8 +16,10 @@ from probel.cli import main
 from probel.kbformat import MAX_NESTING, parse_kb, serialize_kb
 from probel.model import (
     INFINITE,
+    And,
     ConceptAssertion,
     DataSome,
+    Exists,
     Gci,
     Nominal,
     Restriction,
@@ -153,9 +155,7 @@ class TestRoundTrip:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        # the text format has no assertion of a composite concept, and every
-        # concept assertion among the non-normal statements is one
-        st.lists(non_normal_statements.filter(lambda s: not isinstance(s, ConceptAssertion)), max_size=6),
+        st.lists(non_normal_statements, max_size=6),
         st.lists(st.one_of(fine_values, st.just(Fraction(0))), max_size=6),
         equivalences,
         equivalences,
@@ -175,6 +175,32 @@ class TestRoundTrip:
         assert (reparsed.kb.deterministic, reparsed.kb.uncertain, reparsed.name_map) == (
             expected.kb.deterministic, expected.kb.uncertain, expected.name_map
         )
+
+    def test_composite_assertions_round_trip(self):
+        # a composite concept is asserted in parentheses, weighted or not
+        deterministic = [
+            WeightedStatement(ConceptAssertion(Exists("r", "A"), "a"), INFINITE),
+            WeightedStatement(ConceptAssertion(And(("A", Exists("s", And(("B", "C"))))), "b"), INFINITE),
+        ]
+        uncertain = [
+            WeightedStatement(ConceptAssertion(DataSome("f", Restriction("<", Fraction(3))), "c"), Fraction(1, 2)),
+            WeightedStatement(ConceptAssertion(And(("A", "B")), "a"), Fraction(-3, 10)),
+        ]
+        text = serialize_kb(make_kb(SIG, deterministic, uncertain))
+        assert text.splitlines() == [
+            "(r SOME A)(a)",
+            "(A AND s SOME (B AND C))(b)",
+            "0.5 (f SOME (<, 3))(c)",
+            "-0.3 (A AND B)(a)",
+        ]
+        expected = normalize([(ws.statement, ws.weight) for ws in deterministic + uncertain], SIG)
+        reparsed = parse_kb(text)
+        assert not reparsed.errors
+        assert (reparsed.kb.deterministic, reparsed.kb.uncertain, reparsed.name_map) == (
+            expected.kb.deterministic, expected.kb.uncertain, expected.name_map
+        )
+        # the assertion's parentheses count toward the nesting limit
+        assert not parse_kb(f"{'(' * MAX_NESTING}r SOME B{')' * MAX_NESTING}(a)\n").errors
 
     def test_non_decimal_rationals_round_trip(self):
         text = "1/3 A SUBCLASSOF B\nf(a, 2/7)\n"
@@ -435,6 +461,8 @@ DIAGNOSTICS = (
     ("A SUBCLASSOF f SOME (<=, 0/0)\n", ["kb.kb:line 1, column 26: zero denominator in '0/0'"]),
     ("_X SUBCLASSOF A\n", ["kb.kb:line 1, column 1: names starting with '_' are reserved"]),
     ("A(a) B\n", ["kb.kb:line 1, column 6: unexpected trailing 'B'"]),
+    ("(A AND B)(\n", ["kb.kb:line 1, column 11: expected individual name, found 'end of line'"]),
+    (f"{'(' * 1000}B{')' * 1000}(a)\n", [f"kb.kb:line 1, column {1 + MAX_NESTING}: nesting too deep"]),
     ("A SUBCLASSOF f SOME (<=, x)\n", ["kb.kb:line 1, column 26: expected a numeric value"]),
     (f"A SUBCLASSOF {'(' * 1000}B{')' * 1000}\n", [f"kb.kb:line 1, column {14 + MAX_NESTING}: nesting too deep"]),
     ("r(a, b)\nA SUBCLASSOF r\n", ["kb.kb:line 2, column 1: 'r' already used as a role, now as a concept"]),
@@ -606,3 +634,15 @@ class TestDeterminism:
         assert out.startswith("objective: 2.2\n") and "explain" not in out
         assert run_cli("oracle", str(two_year_old_path), "--max-worlds", "1")[0] == 3
         assert run_cli("oracle", str(two_year_old_path))[0] == 0
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every process pays for its imports: dataclasses, with the inspect, ast
+    # and dis it loads, cost about a third of the CPU time to the end of
+    # import probel.cli. -S keeps site hooks out of the count
+    code = "import sys; import probel.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert child.stdout == "[]\n"

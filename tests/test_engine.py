@@ -506,7 +506,9 @@ def test_the_walk_skips_incoherent_and_repeated_subtrees(monkeypatch):
     # the walk adds statements from the highest index down. B SUBCLASSOF C and
     # C SUBCLASSOF D are incoherent together, so nothing below them is
     # closed; B SUBCLASSOF C and A SUBCLASSOF B entail A SUBCLASSOF C, both
-    # copies of it, so no subset adding either copy to them is closed
+    # copies of it, so no subset adding either copy to them is closed; and
+    # the second copy closes as the first, so no subset whose lowest
+    # statement it is is closed
     kb = parse_kb(
         "B AND D SUBCLASSOF BOT\n0.3 E SUBCLASSOF A\n0.5 A SUBCLASSOF C\n-0.3 A SUBCLASSOF C\n"
         "0.2 C SUBCLASSOF D\n0.4 A SUBCLASSOF B\n0.6 B SUBCLASSOF C\n"
@@ -522,7 +524,8 @@ def test_the_walk_skips_incoherent_and_repeated_subtrees(monkeypatch):
     monkeypatch.setattr(engine, "extend_closure", spy)
     dist = brute_force_distribution(kb)
     # a walk that closes every subset whose statement its parent lacks makes 51
-    assert len(calls) == 31
+    assert len(calls) == 22
+    assert len({(id(base), atoms) for base, atoms, _ in calls}) == len(calls)
     made = {id(calls[0][0])}
     for base, atoms, closure in calls:
         assert id(base) in made and not incoherence_atoms(base.atoms)

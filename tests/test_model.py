@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from probel.model import (
     BOT,
     ConceptAssertion,
     DataSome,
+    Equiv,
     Exists,
     FeatureAssertion,
     Gci,
@@ -15,6 +18,8 @@ from probel.model import (
     KnowledgeBase,
     Nominal,
     Restriction,
+    RoleAssertion,
+    RoleInclusion,
     TOP,
     WeightedStatement,
     format_value,
@@ -97,6 +102,57 @@ class TestValidate:
             concepts=("A", "B"),
         )
         assert validate(kb) == validate(kb)
+
+
+# one instance of each concept and statement class with its repr, which
+# diagnostics and errors print; the texts are those the classes printed as
+# frozen dataclasses
+VALUES = (
+    (And(("A", Nominal("a"))), "And(parts=('A', Nominal(individual='a')))"),
+    (Exists("r", "A"), "Exists(role='r', filler='A')"),
+    (
+        DataSome("f", Restriction(">=", Fraction(3, 2))),
+        "DataSome(feature='f', restriction=Restriction(op='>=', value=Fraction(3, 2)))",
+    ),
+    (Gci("A", "B"), "Gci(left='A', right='B')"),
+    (Equiv("A", Exists("r", "B")), "Equiv(left='A', right=Exists(role='r', filler='B'))"),
+    (RoleInclusion(("r", "s"), "t"), "RoleInclusion(chain=('r', 's'), sup='t')"),
+    (ConceptAssertion("A", "a"), "ConceptAssertion(concept='A', individual='a')"),
+    (RoleAssertion("r", "a", "b"), "RoleAssertion(role='r', subject='a', object='b')"),
+    (FeatureAssertion("f", "a", Fraction(2)), "FeatureAssertion(feature='f', subject='a', value=Fraction(2, 1))"),
+)
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("value, text", VALUES)
+    def test_repr(self, value, text):
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value, text", VALUES)
+    def test_equal_instances_hash_equally(self, value, text):
+        # as a frozen dataclass did, a value hashes as the tuple of its
+        # fields, so set and dict orders stay as they were
+        copy = type(value)(*value)
+        assert copy == value and not copy != value
+        assert hash(copy) == hash(value) == hash(tuple(value))
+
+    @pytest.mark.parametrize("value, text", VALUES)
+    def test_fields_cannot_be_set(self, value, text):
+        field = re.match(r"\w+\((\w+)=", text).group(1)
+        with pytest.raises(AttributeError):
+            setattr(value, field, "X")
+
+    def test_classes_with_equal_fields_are_unequal(self):
+        assert Gci("A", "B") != Equiv("A", "B")
+        assert not Gci("A", "B") == Equiv("A", "B")
+        assert ConceptAssertion("A", "a") != Gci("A", "a")
+        assert len({Gci("A", "B"), Equiv("A", "B")}) == 2
+        for (value, _), (other, _) in product(VALUES, VALUES):
+            twin = type(other)(*value) if len(value) == len(other) else None
+            if twin is not None:
+                assert (twin == value) == (type(other) is type(value)), (value, twin)
+                assert (twin != value) == (type(other) is not type(value)), (value, twin)
+            assert value != tuple(value) and not value == tuple(value)
 
 
 class TestNormalForm:
