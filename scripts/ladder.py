@@ -31,7 +31,9 @@ tree's ``src``, under a per-row wall-clock limit. A row records:
 - for ``solve``, the exact objective and the cutting-plane rounds of the
   MAP result, and ``ilp_variables`` and ``ilp_constraints``: the size of
   the MAP's ILP at its last solve (with ``--explain``, of the MAP run
-  before the flips);
+  before the flips), and ``ilp_largest_component``: the variables of the
+  largest connected component of that ILP's constraint graph, in which two
+  variables meet when one constraint holds both;
 - for ``oracle``, ``worlds``: the number of distinct coherent worlds;
 - ``report_sha256``: the digest of the report on standard output.
 
@@ -53,6 +55,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -137,9 +140,28 @@ def child(spec: dict) -> dict:
             rounds=report["iterations"],
             ilp_variables=len(program.variables),
             ilp_constraints=len(program.constraints),
+            ilp_largest_component=largest_component(program),
         )
     row["report_sha256"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     return row
+
+
+def largest_component(program) -> int:
+    """The number of variables in the largest connected component of the
+    program's constraint graph; a variable in no constraint is one alone."""
+    parent = list(range(len(program.variables)))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for constraint in program.constraints:
+        first = find(constraint.terms[0][0])
+        for v, _ in constraint.terms[1:]:
+            parent[find(v)] = first
+    return max(Counter(map(find, range(len(parent)))).values(), default=0)
 
 
 def startup_row(src: str) -> dict:

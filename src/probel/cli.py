@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import engine, ilp
 from .engine import ReasonerConfig
+from .grounding import INTEGER, REAL
 from .kbformat import parse_kb, render_statement, render_axiom
 from .model import format_value, validate
 from .translate import NotNormal
@@ -37,9 +38,10 @@ class _NonNegative(argparse.Action):
 
 _FLAGS = {
     "--format": dict(choices=("text", "json"), default="text"),
-    "--max-worlds": dict(type=int, default=16, metavar="N", action=_NonNegative,
-                         help="enumeration cap on the number of uncertain statements (default 16)"),
-    "--domain": dict(choices=("real", "integer"), default="real",
+    "--max-worlds": dict(type=int, default=engine.DEFAULT_CONFIG.enumeration_cap, metavar="N",
+                         action=_NonNegative,
+                         help="enumeration cap on the number of uncertain statements (default %(default)s)"),
+    "--domain": dict(choices=(REAL, INTEGER), default=engine.DEFAULT_CONFIG.domain,
                      help="value domain for datatype comparisons"),
 }
 

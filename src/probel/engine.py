@@ -1,26 +1,28 @@
 """Cutting-plane MAP inference and the exhaustive distribution oracle.
 
 Every entry point compiles the KB once (``_compile``): it validates it,
-builds the rule templates and the evidence atoms, and closes the
-deterministic part, which must be coherent. MAP inference then starts from
-the deterministic evidence, repeatedly grounds only the clauses violated by
-the current solution, translates them into the ILP and re-solves
-(``_cutting_planes``). Each round grounds only around what changed since a
-base closure. Round 0's base is the empty closure, so it joins the
-deterministic evidence in full. Round 1's is the compiled closure, which is
-closed and coherent and so falsifies no grounding, and round t's is round
-t-1's assignment, whose violated clauses were all reported then and are
-already added. The atoms true in every world, those of the deterministic
-statements and the facts of the body-less rules (F1, F2, UNA), are
-substituted out of the ILP, and the loop stops once no violated clause is
-new and all of them hold. The final assignment is the most probable coherent
-deductively closed world. Its ILP is never infeasible: every hard constraint
-comes from a rule grounding or from COH, and the compiled closure, which
-holds the facts, is closed under the rules with a body and is coherent,
-meets them all. ``explain_selection`` runs the same loop once per uncertain
-statement, from a program holding one FORCE clause that flips it, and
-reports an infeasible flip as incoherent. The probability-side counterpart
-is computed by the subset-enumeration oracle, with scores kept as exact
+builds the rule templates, their plan table and the evidence atoms, and
+closes the deterministic part, which must be coherent. MAP inference then
+starts from the deterministic evidence, repeatedly grounds only the clauses
+violated by the current solution, translates them into the ILP and
+re-solves (``_cutting_planes``). Each round's grounding is one pass over
+what its assignment adds to a base closure, or over all of it where the
+assignment has dropped an atom of the base. Round 0's base is the empty
+closure, so it joins the deterministic evidence in full. Round 1's is the
+compiled closure, which is closed and coherent and so falsifies no
+grounding, and round t's is round t-1's assignment, whose violated clauses
+were all reported then and are already added. The atoms true in every
+world, those of the deterministic statements and the facts of the
+body-less rules (F1, F2, UNA), are substituted out of the ILP, and the loop
+stops once no violated clause is new and all of them hold. The final
+assignment is the most probable coherent deductively closed world. Its ILP
+is never infeasible: every hard constraint comes from a rule grounding or
+from COH, and the compiled closure, which holds the facts, is closed under
+the rules with a body and is coherent, meets them all.
+``explain_selection`` runs the same loop once per uncertain statement, from
+a program holding one FORCE clause that flips it, and reports an
+infeasible flip as incoherent. The probability-side counterpart is
+computed by the subset-enumeration oracle, with scores kept as exact
 rationals inside formal sums of exponentials.
 
 The oracle walks the subset lattice in ascending mask order, from the
@@ -53,10 +55,10 @@ from .grounding import (
     Closure,
     EvidenceAtom,
     ViolatedClause,
-    chase_plans,
     extend_closure,
     find_violated,
     incoherence_atoms,
+    plan_table,
     saturate,
 )
 from .model import INFINITE, KnowledgeBase, WeightedStatement, validate
@@ -199,12 +201,12 @@ class MapResult(_MapFields):
 
 
 class _CompiledKB(NamedTuple):
-    """A validated KB: its rule templates, the deterministic and uncertain
-    evidence atoms, the coherent closure of the deterministic part with its
-    chase index, and the atoms fixed true in every world (the deterministic
-    atoms and the facts)."""
+    """A validated KB: the join plans of its rule templates, the
+    deterministic and uncertain evidence atoms, the coherent closure of the
+    deterministic part with its chase index, and the atoms fixed true in
+    every world (the deterministic atoms and the facts)."""
 
-    templates: list
+    plans: dict
     det_atoms: frozenset
     units: tuple
     closure: Closure
@@ -229,7 +231,7 @@ def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = Non
     if bad:
         raise IncoherentDeterministic(_incoherent_core(kb, templates, config.domain), bad)
     fixed_true = det_atoms.union(*(t.facts for t in templates))
-    return _CompiledKB(templates, det_atoms, units, closure, fixed_true)
+    return _CompiledKB(plan_table(templates), det_atoms, units, closure, fixed_true)
 
 
 def _incoherent_core(kb, templates, domain) -> list:
@@ -270,7 +272,7 @@ def _cutting_planes(
     base = Closure.of(frozenset())
     iterations = 0
     while True:
-        violated = find_violated(compiled.templates, compiled.units, current, config.domain, base)
+        violated = find_violated(compiled.plans, compiled.units, current, config.domain, base)
         base = violated.closure if iterations else compiled.closure
         fresh = [g for g in violated if g not in added]
         if not fresh and fixed_true <= current:
@@ -315,7 +317,7 @@ def first_iteration_program(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_
     """The ILP after translating the first round of violated clauses."""
     compiled = _compile(kb, config)
     program = ilp.IlpProgram()
-    for clause in find_violated(compiled.templates, compiled.units, compiled.det_atoms, domain=config.domain):
+    for clause in find_violated(compiled.plans, compiled.units, compiled.det_atoms, domain=config.domain):
         ilp.translate_clause(clause, program, compiled.fixed_true)
     return program
 
@@ -368,7 +370,6 @@ def brute_force_distribution(
     compiled = _compile(kb, config, cap=config.enumeration_cap)
     units = compiled.units
     full = 1 << len(units)
-    plans = chase_plans(compiled.templates)
     # scores are summed as integers over the weights' common denominator
     scale = math.lcm(*(ws.weight.denominator for ws in kb.uncertain))
     weights = {}  # unit atom -> (its statements' bits, their summed scaled weight)
@@ -399,7 +400,7 @@ def brute_force_distribution(
         base, entailed, total = levels[(parent & -parent or full).bit_length() - 1]
         if not (entailed | twins) & low:
             level = low.bit_length() - 1
-            closure = extend_closure(plans, base, (units[level].atom,), domain=config.domain)
+            closure = extend_closure(compiled.plans, base, (units[level].atom,), domain=config.domain)
             new = closure.atoms - base.atoms
             if not incoherence_atoms(new):
                 entailed, total = grow(entailed, total, new)

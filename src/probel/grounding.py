@@ -1,46 +1,47 @@
 """Grounding of the completion rules, with on-demand evaluation of datatype
 predicates.
 
-Each rule is compiled once, by its structure, into join plans (``_plans``),
-one with each stored body pattern first. A plan's first run generates its
-*join kernel* (``_kernel``), one Python function: a nested loop per body
-pattern over the index list it probes, the variables as local slots, each
-argument's check or bind written out, and the eval literals, the head and
-the test that the head is new inlined. Kernels are generated lazily, never
-at import, because every fresh process pays for the ones it runs. No value
-is ever formatted into kernel source: constants reach a kernel through its
-globals, and the source holds only fixed identifiers, slot numbers and
-argument positions. Only rules with a body are joined: the body-less ones
-(F1, F2, UNA) come ground from rule_templates, as each template's
-``facts``. Two callers run kernels:
+Each rule is compiled once, by its id and structure, into join plans
+(``_plans``), one with each stored body pattern first. A plan's first run
+generates its *join kernel* (``_kernel``), one Python function: a nested
+loop per body pattern over the index list it probes, the variables as
+local slots, each argument's check or bind written out, and the eval
+literals, the head and the test that the head is new inlined. Kernels are
+generated lazily, never at import, because every fresh process pays for
+the ones it runs. No value is ever formatted into kernel source: constants
+reach a kernel through its globals, and the source holds only fixed
+identifiers, slot numbers and argument positions. Only rules with a body
+are joined: the body-less ones (F1, F2, UNA) come ground from
+rule_templates, as each template's ``facts``.
 
-- find_violated() grounds every rule with a body over an assignment and
-  reports the groundings it falsifies, for the cutting-plane loop. It never
-  reports a fact: facts hold in every world. It joins only around what
-  changed since a base, the Closure of an earlier assignment: the plans
-  anchor on the atoms the base lacks, the rules that can derive an atom the
-  base holds and the assignment lacks are joined in full, and a grounding
-  the base falsifies too may be skipped. The default base is the empty
-  closure, from which every atom is new. The loop's base is the empty
-  closure in round 0, the compiled deterministic closure, which falsifies
-  no grounding, in round 1, and the previous round's assignment after
-  that; a clause it skips was reported by the round that searched the
-  base, so it is never fresh.
+A KB's plan table (plan_table) holds the plans of every rule with a body,
+COH included, by the predicate of their anchor, and one semi-naive pass
+(_join) runs every kernel: each plan anchored on a predicate of the delta
+binds its anchor from the delta, earlier patterns from the old atoms and
+later ones from both, and hands each grounding to ``emit`` with its rule's
+id. Two callers run passes:
+
 - extend_closure() is the semi-naive chase behind every deterministic
-  closure: saturate() runs it from the closure of the facts over the input
-  atoms, the enumeration oracle from a closed one. The facts need no chase
-  of their own: as rule_templates makes them, they are closed under every
-  rule with a body. The chase's plans (chase_plans) put each body pattern
-  first in turn, grouped by that pattern's predicate, so a pass runs only
-  the plans its delta can anchor. incoherence_atoms() tests a closure for
-  concepts under BOT.
+  closure: saturate() runs it over the input atoms from the closure of the
+  facts, which as rule_templates makes them are closed under every rule
+  with a body, and the enumeration oracle from a closed one.
+- find_violated() reports the groundings an assignment falsifies, for the
+  cutting-plane loop, never a fact. Its delta is what the assignment adds
+  to a base, the Closure of an earlier assignment, so a grounding the base
+  falsifies too may be skipped; if the assignment has left the base, all
+  of it is the delta. The loop's base is the empty closure in round 0,
+  the compiled deterministic closure, which falsifies no grounding, in
+  round 1, and the previous round's assignment after that; a clause it
+  skips was reported by the round that searched the base, so it is never
+  fresh.
 
-The chase indexes each atom once: a pass indexes only its delta and merges
-that into the previous pass's index (_merge), copying the two dicts and
-concatenating only the lists the delta touches. find_violated builds each
-round's index the same way from its base's. An index list is never
-mutated once built, so the indexes of successive passes and rounds, and a
-Closure handed to several extensions, share their lists safely.
+A pass indexes only its delta and merges that into the old atoms' index
+(_merge), copying the two dicts and concatenating only the lists the
+delta touches: the chase indexes each atom once, and find_violated builds
+each round's index from its base's. An index list is never mutated once
+built, so the indexes of successive passes and rounds, and a Closure
+handed to several extensions, share their lists safely.
+incoherence_atoms() tests a closure for concepts under BOT.
 
 eval atoms are never stored or turned into ILP variables: each grounding of a
 template with an eval literal either evaluates it to true (the literal is
@@ -55,7 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .model import BOT, OPERATORS, Nominal, is_infinite
+from .model import BOT, INFINITE, OPERATORS, Nominal, is_infinite
 from .translate import (
     Atom,
     ClauseTemplate,
@@ -180,7 +181,7 @@ class _Plan:
 
     def __init__(self, rule: tuple, anchor: int):
         self.rule, self.anchor = rule, anchor
-        self.first = rule[0][anchor].pred
+        self.first = rule[1][anchor].pred
         self.run = self._generate
 
     def _generate(self, *args) -> None:
@@ -189,12 +190,12 @@ class _Plan:
 
 
 @lru_cache(maxsize=None)
-def _plans(body: tuple, head: Optional[PatternAtom]) -> tuple:
+def _plans(rule_id: str, body: tuple, head: Optional[PatternAtom]) -> tuple:
     """The join plans of a rule, one anchored at each stored body pattern.
-    Plans depend only on the rule's structure, so every KB shares the
-    calculus's few dozen kernels."""
+    Plans depend only on the rule, so every KB shares the calculus's few
+    dozen kernels."""
     stored = tuple(p for p in body if p.pred != "eval")
-    rule = (stored, tuple(p for p in body if p.pred == "eval"), head)
+    rule = (rule_id, stored, tuple(p for p in body if p.pred == "eval"), head)
     return tuple(_Plan(rule, j) for j in range(len(stored)))
 
 
@@ -206,14 +207,14 @@ def _show(pattern: PatternAtom) -> str:
     return f"{pattern.pred}({', '.join(map(show, pattern.args))})"
 
 
-def _kernel(stored: tuple, evals: tuple, head: Optional[PatternAtom], anchor: int):
+def _kernel(rule_id: str, stored: tuple, evals: tuple, head: Optional[PatternAtom], anchor: int):
     """Generate the join kernel of a rule, joining its stored body patterns
     with the ``anchor``-th first.
 
     The kernel streams the rule's groundings:
-    emit(head, body atoms) for each one whose head (None for FALSE) is not
-    in ``known`` and whose eval literals hold. It takes three indexes, each
-    as the pair (Pn, Xn) that _index returns, and nests one loop per
+    emit(rule_id, head, body atoms) for each one whose head (None for
+    FALSE) is not in ``known`` and whose eval literals hold. It takes three
+    indexes, each as the pair (Pn, Xn) that _index returns, and nests one loop per
     pattern: the anchor reads index 0, earlier patterns index 1 and later
     ones index 2. A loop runs over the index list probed at every argument
     whose value is known before it (the shortest, if several); its other
@@ -313,8 +314,8 @@ def _kernel(stored: tuple, evals: tuple, head: Optional[PatternAtom], anchor: in
     if tests:
         lines.append(f"{pad}if {' and '.join(tests)}:")
         pad += "    "
-    lines.append(f"{pad}emit({'h' if head else 'None'}, ({''.join(f'a{k}, ' for k in range(len(stored)))}))")
-    name = f"<join kernel {_show(head) if head else 'FALSE'} :- {', '.join(map(_show, stored + evals))}; anchor {anchor}>"
+    lines.append(f"{pad}emit({const(rule_id)}, {'h' if head else 'None'}, ({''.join(f'a{k}, ' for k in range(len(stored)))}))")
+    name = f"<join kernel {rule_id}: {_show(head) if head else 'FALSE'} :- {', '.join(map(_show, stored + evals))}; anchor {anchor}>"
     namespace = {f"k{i}": c for i, c in enumerate(consts)}
     namespace.update(new=tuple.__new__, Atom=Atom, Nominal=Nominal, make_atom=make_atom, eval_op=eval_op, successor_name=successor_name)
     exec(compile("\n".join(lines), name, "exec"), namespace)
@@ -372,63 +373,67 @@ class Violations(list):
     __slots__ = ("closure",)
 
 
+def plan_table(templates: Sequence[ClauseTemplate]) -> dict:
+    """The join plans of every rule with a body, COH included, by the
+    predicate of their anchor: each rule anchored at each stored body
+    pattern in turn, so that a pass runs only the plans whose anchor can
+    bind a delta atom. The body-less rules are left out: their facts, as
+    rule_templates makes them, are closed under every rule with a body. A
+    caller that grounds one KB many times builds this once."""
+    plans = {}
+    for t in templates:
+        if t.body:
+            for plan in _plans(t.id, t.body, t.head):
+                plans.setdefault(plan.first, []).append(plan)
+    return plans
+
+
+def _join(plans: dict, delta: tuple, old: tuple, index: tuple, known, domain: str, emit) -> None:
+    """The one semi-naive pass: run each plan anchored on a predicate of
+    ``delta``. The anchor binds from the delta, earlier body positions from
+    ``old`` and later ones from ``index``, the two together, so each
+    grounding with a body atom in the delta is emitted exactly once."""
+    for pred in delta[0]:
+        for plan in plans.get(pred, ()):
+            plan.run(*delta, *old, *index, known, domain, emit)
+
+
 def find_violated(
-    templates: Sequence[ClauseTemplate],
+    plans: dict,
     evidence: Iterable[EvidenceAtom],
     current: frozenset,
     domain: str = REAL,
     base: Closure = _EMPTY,
 ) -> Violations:
-    """The groundings of the rules with a body whose body ``current``
-    satisfies and whose head it falsifies, plus each violated weighted
-    evidence unit clause. The facts of the body-less rules are not reported
-    even when ``current`` lacks them: they hold in every world.
+    """The groundings of the (hard) rules of ``plans``, from plan_table,
+    whose body ``current`` satisfies and whose head it falsifies, plus each
+    violated weighted evidence unit clause. The facts of the body-less
+    rules are not reported even when ``current`` lacks them: they hold in
+    every world.
 
     ``base``, the Closure of an earlier assignment, lets the search skip
-    groundings that ``base`` falsifies too: a grounding falsified by
-    ``current`` but not by ``base`` has a body atom that ``base`` lacks (in
-    the delta) or its head in ``base`` (a removed atom). The joins anchor on
-    the delta, with the atoms kept from ``base`` as the old ones, as a
-    chase pass does. A rule whose head can be a removed atom is joined in
-    full. So the result holds every violated grounding that ``base`` does
-    not falsify, and possibly some that it does. The default base, the
-    empty closure, falsifies nothing, so every violated grounding is found:
-    all of ``current`` is the delta. The evidence units are checked in
-    full.
+    groundings that ``base`` falsifies too. If ``current`` holds all of
+    ``base``, a grounding falsified by ``current`` but not by ``base`` has a
+    body atom that ``base`` lacks, so one pass over that delta, with
+    ``base`` as the old atoms, finds it. Otherwise the search starts from
+    the empty closure, from which all of ``current`` is the delta and every
+    violated grounding is found. The evidence units are checked in full.
 
     Grounding is join-driven: candidate substitutions are enumerated from the
     true atoms only, never by cross product. Results come back in canonical
     order (template id, then atom order) so callers are deterministic.
     """
-    added = current - base.atoms
-    removed = base.atoms - current
-    delta = _index(added)
-    old = _index(current - added) if removed else base.index
-    index = _merge(old, delta)
-    full = {atom.pred for atom in removed}
-    if "ninst" in full:  # make_atom turns an inst head with a nominal into ninst
-        full.add("inst")
+    if not base.atoms <= current:
+        base = _EMPTY
+    delta = _index(current - base.atoms)
+    index = _merge(base.index, delta)
     found = set()
-    for template in templates:
-        if not template.body:
-            continue
 
-        def emit(head, body):
-            positive = frozenset() if head is None else frozenset((head,))
-            found.add(ViolatedClause(positive, frozenset(body), template.weight, template.id))
+    def emit(rule_id, head, body):
+        positive = frozenset() if head is None else frozenset((head,))
+        found.add(ViolatedClause(positive, frozenset(body), INFINITE, rule_id))
 
-        plans = _plans(template.body, template.head)
-        if template.head is not None and template.head.pred in full:
-            # plan 0 joins in declared order, each pattern over all of current
-            if plans[0].first in index[0]:
-                plans[0].run(*index, *index, *index, current, domain, emit)
-            continue
-        for plan in plans:
-            # the anchor binds from the delta, earlier positions from the kept
-            # atoms and later ones from all of current, as in extend_closure
-            if plan.first in delta[0]:
-                plan.run(*delta, *old, *index, current, domain, emit)
-
+    _join(plans, delta, base.index, index, current, domain, emit)
     for ev in evidence:
         if ev.wanted is not None and (ev.atom in current) is not ev.wanted:
             found.add(ViolatedClause(frozenset((ev.atom,)), frozenset(), ev.weight, "EV", ev.origin))
@@ -438,21 +443,6 @@ def find_violated(
     return result
 
 
-def chase_plans(templates: Sequence[ClauseTemplate]) -> dict:
-    """The join plans extend_closure runs, by the predicate of their anchor:
-    every rule with a head and a body, anchored at each body pattern in
-    turn, so that a chase pass runs only the plans whose anchor can bind a
-    delta atom. The body-less rules are left out: their facts, as
-    rule_templates makes them, are closed under every rule with a body. A
-    caller that extends many closures of one KB builds this once."""
-    plans = {}
-    for t in templates:
-        if t.head is not None and t.body:
-            for plan in _plans(t.body, t.head):
-                plans.setdefault(plan.first, []).append(plan)
-    return plans
-
-
 def extend_closure(
     plans: dict,
     base: Closure,
@@ -460,7 +450,7 @@ def extend_closure(
     domain: str = REAL,
 ) -> Closure:
     """Close ``base`` and ``new_atoms`` under the rules of ``plans`` (from
-    chase_plans).
+    plan_table); the FALSE-headed COH derives nothing.
 
     ``base`` must already be closed under them, as the facts of the
     body-less rules and every closure this module returns are. The chase is
@@ -476,14 +466,9 @@ def extend_closure(
         current |= delta
         delta_idx = _index(delta)
         cur_idx = _merge(old_idx, delta_idx)
-        # one plan per body position: the anchor binds from the delta, earlier
-        # positions stay in the old atoms and later ones range over everything,
-        # so each new grounding is produced exactly once
-        indexes = (*delta_idx, *old_idx, *cur_idx)
         heads = set()
-        for pred in delta_idx[0]:
-            for plan in plans.get(pred, ()):
-                plan.run(*indexes, current, domain, lambda head, _: heads.add(head))
+        _join(plans, delta_idx, old_idx, cur_idx, current, domain, lambda _, head, __: heads.add(head))
+        heads.discard(None)
         # the old atoms of the next pass are this pass's current ones
         old_idx = cur_idx
         delta = heads
@@ -504,7 +489,7 @@ def saturate(
     tells whether the closure's atoms put a concept under BOT.
     """
     facts = Closure.of(frozenset().union(*(t.facts for t in templates)))
-    return extend_closure(chase_plans(templates), facts, atoms, domain)
+    return extend_closure(plan_table(templates), facts, atoms, domain)
 
 
 def incoherence_atoms(closure: frozenset) -> list:

@@ -89,7 +89,7 @@ class IlpProgram:
         self.variables: List[Optional[Atom]] = [] if variables is None else variables
         self.constraints: List[LinearConstraint] = [] if constraints is None else constraints
         self.objective: List[Tuple[int, Fraction]] = [] if objective is None else objective
-        self._atom_vars: Dict[Atom, int] = {}
+        self._atom_vars: Dict[Atom, int] = {atom: v for v, atom in enumerate(self.variables) if atom is not None}
         self._search: Optional[_Search] = None
 
     def _state(self) -> tuple:

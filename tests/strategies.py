@@ -83,3 +83,53 @@ non_normal_statements = st.one_of(
     equivalences,
     st.builds(ConceptAssertion, st.one_of(pairs, existentials, data_somes), individuals),
 )
+
+# Rule coverage: statements over two concept names and TOP, two individuals
+# and one feature, so that they meet at shared names; role assertions drawn as
+# chains x -> y -> z; nominals on either side of an inclusion and under an
+# existential; and feature values on the halves and thirds next to 0, 1 and
+# 2, where snapping an interval to the integers moves its ends or empties it
+shared_concepts = st.sampled_from(("A", "B", "TOP"))
+shared_individuals = st.sampled_from(("a", "b"))
+shared_refs = st.one_of(shared_concepts, st.builds(Nominal, shared_individuals))
+boundary_values = st.builds(
+    lambda n, offset: n + offset,
+    st.integers(0, 2),
+    st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 3))),
+)
+boundary_data_somes = st.builds(
+    DataSome, st.just("f"), st.builds(Restriction, st.sampled_from(OPERATORS), boundary_values)
+)
+# two names under one nominal, and an existential to one of them
+nominal_meets = st.builds(
+    lambda c, d, x, e, r: [Gci(c, Nominal(x)), Gci(d, Nominal(x)), Gci(e, Exists(r, d))],
+    shared_concepts, shared_concepts, shared_individuals, shared_refs, roles,
+)
+role_chains = st.builds(
+    lambda r, s, x, y, z: [RoleAssertion(r, x, y), RoleAssertion(s, y, z)],
+    roles, roles, shared_individuals, shared_individuals, shared_individuals,
+)
+# two concepts of one individual
+shared_assertions = st.builds(
+    lambda c, d, x: [ConceptAssertion(c, x), ConceptAssertion(d, x)], shared_refs, shared_refs, shared_individuals
+)
+
+targeted_statements = st.lists(
+    st.one_of(
+        st.builds(lambda l, r: [Gci(l, r)], shared_refs, st.one_of(shared_refs, st.just("BOT"))),
+        st.builds(lambda l, r, c: [Gci(And((l, r)), c)], shared_concepts, shared_concepts, shared_refs),
+        st.builds(lambda l, r, d: [Gci(And((l, r)), d)], shared_concepts, shared_concepts, boundary_data_somes),
+        st.builds(lambda c, r, f: [Gci(c, Exists(r, f))], shared_refs, roles, shared_refs),
+        st.builds(lambda r, f, c: [Gci(Exists(r, f), c)], roles, shared_refs, shared_refs),
+        st.builds(lambda c, d: [Gci(c, d)], shared_refs, boundary_data_somes),
+        st.builds(lambda d, c: [Gci(d, c)], boundary_data_somes, shared_refs),
+        st.builds(lambda r1, r2: [RoleInclusion((r1,), r2)], roles, roles),
+        st.builds(lambda r1, r2, r3: [RoleInclusion((r1, r2), r3)], roles, roles, roles),
+        shared_assertions,
+        st.builds(lambda x, v: [FeatureAssertion("f", x, v)], shared_individuals, boundary_values),
+        role_chains,
+        nominal_meets,
+    ),
+    min_size=8,
+    max_size=16,
+).map(lambda groups: [s for group in groups for s in group])

@@ -16,7 +16,7 @@ from probel.engine import (
     map_inference,
     probability_of,
 )
-from probel.grounding import find_violated, incoherence_atoms, saturate
+from probel.grounding import find_violated, incoherence_atoms, plan_table, saturate
 from probel.kbformat import KEYWORDS, parse_kb, serialize_kb
 from probel.model import (
     And,
@@ -365,7 +365,7 @@ class TestMapInvariants:
         templates = rule_templates(toddler_kb.signature)
         again = [
             v
-            for v in find_violated(templates, (), result.atoms)
+            for v in find_violated(plan_table(templates), (), result.atoms)
             if v.weight is INFINITE or v.weight == INFINITE
         ]
         hard = [v for v in again if v.template_id != "EV"]
@@ -601,7 +601,7 @@ class TestRoundsFromTheDelta:
         added, rounds, shrank = set(), [], False
         current, previous = compiled.det_atoms, None
         while True:
-            violated = find_violated(compiled.templates, compiled.units, current, domain=config.domain)
+            violated = find_violated(compiled.plans, compiled.units, current, domain=config.domain)
             fresh = [g for g in violated if g not in added]
             if not fresh and compiled.fixed_true <= current:
                 return rounds, current, shrank
@@ -690,7 +690,7 @@ class TestFactsOutOfTheIlp:
         for _ in range(40):
             kb = random_kb(rng, max_uncertain=8)
             compiled = engine._compile(kb, config)
-            facts = set().union(*(t.facts for t in compiled.templates))
+            facts = set().union(*(t.facts for t in rule_templates(kb.signature)))
             first = engine.first_iteration_program(kb, config)
             final = ilp.IlpProgram()
             result = engine._cutting_planes(kb, compiled, config, final)

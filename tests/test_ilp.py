@@ -303,6 +303,19 @@ def _copy(program: IlpProgram) -> IlpProgram:
     return IlpProgram(list(program.variables), list(program.constraints), list(program.objective))
 
 
+def test_a_program_built_from_lists_knows_its_atoms():
+    # the atom -> variable map comes from the given variables: a copy names
+    # its atoms' variables, reports its true atoms and equals the original
+    program = IlpProgram()
+    translate_clause(clause(["p"], ["q"], Fraction(1, 2)), program, frozenset())
+    copy = _copy(program)
+    assert copy == program
+    assert [copy.atom_var(atom(n)) for n in ("p", "q")] == [1, 2]
+    assert copy.variables == [None, atom("p"), atom("q")]
+    assert copy.true_atoms([0, 1, 0]) == {atom("p")}
+    assert IlpProgram(variables=[atom("p")]).atom_var(atom("p")) == 0
+
+
 def _components(program: IlpProgram) -> dict:
     """Each variable's connected component, as a shared set of variables."""
     component = {v: {v} for v in range(len(program.variables))}
