@@ -4,7 +4,9 @@
 For each generated KB the cutting-plane engine's objective is compared
 exactly against the maximum score of the exhaustive world enumeration, and
 the closure of the selected statements is checked against the argmax worlds,
-both in the value domain given by ``--domain`` (real by default).
+both in the value domain given by ``--domain`` (real by default). The MAP
+world must also be the closure of the deterministic statements and the
+selected positive-weight ones (the minimal-model lemma).
 """
 import argparse
 import random
@@ -51,6 +53,11 @@ def main() -> int:
         closure = saturate(templates, atoms, domain=args.domain).atoms
         if closure not in {w.atoms for w in dist.worlds if w.score == best}:
             print(f"CLOSURE MISMATCH at KB {i}")
+            return 1
+        atoms = [phi(ws.statement) for ws in kb.deterministic]
+        atoms += [phi(ws.statement) for ws in result.selected if ws.weight > 0]
+        if saturate(templates, atoms, domain=args.domain).atoms != result.atoms:
+            print(f"LEMMA MISMATCH at KB {i}")
             return 1
 
     elapsed = time.perf_counter() - started

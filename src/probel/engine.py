@@ -1,11 +1,13 @@
 """Cutting-plane MAP inference and the exhaustive distribution oracle.
 
 Every entry point compiles the KB once (``_compile``): it validates it,
-builds the rule templates, their plan table and the evidence atoms, and
-closes the deterministic part, which must be coherent. MAP inference then
-starts from the deterministic evidence, repeatedly grounds only the clauses
-violated by the current solution, translates them into the ILP and
-re-solves (``_cutting_planes``). Each round's grounding is one pass over
+builds the facts of the body-less rules and the evidence atoms, and closes
+the deterministic part, which must be coherent. The rules with a body are
+the same for every KB, and every KB grounds them through the calculus's
+one plan table, ``grounding.CALCULUS``. MAP inference then starts from
+the deterministic evidence, repeatedly grounds only the clauses violated
+by the current solution, translates them into the ILP and re-solves
+(``_cutting_planes``). Each round's grounding is one pass over
 what its assignment adds to a base closure, or over all of it where the
 assignment has dropped an atom of the base. Round 0's base is the empty
 closure, so it joins the deterministic evidence in full. Round 1's is the
@@ -50,6 +52,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import ilp
 from .grounding import (
+    CALCULUS,
     INTEGER,
     REAL,
     Closure,
@@ -58,7 +61,6 @@ from .grounding import (
     extend_closure,
     find_violated,
     incoherence_atoms,
-    plan_table,
     saturate,
 )
 from .model import INFINITE, KnowledgeBase, WeightedStatement, validate
@@ -201,12 +203,11 @@ class MapResult(_MapFields):
 
 
 class _CompiledKB(NamedTuple):
-    """A validated KB: the join plans of its rule templates, the
-    deterministic and uncertain evidence atoms, the coherent closure of the
-    deterministic part with its chase index, and the atoms fixed true in
-    every world (the deterministic atoms and the facts)."""
+    """A validated KB: the deterministic and uncertain evidence atoms, the
+    coherent closure of the deterministic part with its chase index, and the
+    atoms fixed true in every world (the deterministic atoms and the facts).
+    Its rules are every KB's, grounded through CALCULUS."""
 
-    plans: dict
     det_atoms: frozenset
     units: tuple
     closure: Closure
@@ -215,7 +216,7 @@ class _CompiledKB(NamedTuple):
 
 def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = None) -> _CompiledKB:
     """Validate the KB, check the enumeration cap if one is given, build the
-    templates and the evidence, and close and gate the deterministic part."""
+    facts and the evidence, and close and gate the deterministic part."""
     diagnostics = validate(kb)
     if diagnostics:
         raise ValidationFailed(diagnostics)
@@ -231,7 +232,7 @@ def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = Non
     if bad:
         raise IncoherentDeterministic(_incoherent_core(kb, templates, config.domain), bad)
     fixed_true = det_atoms.union(*(t.facts for t in templates))
-    return _CompiledKB(plan_table(templates), det_atoms, units, closure, fixed_true)
+    return _CompiledKB(det_atoms, units, closure, fixed_true)
 
 
 def _incoherent_core(kb, templates, domain) -> list:
@@ -272,7 +273,7 @@ def _cutting_planes(
     base = Closure.of(frozenset())
     iterations = 0
     while True:
-        violated = find_violated(compiled.plans, compiled.units, current, config.domain, base)
+        violated = find_violated(CALCULUS, compiled.units, current, config.domain, base)
         base = violated.closure if iterations else compiled.closure
         fresh = [g for g in violated if g not in added]
         if not fresh and fixed_true <= current:
@@ -317,7 +318,7 @@ def first_iteration_program(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_
     """The ILP after translating the first round of violated clauses."""
     compiled = _compile(kb, config)
     program = ilp.IlpProgram()
-    for clause in find_violated(compiled.plans, compiled.units, compiled.det_atoms, domain=config.domain):
+    for clause in find_violated(CALCULUS, compiled.units, compiled.det_atoms, domain=config.domain):
         ilp.translate_clause(clause, program, compiled.fixed_true)
     return program
 
@@ -400,7 +401,7 @@ def brute_force_distribution(
         base, entailed, total = levels[(parent & -parent or full).bit_length() - 1]
         if not (entailed | twins) & low:
             level = low.bit_length() - 1
-            closure = extend_closure(compiled.plans, base, (units[level].atom,), domain=config.domain)
+            closure = extend_closure(CALCULUS, base, (units[level].atom,), domain=config.domain)
             new = closure.atoms - base.atoms
             if not incoherence_atoms(new):
                 entailed, total = grow(entailed, total, new)

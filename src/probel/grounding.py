@@ -1,21 +1,23 @@
 """Grounding of the completion rules, with on-demand evaluation of datatype
 predicates.
 
-Each rule is compiled once, by its id and structure, into join plans
-(``_plans``), one with each stored body pattern first. A plan's first run
-generates its *join kernel* (``_kernel``), one Python function: a nested
-loop per body pattern over the index list it probes, the variables as
-local slots, each argument's check or bind written out, and the eval
-literals, the head and the test that the head is new inlined. Kernels are
-generated lazily, never at import, because every fresh process pays for
-the ones it runs. No value is ever formatted into kernel source: constants
-reach a kernel through its globals, and the source holds only fixed
-identifiers, slot numbers and argument positions. Only rules with a body
-are joined: the body-less ones (F1, F2, UNA) come ground from
-rule_templates, as each template's ``facts``.
+Each rule is compiled into join plans (``_Plan``), one with each stored
+body pattern first. A plan's first run generates its *join kernel*
+(``_kernel``), one Python function: a nested loop per body pattern over
+the index list it probes, the variables as local slots, each argument's
+check or bind written out, and the eval literals, the head and the test
+that the head is new inlined. Kernels are generated lazily, never at
+import, because every fresh process pays for the ones it runs. No value
+is ever formatted into kernel source: constants reach a kernel through
+its globals, and the source holds only fixed identifiers, slot numbers
+and argument positions. Only rules with a body are joined: the body-less
+ones (F1, F2, UNA) come ground from rule_templates, as each template's
+``facts``.
 
-A KB's plan table (plan_table) holds the plans of every rule with a body,
-COH included, by the predicate of their anchor, and one semi-naive pass
+The calculus has one plan table (plan_table), ``CALCULUS``, built at
+import from translate.RULES and shared by every KB: it holds the plans of
+every rule with a body, COH included, by the predicate of their anchor, and
+a KB adds only the facts of the body-less rules. One semi-naive pass
 (_join) runs every kernel: each plan anchored on a predicate of the delta
 binds its anchor from the delta, earlier patterns from the old atoms and
 later ones from both, and hands each grounding to ``emit`` with its rule's
@@ -53,7 +55,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import BOT, INFINITE, OPERATORS, Nominal, is_infinite
@@ -63,6 +64,7 @@ from .translate import (
     NomOf,
     PREDICATE_SORTS,
     PatternAtom,
+    RULES,
     S_CONCEPT,
     S_CONCEPT_NONBOT,
     S_FEATURE,
@@ -177,26 +179,15 @@ class _Plan:
     run(P0, X0, P1, X1, P2, X2, known, domain, emit) is the plan's kernel,
     generated on the first call."""
 
-    __slots__ = ("rule", "anchor", "first", "run")
+    __slots__ = ("rule", "anchor", "run")
 
     def __init__(self, rule: tuple, anchor: int):
         self.rule, self.anchor = rule, anchor
-        self.first = rule[1][anchor].pred
         self.run = self._generate
 
     def _generate(self, *args) -> None:
         self.run = _kernel(*self.rule, self.anchor)
         self.run(*args)
-
-
-@lru_cache(maxsize=None)
-def _plans(rule_id: str, body: tuple, head: Optional[PatternAtom]) -> tuple:
-    """The join plans of a rule, one anchored at each stored body pattern.
-    Plans depend only on the rule, so every KB shares the calculus's few
-    dozen kernels."""
-    stored = tuple(p for p in body if p.pred != "eval")
-    rule = (rule_id, stored, tuple(p for p in body if p.pred == "eval"), head)
-    return tuple(_Plan(rule, j) for j in range(len(stored)))
 
 
 def _show(pattern: PatternAtom) -> str:
@@ -377,15 +368,19 @@ def plan_table(templates: Sequence[ClauseTemplate]) -> dict:
     """The join plans of every rule with a body, COH included, by the
     predicate of their anchor: each rule anchored at each stored body
     pattern in turn, so that a pass runs only the plans whose anchor can
-    bind a delta atom. The body-less rules are left out: their facts, as
-    rule_templates makes them, are closed under every rule with a body. A
-    caller that grounds one KB many times builds this once."""
+    bind a delta atom. The body-less rules have no plan: their facts, as
+    rule_templates makes them, are closed under every rule with a body. The
+    calculus's table is CALCULUS; a fresh table generates its kernels anew."""
     plans = {}
     for t in templates:
-        if t.body:
-            for plan in _plans(t.id, t.body, t.head):
-                plans.setdefault(plan.first, []).append(plan)
+        stored = tuple(p for p in t.body if p.pred != "eval")
+        rule = (t.id, stored, tuple(p for p in t.body if p.pred == "eval"), t.head)
+        for j, pattern in enumerate(stored):
+            plans.setdefault(pattern.pred, []).append(_Plan(rule, j))
     return plans
+
+
+CALCULUS = plan_table(RULES)
 
 
 def _join(plans: dict, delta: tuple, old: tuple, index: tuple, known, domain: str, emit) -> None:
@@ -480,16 +475,18 @@ def saturate(
     atoms: Iterable[Atom],
     domain: str = REAL,
 ) -> Closure:
-    """Deterministic closure: chase the hard rules to a fixpoint.
+    """Deterministic closure: chase the calculus to a fixpoint.
 
-    The chase (extend_closure) starts from the closure of the facts of the
-    body-less rules (F1, F2, UNA), which, as rule_templates makes them, are
-    closed under every rule with a body, and takes ``atoms`` as its first
-    delta. Its Closure, index included, is returned. incoherence_atoms()
-    tells whether the closure's atoms put a concept under BOT.
+    ``templates`` must be rule_templates(sig); only their facts, those of
+    the body-less rules (F1, F2, UNA), are read, as every signature shares
+    the rules with a body, chased through CALCULUS. The chase
+    (extend_closure) starts from the closure of the facts, which are closed
+    under every rule with a body, and takes ``atoms`` as its first delta.
+    Its Closure, index included, is returned. incoherence_atoms() tells
+    whether the closure's atoms put a concept under BOT.
     """
     facts = Closure.of(frozenset().union(*(t.facts for t in templates)))
-    return extend_closure(plan_table(templates), facts, atoms, domain)
+    return extend_closure(CALCULUS, facts, atoms, domain)
 
 
 def incoherence_atoms(closure: frozenset) -> list:

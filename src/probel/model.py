@@ -288,35 +288,37 @@ def make_kb(signature: Signature, deterministic=(), uncertain=()) -> KnowledgeBa
     return KnowledgeBase(signature, tuple(deterministic), tuple(uncertain))
 
 
+def _walk(concept: Concept, names: list, restrictions: list) -> None:
+    """Append the names and restrictions of ``concept`` to the two lists; a
+    nested function that calls itself would be a reference cycle per call."""
+    if isinstance(concept, str):
+        names.append(("concept", concept))
+    elif isinstance(concept, Nominal):
+        names.append(("individual", concept.individual))
+    elif isinstance(concept, And):
+        for part in concept.parts:
+            _walk(part, names, restrictions)
+    elif isinstance(concept, Exists):
+        names.append(("role", concept.role))
+        _walk(concept.filler, names, restrictions)
+    elif isinstance(concept, DataSome):
+        names.append(("feature", concept.feature))
+        restrictions.append(concept.restriction)
+
+
 def _mentions(axiom: Axiom) -> tuple:
     """The (sort, name) of every signature element an axiom mentions, and
     its datatype restrictions, in one walk."""
     names: list = []
     restrictions: list = []
-
-    def walk(concept: Concept):
-        if isinstance(concept, str):
-            names.append(("concept", concept))
-        elif isinstance(concept, Nominal):
-            names.append(("individual", concept.individual))
-        elif isinstance(concept, And):
-            for part in concept.parts:
-                walk(part)
-        elif isinstance(concept, Exists):
-            names.append(("role", concept.role))
-            walk(concept.filler)
-        elif isinstance(concept, DataSome):
-            names.append(("feature", concept.feature))
-            restrictions.append(concept.restriction)
-
     if isinstance(axiom, (Gci, Equiv)):
-        walk(axiom.left)
-        walk(axiom.right)
+        _walk(axiom.left, names, restrictions)
+        _walk(axiom.right, names, restrictions)
     elif isinstance(axiom, RoleInclusion):
         names += [("role", role) for role in axiom.chain]
         names.append(("role", axiom.sup))
     elif isinstance(axiom, ConceptAssertion):
-        walk(axiom.concept)
+        _walk(axiom.concept, names, restrictions)
         names.append(("individual", axiom.individual))
     elif isinstance(axiom, RoleAssertion):
         names += (("role", axiom.role), ("individual", axiom.subject), ("individual", axiom.object))

@@ -13,11 +13,11 @@ directly off rsup atoms whose first argument is a nominal.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import NamedTuple, Optional
 
 from .model import (
     BOT,
-    INFINITE,
     TOP,
     And,
     Axiom,
@@ -200,6 +200,7 @@ def is_anonymous(individual: str) -> bool:
 
 class ClauseTemplate(NamedTuple):
     """Universally quantified definite implication; head None means FALSE.
+    Every rule is hard.
 
     A rule with an empty body (reflexivity F1, F2 and the unique-name clause
     UNA) is grounded once, per signature: ``facts`` holds its ground heads,
@@ -210,7 +211,6 @@ class ClauseTemplate(NamedTuple):
     id: str
     body: tuple
     head: Optional[PatternAtom]
-    weight: object = INFINITE
     facts: tuple = ()
 
 
@@ -229,17 +229,15 @@ def concept_constants(sig: Signature) -> list:
     return names + noms
 
 
-def rule_templates(sig: Signature) -> list:
-    """The completion calculus: F1-F27, the subNom bridge, unique-name
-    clauses for each pair of distinct individuals, and the coherence rule.
-
-    F1-F9 are the concept-level saturation rules (reflexivity facts,
-    transitivity, conjunction, existentials on both sides, bottom
-    propagation, role hierarchy and composition); F10-F13 handle nominals
-    and datatype restrictions at the concept level; F14-F27 are the
-    assertion-level rules. eval literals are evaluated by the grounder, not
-    stored. F1, F2 and UNA have no body and come ground, as ``facts``.
-    """
+def _calculus() -> tuple:
+    """The completion calculus, which names nothing from any signature, with
+    the body-less F1, F2 and UNA still without facts. F1-F9 are the
+    concept-level saturation rules (reflexivity, transitivity, conjunction,
+    existentials on both sides, bottom propagation, role hierarchy and
+    composition); F10-F13 handle nominals and datatype restrictions at the
+    concept level; F14-F27 are the assertion-level rules; then come the
+    subNom bridge, the unique-name clause and the coherence rule. eval
+    literals are evaluated by the grounder, not stored."""
     c, d, e, f_ = Var("c", S_CONCEPT), Var("d", S_CONCEPT), Var("e", S_CONCEPT), Var("f", S_CONCEPT)
     d1, d2 = Var("d1", S_CONCEPT), Var("d2", S_CONCEPT)
     r, s, r1, r2 = Var("r", S_ROLE), Var("s", S_ROLE), Var("r1", S_ROLE), Var("r2", S_ROLE)
@@ -252,12 +250,9 @@ def rule_templates(sig: Signature) -> list:
     xn = Var("x", S_NAMED_IND)
     R_, S_, R1_, R2_, R3_ = Var("R", S_ROLE), Var("S", S_ROLE), Var("R1", S_ROLE), Var("R2", S_ROLE), Var("R3", S_ROLE)
 
-    consts = concept_constants(sig)
-    inds = sorted(sig.individuals)
-
-    templates = [
-        ClauseTemplate("F1", (), _p("sub", c, c), facts=tuple(make_atom("sub", cc, cc) for cc in consts)),
-        ClauseTemplate("F2", (), _p("sub", c, TOP), facts=tuple(make_atom("sub", cc, TOP) for cc in consts)),
+    return (
+        ClauseTemplate("F1", (), _p("sub", c, c)),
+        ClauseTemplate("F2", (), _p("sub", c, TOP)),
         ClauseTemplate("F3", (_p("sub", c, d), _p("sub", d, e)), _p("sub", c, e)),
         ClauseTemplate("F4", (_p("sub", c, d1), _p("sub", c, d2), _p("int", d1, d2, e)), _p("sub", c, e)),
         ClauseTemplate("F5", (_p("sub", c, d), _p("rsup", d, r, e)), _p("rsup", c, r, e)),
@@ -296,18 +291,23 @@ def rule_templates(sig: Signature) -> list:
             _p("rinst", a_i, feat, v1),
         ),
         ClauseTemplate("SUBNOM", (_p("subNom", c, a_i),), _p("sub", c, NomOf(a_i))),
-        ClauseTemplate(
-            "UNA",
-            (),
-            _p("int", NomOf(a_i), NomOf(b_i), BOT),
-            facts=tuple(make_atom("int", Nominal(p), Nominal(q), BOT) for p, q in _pairs(inds)),
-        ),
+        ClauseTemplate("UNA", (), _p("int", NomOf(a_i), NomOf(b_i), BOT)),
         ClauseTemplate("COH", (_p("sub", Var("c", S_CONCEPT_NONBOT), BOT),), None),
-    ]
-    return templates
+    )
 
 
-def _pairs(items):
-    for i, p in enumerate(items):
-        for q in items[i + 1:]:
-            yield p, q
+_TEMPLATES = _calculus()
+RULES = tuple(t for t in _TEMPLATES if t.body)  # built once per process, shared by every KB
+
+
+def rule_templates(sig: Signature) -> list:
+    """The completion calculus of ``sig``: RULES, with F1, F2 and UNA ground
+    as ``facts``, one per concept constant or pair of distinct individuals.
+    Only the facts are built per call."""
+    consts = concept_constants(sig)
+    facts = {
+        "F1": tuple(Atom("sub", (cc, cc)) for cc in consts),
+        "F2": tuple(Atom("sub", (cc, TOP)) for cc in consts),
+        "UNA": tuple(Atom("int", (Nominal(p), Nominal(q), BOT)) for p, q in combinations(sorted(sig.individuals), 2)),
+    }
+    return [t if t.body else t._replace(facts=facts[t.id]) for t in _TEMPLATES]

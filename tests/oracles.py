@@ -6,7 +6,7 @@ exhaustive 0/1 enumeration, and witness-sampled interval containment.
 from fractions import Fraction
 
 from probel.grounding import ViolatedClause, eval_op
-from probel.model import BOT, Nominal, OPERATORS, format_value, is_infinite
+from probel.model import BOT, INFINITE, Nominal, OPERATORS, format_value, is_infinite
 from probel.translate import (
     Atom,
     NomOf,
@@ -120,7 +120,7 @@ def naive_find_violated(templates, evidence, current, sig, domain="real"):
                 if not all(eval_op(*(value_of(a) for a in ev.args), domain=domain) for ev in evals):
                     continue
             negative = frozenset(_instantiate_raw(p, binding) for p in body)
-            found.add(ViolatedClause(positive, negative, template.weight, template.id))
+            found.add(ViolatedClause(positive, negative, INFINITE, template.id))
     for ev in evidence:
         if is_infinite(ev.weight) or ev.weight > 0:
             violated = ev.atom not in current

@@ -13,7 +13,7 @@ import pytest
 
 from probel.cli import main as cli_main
 from probel.engine import brute_force_distribution, map_inference, probability_of
-from probel.grounding import EvidenceAtom, eval_op, find_violated, plan_table, saturate
+from probel.grounding import CALCULUS, EvidenceAtom, eval_op, find_violated, saturate
 from probel.ilp import IlpProgram, Infeasible, solve, translate_clause
 from probel.grounding import ViolatedClause
 from probel.model import BOT, Gci, INFINITE, OPERATORS
@@ -68,10 +68,9 @@ def test_criterion_2_datatype_subsumption_example(two_year_old_kb):
     assert result.objective == Fraction(15, 10)
     assert Gci("TwoYearOld", "Toddler") in result.classified
     # the subsumption must come from the datatype bridge rule
-    templates = rule_templates(two_year_old_kb.signature)
     unc_atoms = frozenset(phi(ws.statement) for ws in two_year_old_kb.uncertain)
     fired = [
-        v for v in find_violated(plan_table(templates), (), unc_atoms)
+        v for v in find_violated(CALCULUS, (), unc_atoms)
         if v.template_id == "F13" and Atom("sub", ("TwoYearOld", "Toddler")) in v.positive
     ]
     assert fired
@@ -207,9 +206,8 @@ def test_criterion_7_closure_idempotence(map_sweep):
     started = time.perf_counter()
     results, _ = map_sweep
     for kb, result, _ in results:
-        templates = rule_templates(kb.signature)
         remaining = [
-            v for v in find_violated(plan_table(templates), (), result.atoms) if v.weight is INFINITE
+            v for v in find_violated(CALCULUS, (), result.atoms) if v.weight is INFINITE
         ]
         assert remaining == []
     elapsed = time.perf_counter() - started

@@ -639,10 +639,16 @@ class TestDeterminism:
 def test_import_loads_neither_dataclasses_nor_inspect():
     # every process pays for its imports: dataclasses, with the inspect, ast
     # and dis it loads, cost about a third of the CPU time to the end of
-    # import probel.cli. -S keeps site hooks out of the count
-    code = "import sys; import probel.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # import probel.cli. -S keeps site hooks out of the count. The import
+    # builds the calculus's plan table but generates none of its join
+    # kernels: each plan still has its lazy first run
+    code = (
+        "import sys; import probel.cli; from probel.grounding import CALCULUS; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), "
+        "sum(p.run != p._generate for plans in CALCULUS.values() for p in plans))"
+    )
     child = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
     )
-    assert child.stdout == "[]\n"
+    assert child.stdout == "[] 0\n"

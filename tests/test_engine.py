@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from collections import Counter
@@ -16,7 +17,7 @@ from probel.engine import (
     map_inference,
     probability_of,
 )
-from probel.grounding import find_violated, incoherence_atoms, plan_table, saturate
+from probel.grounding import CALCULUS, find_violated, incoherence_atoms, saturate
 from probel.kbformat import KEYWORDS, parse_kb, serialize_kb
 from probel.model import (
     And,
@@ -28,6 +29,7 @@ from probel.model import (
     WeightedStatement,
     axiom_names,
     make_signature,
+    validate,
 )
 from probel.randgen import random_kb
 from probel.translate import Atom, atom_sort_key, phi, phi_inverse, rule_templates
@@ -278,16 +280,23 @@ class TestMetamorphicMap:
     @staticmethod
     def solved_kbs(seed, domain):
         """Random KBs with their MAP result, skipping those whose
-        deterministic part is incoherent in ``domain``."""
+        deterministic part is incoherent in ``domain``. Each result is first
+        checked against the minimal-model lemma: the MAP world is the closure
+        of the deterministic statements and the selected positive-weight
+        ones, since the hard rules are Horn and incoherence persists."""
         rng = random.Random(seed)
         config = ReasonerConfig(domain=domain)
         found = []
         while len(found) < TestMetamorphicMap.COUNT:
             kb = random_kb(rng, max_uncertain=60)
             try:
-                found.append((kb, map_inference(kb, config), rng))
+                result = map_inference(kb, config)
             except IncoherentDeterministic:
                 continue
+            atoms = [phi(ws.statement) for ws in kb.deterministic]
+            atoms += [phi(ws.statement) for ws in result.selected if ws.weight > 0]
+            assert result.atoms == saturate(rule_templates(kb.signature), atoms, domain).atoms
+            found.append((kb, result, rng))
         return config, found
 
     @pytest.mark.parametrize("domain", ["real", "integer"])
@@ -362,10 +371,9 @@ class TestMapInvariants:
 
     def test_closure_idempotent(self, toddler_kb):
         result = map_inference(toddler_kb)
-        templates = rule_templates(toddler_kb.signature)
         again = [
             v
-            for v in find_violated(plan_table(templates), (), result.atoms)
+            for v in find_violated(CALCULUS, (), result.atoms)
             if v.weight is INFINITE or v.weight == INFINITE
         ]
         hard = [v for v in again if v.template_id != "EV"]
@@ -601,7 +609,7 @@ class TestRoundsFromTheDelta:
         added, rounds, shrank = set(), [], False
         current, previous = compiled.det_atoms, None
         while True:
-            violated = find_violated(compiled.plans, compiled.units, current, domain=config.domain)
+            violated = find_violated(CALCULUS, compiled.units, current, domain=config.domain)
             fresh = [g for g in violated if g not in added]
             if not fresh and compiled.fixed_true <= current:
                 return rounds, current, shrank
@@ -724,3 +732,21 @@ class TestFactsOutOfTheIlp:
         (entry,) = explain_selection(kb, result)
         assert entry.selected is not text.endswith("BOT\n")
         assert entry.delta is None
+
+
+def test_validation_and_inference_leave_no_cyclic_garbage():
+    # each op's objects are freed by reference counting alone, so the
+    # memory an op held does not wait on the cyclic collector's schedule
+    kbs = [random_kb(random.Random(i), max_uncertain=10) for i in range(30)]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in (validate, map_inference, brute_force_distribution):
+            for kb in kbs:
+                try:
+                    call(kb)
+                except IncoherentDeterministic:
+                    pass
+            assert gc.collect() == 0, call.__name__
+    finally:
+        gc.enable()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from probel.grounding import (
+    CALCULUS,
     Closure,
     EvidenceAtom,
     ViolatedClause,
@@ -44,20 +45,17 @@ from strategies import SIG, data_statements, normal_statements, targeted_stateme
 
 
 def _toddler_inference_setup():
-    sig = make_signature(concepts=("TwoYearOld", "Toddler"), features=("age",))
-    templates = rule_templates(sig)
-    current = frozenset(
+    return frozenset(
         {
             Atom("rsupEx", ("TwoYearOld", "age", "=", Fraction(2))),
             Atom("rsubEx", ("age", "<=", Fraction(3), "Toddler")),
         }
     )
-    return sig, templates, current
 
 
 def test_datatype_bridge_fires():
-    sig, templates, current = _toddler_inference_setup()
-    clauses = [c for c in find_violated(plan_table(templates), (), current) if c.template_id == "F13"]
+    current = _toddler_inference_setup()
+    clauses = [c for c in find_violated(CALCULUS, (), current) if c.template_id == "F13"]
     assert clauses == [
         ViolatedClause(
             positive=frozenset({Atom("sub", ("TwoYearOld", "Toddler"))}),
@@ -69,20 +67,18 @@ def test_datatype_bridge_fires():
 
 
 def test_datatype_bridge_skipped_when_eval_false():
-    sig = make_signature(concepts=("Senior", "Toddler"), features=("age",))
-    templates = rule_templates(sig)
     current = frozenset(
         {
             Atom("rsupEx", ("Senior", "age", ">=", Fraction(65))),
             Atom("rsubEx", ("age", "<=", Fraction(3), "Toddler")),
         }
     )
-    assert not [c for c in find_violated(plan_table(templates), (), current) if c.template_id == "F13"]
+    assert not [c for c in find_violated(CALCULUS, (), current) if c.template_id == "F13"]
 
 
 def test_no_eval_atom_ever_emitted():
-    sig, templates, current = _toddler_inference_setup()
-    for clause in find_violated(plan_table(templates), (), current):
+    current = _toddler_inference_setup()
+    for clause in find_violated(CALCULUS, (), current):
         for atom in clause.positive | clause.negative:
             assert atom.pred != "eval"
 
@@ -92,7 +88,7 @@ def test_all_false_assignment_violates_no_fact():
     # reports one, and saturate closes the empty input to exactly them
     sig = make_signature(concepts=("A", "B"))
     templates = rule_templates(sig)
-    assert find_violated(plan_table(templates), (), frozenset()) == []
+    assert find_violated(CALCULUS, (), frozenset()) == []
     facts = {Atom("sub", (c, d)) for c in ("A", "B", TOP, BOT) for d in (c, TOP)}
     assert saturate(templates, ()).atoms == facts
 
@@ -122,13 +118,13 @@ def test_saturated_assignment_yields_nothing():
     templates = rule_templates(sig)
     closure = saturate(templates, [phi(Gci("A", "B"))]).atoms
     assert not incoherence_atoms(closure)
-    assert find_violated(plan_table(templates), (), closure) == []
+    assert find_violated(CALCULUS, (), closure) == []
 
 
 def test_canonical_order_is_stable():
-    sig, templates, current = _toddler_inference_setup()
-    first = find_violated(plan_table(templates), (), current)
-    second = find_violated(plan_table(templates), (), current)
+    current = _toddler_inference_setup()
+    first = find_violated(CALCULUS, (), current)
+    second = find_violated(CALCULUS, (), current)
     assert first == second
 
 
@@ -221,7 +217,7 @@ class TestNaiveOracleEquivalence:
         evidence = tuple(
             EvidenceAtom(phi(ws.statement), ws.weight, i) for i, ws in enumerate(kb.uncertain)
         )
-        fast = set(find_violated(plan_table(templates), evidence, current))
+        fast = set(find_violated(CALCULUS, evidence, current))
         slow = naive_find_violated(templates, evidence, current, kb.signature)
         assert fast == slow
 
@@ -230,7 +226,7 @@ class TestNaiveOracleEquivalence:
         evidence = tuple(
             EvidenceAtom(phi(ws.statement), ws.weight, i) for i, ws in enumerate(kb.uncertain)
         )
-        fast = set(find_violated(plan_table(templates), evidence, current, domain=domain))
+        fast = set(find_violated(CALCULUS, evidence, current, domain=domain))
         slow = naive_find_violated(templates, evidence, current, kb.signature, domain=domain)
         assert fast == slow
 
@@ -290,7 +286,7 @@ def test_extend_closure_matches_full_saturation():
                 assert bool(incoherence_atoms(closure)) == (domain == "integer")
             base = saturate(templates, det, domain=domain)
             for atom in unc:
-                fast = extend_closure(plan_table(templates), base, (atom,), domain=domain).atoms
+                fast = extend_closure(CALCULUS, base, (atom,), domain=domain).atoms
                 slow, _ = naive_saturate(templates, det + [atom], kb.signature, domain)
                 assert fast == slow
 
@@ -312,11 +308,11 @@ def test_compiled_grounding_matches_the_naive_oracles(statements, data, domain, 
     _assert_naive_closure(closure, templates, atoms, SIG, domain)
     split = rng.randint(0, len(atoms))
     base = saturate(templates, atoms[:split], domain=domain)
-    assert extend_closure(plan_table(templates), base, atoms[split:], domain=domain).atoms == closure
+    assert extend_closure(CALCULUS, base, atoms[split:], domain=domain).atoms == closure
     weights = (Fraction(1, 2), Fraction(-1, 2), Fraction(0), INFINITE)
     evidence = tuple(EvidenceAtom(a, weights[i % 4], i) for i, a in enumerate(atoms))
     partial = frozenset(a for a in sorted(closure, key=str) if rng.random() < 0.5)
-    fast = set(find_violated(plan_table(templates), evidence, partial, domain=domain))
+    fast = set(find_violated(CALCULUS, evidence, partial, domain=domain))
     assert fast == naive_find_violated(templates, evidence, partial, SIG, domain)
 
 
@@ -327,7 +323,6 @@ def test_every_rule_fires_on_the_way_to_the_targeted_closures():
     # value domains, and the integers close differently from the reals in
     # a share of the draws
     templates = rule_templates(SIG)
-    plans = plan_table(templates)
     facts = frozenset().union(*(t.facts for t in templates))
     fired = {"real": set(), "integer": set()}
     differ = []
@@ -341,7 +336,7 @@ def test_every_rule_fires_on_the_way_to_the_targeted_closures():
         for domain, rules in fired.items():
             current, base = facts.union(atoms), Closure.of(frozenset())
             while True:
-                found = find_violated(plans, (), current, domain, base)
+                found = find_violated(CALCULUS, (), current, domain, base)
                 rules.update(c.template_id for c in found)
                 heads = {atom for c in found for atom in c.positive}
                 if not heads:
@@ -376,15 +371,14 @@ def test_extend_closure_from_the_base_index(base_statements, new_statements, dat
     # the oracle's lattice walk: the base comes with the index its own chase
     # returned, which the extension reads, shares and must leave unchanged
     templates = rule_templates(SIG)
-    plans = plan_table(templates)
     data_atoms = [phi(s) for s in data]
     split = rng.randint(0, len(data_atoms))
     start = {phi(s) for s in base_statements}.union(data_atoms[:split], *(t.facts for t in templates))
-    base = extend_closure(plans, Closure.of(frozenset()), start, domain=domain)
+    base = extend_closure(CALCULUS, Closure.of(frozenset()), start, domain=domain)
     new = [phi(s) for s in new_statements] + data_atoms[split:]
     new += rng.sample(sorted(base.atoms, key=str), min(2, len(base.atoms)))  # some already closed
     before = copy.deepcopy(base)
-    closure = extend_closure(plans, base, new, domain=domain)
+    closure = extend_closure(CALCULUS, base, new, domain=domain)
     slow, _ = naive_saturate(templates, base.atoms | set(new), SIG, domain)
     assert closure.atoms == slow
     assert base == before
@@ -416,7 +410,7 @@ def test_find_violated_from_a_base(statements, extra, data, domain, rng):
     current = frozenset(a for a in wider if (a in base) != (rng.random() < flip))
     full = naive_find_violated(templates, evidence, current, SIG, domain)
     stale = naive_find_violated(templates, evidence, base, SIG, domain)
-    found = find_violated(plan_table(templates), evidence, current, domain, base=Closure.of(base))
+    found = find_violated(CALCULUS, evidence, current, domain, base=Closure.of(base))
     assert set(found) <= full
     assert set(found) - stale == full - stale
     assert found == sorted(found, key=ViolatedClause.sort_key)
@@ -425,7 +419,7 @@ def test_find_violated_from_a_base(statements, extra, data, domain, rng):
     assert _counted(found.closure.index) == _counted(Closure.of(current).index)
     # a closed, coherent base falsifies nothing, so the search is complete
     if not incoherence_atoms(closure.atoms):
-        assert set(find_violated(plan_table(templates), evidence, current, domain, base=closure)) == full
+        assert set(find_violated(CALCULUS, evidence, current, domain, base=closure)) == full
 
 
 def test_find_violated_from_the_closure_finds_each_removed_head():
@@ -449,7 +443,7 @@ def test_find_violated_from_the_closure_finds_each_removed_head():
     derived = set()
     for atom in sorted(closure.atoms, key=str):
         current = closure.atoms - {atom}
-        found = find_violated(plan_table(templates), (), current, base=closure)
+        found = find_violated(CALCULUS, (), current, base=closure)
         assert set(found) == naive_find_violated(templates, (), current, sig), atom
         derived |= {(c.template_id, atom.pred, is_anonymous(atom.args[0])) for c in found}
     for rule in ("F14", "F24", "F25"):
@@ -459,8 +453,9 @@ def test_find_violated_from_the_closure_finds_each_removed_head():
 
 
 def test_plans_keep_no_template_alive():
-    # join plans are cached by rule id and structure only: grounding must
-    # hold no reference to a KB's templates, so that dropping them frees them.
+    # the calculus's plan table is built once, from translate.RULES, and
+    # shared by every KB: grounding must hold no reference to a KB's
+    # templates, whose facts are its own, so that dropping them frees them.
     # Templates are tuples, which take no weak reference; their reference
     # counts stand in for one
     sig = make_signature(concepts=("A", "B"), roles=("r",), features=("f",), individuals=("a", "b"))
@@ -474,12 +469,12 @@ def test_plans_keep_no_template_alive():
         templates = rule_templates(sig)
         counts = [sys.getrefcount(t) for t in templates]
         closure = saturate(templates, atoms[:2])
-        find_violated(plan_table(templates), (), closure.atoms)
+        find_violated(CALCULUS, (), closure.atoms)
         # from a base the assignment keeps, so that the pass joins only the
         # added atom, and from one it has left, so that it joins them all
-        find_violated(plan_table(templates), (), closure.atoms | {atoms[2]}, base=closure)
-        find_violated(plan_table(templates), (), (closure.atoms - {atoms[1]}) | {atoms[2]}, base=closure)
-        extend_closure(plan_table(templates), closure, atoms[2:])
+        find_violated(CALCULUS, (), closure.atoms | {atoms[2]}, base=closure)
+        find_violated(CALCULUS, (), (closure.atoms - {atoms[1]}) | {atoms[2]}, base=closure)
+        extend_closure(CALCULUS, closure, atoms[2:])
         assert [sys.getrefcount(t) for t in templates] == counts
     finally:
         gc.enable()
@@ -555,13 +550,13 @@ def test_every_kernel_matches_the_naive_oracles(domain):
     # each rule alone, so the naive cross product stays small; every body
     # atom in turn is the chase's delta, so every anchored kernel runs
     for template, sig, body, distractors in _kernel_cases(domain):
-        templates = [template]
+        templates, plans = [template], plan_table([template])
         current = frozenset(body) | distractors
-        fast = set(find_violated(plan_table(templates), (), current, domain=domain))
+        fast = set(find_violated(plans, (), current, domain=domain))
         assert fast == naive_find_violated(templates, (), current, sig, domain), template.id
         assert any(c.negative == frozenset(body) for c in fast), f"{template.id} misses its grounding"
         closure, _ = naive_saturate(templates, current, sig, domain)
         for atom in body:
-            base = saturate(templates, current - {atom}, domain=domain)
-            fast = extend_closure(plan_table(templates), base, (atom,), domain=domain).atoms
+            base = extend_closure(plans, Closure.of(frozenset()), current - {atom}, domain=domain)
+            fast = extend_closure(plans, base, (atom,), domain=domain).atoms
             assert fast == closure, (template.id, atom)

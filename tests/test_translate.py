@@ -22,6 +22,7 @@ from probel.translate import (
     NoAxiomCounterpart,
     NotNormal,
     PREDICATE_SORTS,
+    RULES,
     atom_sort_key,
     make_atom,
     phi,
@@ -231,6 +232,12 @@ class TestRuleTemplates:
                     assert arg.name in bound, (template.id, arg.name)
                 elif isinstance(arg, NomOf):
                     assert arg.var.name in bound, (template.id, arg.var.name)
+
+    def test_every_signature_shares_the_rules_with_a_body(self):
+        # only the facts of the body-less rules are built per signature
+        for sig in (make_signature(), make_signature(concepts=("A", "B"), roles=("r",), individuals=("a", "b"))):
+            shared = [t for t in rule_templates(sig) if t.body]
+            assert len(shared) == len(RULES) and all(t is rule for t, rule in zip(shared, RULES))
 
     def test_seed_clauses_depend_only_on_signature(self):
         sig = make_signature(concepts=("A", "B"), individuals=("a",))
