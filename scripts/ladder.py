@@ -34,6 +34,14 @@ tree's ``src``, under a per-row wall-clock limit. A row records:
   before the flips), and ``ilp_largest_component``: the variables of the
   largest connected component of that ILP's constraint graph, in which two
   variables meet when one constraint holds both;
+- for ``solve``, the search's phases over the whole CLI call (with
+  ``--explain``, the flips included): ``optimum_s``, the CPU seconds of the
+  branch-and-bound passes that find a component's optimum;
+  ``tiebreak_s``, those of the walks to the smallest optimum (``_lexmin``),
+  whose decision calls are counted as ``decisions_found`` (a leaf that
+  keeps the optimum) and ``decisions_refuted``; and ``carries_made`` and
+  ``carries_failed``, the rounds whose last assignment was or was not
+  carried (``_carry``). A column whose method a tree lacks is left out;
 - for ``oracle``, ``worlds``: the number of distinct coherent worlds;
 - ``report_sha256``: the digest of the report on standard output.
 
@@ -112,6 +120,7 @@ def child(spec: dict) -> dict:
         return solve(program)
 
     ilp.solve = watched  # the engine looks it up on the module at each call
+    phases = watch_search(ilp)
     text = getattr(gen, spec["generator"])(random.Random(spec["seed"]), *spec["sizes"])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "kb.kb"
@@ -142,8 +151,49 @@ def child(spec: dict) -> dict:
             ilp_constraints=len(program.constraints),
             ilp_largest_component=largest_component(program),
         )
+        row.update((name, round(value, 3)) for name, value in phases.items())
     row["report_sha256"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
     return row
+
+
+def watch_search(ilp) -> dict:
+    """Wrap the search methods of ``ilp._Search`` that this tree has, and
+    return the columns they fill in as the CLI call runs."""
+    search = getattr(ilp, "_Search", None)
+    columns = {
+        "_dfs": ("optimum_s",),
+        "_lexmin": ("tiebreak_s", "decisions_found", "decisions_refuted"),
+        "_carry": ("carries_made", "carries_failed"),
+    }
+    phases = {}
+    running = []  # the wrapped methods entered and not yet left, innermost last
+
+    def record(name, result, seconds):
+        if name == "_dfs" and not running:  # from solve: an optimum pass
+            phases["optimum_s"] += seconds
+        elif name == "_dfs" and running[-1] == "_lexmin":  # a decision call
+            phases["decisions_refuted" if result is None else "decisions_found"] += 1
+        elif name == "_lexmin":
+            phases["tiebreak_s"] += seconds
+        elif name == "_carry":
+            phases["carries_made" if result else "carries_failed"] += 1
+
+    def wrap(name, method):
+        def wrapped(self, *args, **kwargs):
+            running.append(name)
+            started = time.process_time()
+            result = method(self, *args, **kwargs)
+            running.pop()
+            record(name, result, time.process_time() - started)
+            return result
+        return wrapped
+
+    for name, names in columns.items():
+        method = getattr(search, name, None)
+        if method is not None:
+            phases.update(dict.fromkeys(names, 0))
+            setattr(search, name, wrap(name, method))
+    return phases
 
 
 def largest_component(program) -> int:

@@ -136,16 +136,26 @@ class ExpSum(_ExpSumFields):
         return ExpSum(tuple(sorted(counts.items())))
 
     def log_value(self) -> float:
+        """Raises OverflowError when the top score is beyond float range."""
         return self._log_value
 
     @cached_property
     def _log_value(self) -> float:
-        # computed once: every world's probability shares the partition's sum
         if not self.terms:
             return float("-inf")
-        top = max(s for s, _ in self.terms)
-        acc = sum(n * math.exp(float(s - top)) for s, n in self.terms)
-        return float(top) + math.log(acc)
+        acc = self.top_shifted  # kept even when float(top) overflows
+        return float(self.terms[-1][0]) + math.log(acc)
+
+    @cached_property
+    def top_shifted(self) -> float:
+        # computed once: every world's probability shares the partition's sum
+        return self.shifted(self.terms[-1][0])
+
+    def shifted(self, top: Fraction) -> float:
+        """The float sum of exp(score - top), each score at most ``top``.
+        A term below exp(-1000) is 0.0 in float and is skipped before its
+        exponent is turned into a float, which may be beyond float range."""
+        return sum(n * math.exp(d) for s, n in self.terms if (d := s - top) >= -1000)
 
 
 class Probability(NamedTuple):
@@ -163,7 +173,13 @@ class Probability(NamedTuple):
     def __float__(self) -> float:
         if self.is_zero():
             return 0.0
-        return math.exp(self.numerator.log_value() - self.denominator.log_value())
+        try:
+            return math.exp(self.numerator.log_value() - self.denominator.log_value())
+        except OverflowError:
+            # a top score beyond float range: both sums shifted by the
+            # partition's top score, whose own term makes its sum >= 1
+            top = self.denominator.terms[-1][0]
+            return self.numerator.shifted(top) / self.denominator.top_shifted
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Probability):
@@ -259,8 +275,8 @@ def _cutting_planes(
     kb: KnowledgeBase, compiled: _CompiledKB, config: ReasonerConfig, program: ilp.IlpProgram
 ) -> MapResult:
     """Run the cutting-plane loop from ``program``: find violated clauses,
-    add their constraints, re-solve, and stop when every violated clause is
-    already accounted for and every fixed-true atom holds.
+    translate them into the program, re-solve, and stop when every violated
+    clause is already accounted for and every fixed-true atom holds.
 
     Round 0 searches ``det_atoms`` from the empty closure, so it joins them
     in full. Round 1 searches from the compiled closure, which falsifies no

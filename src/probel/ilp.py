@@ -1,8 +1,10 @@
 """Exact 0/1 integer linear programming for clause constraints.
 
-Violated ground clauses translate into the three linear constraint forms
-(positive, negative and infinite weight). The internal solver maximizes
-the objective exactly and deterministically:
+A violated hard clause translates into one ``>=`` constraint over its
+atoms' variables, and a weighted unit clause, the only weighted clause MAP
+inference grounds, into its weight on its atom's variable: the objective is
+the sum of the weights of the true atoms. The internal solver maximizes it
+exactly and deterministically:
 
 - The weights are scaled to integers by the least common multiple of
   their denominators; only the returned optimum is a ``Fraction``.
@@ -32,7 +34,6 @@ no conflict core: no MAP program is infeasible (see ``engine``).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -46,13 +47,14 @@ class Infeasible(Exception):
 
 
 class LinearConstraint(NamedTuple):
+    """sum(coefficient * variable) >= bound."""
+
     terms: tuple  # ((variable, integer coefficient), ...)
-    relation: str  # ">=" or "<="
     bound: int
 
     def render(self, names: Sequence[str]) -> str:
         parts = " ".join(f"{'+' if c >= 0 else '-'}{abs(c)} {names[v]}" for v, c in self.terms)
-        return f"{parts} {self.relation} {self.bound}"
+        return f"{parts} >= {self.bound}"
 
 
 _OP_TOKENS = {"<": "lt", "<=": "le", "=": "eq", ">=": "ge", ">": "gt"}
@@ -76,8 +78,8 @@ class IlpProgram:
     """Binary variables, linear constraints and a maximization objective.
 
     Variables are integers in declaration order: ``variables[i]`` is the
-    atom of x variable i, or None for the z variable of a finite-weight
-    clause; objective coefficients attach only to z variables.
+    atom of variable i. Each objective entry ``(i, weight)`` adds its
+    weight when variable i is 1; one variable may have several entries.
 
     The program is append-only between solves: ``solve`` keeps its search
     on the program and takes in only the variables, objective entries and
@@ -86,10 +88,10 @@ class IlpProgram:
     """
 
     def __init__(self, variables=None, constraints=None, objective=None):
-        self.variables: List[Optional[Atom]] = [] if variables is None else variables
+        self.variables: List[Atom] = [] if variables is None else variables
         self.constraints: List[LinearConstraint] = [] if constraints is None else constraints
         self.objective: List[Tuple[int, Fraction]] = [] if objective is None else objective
-        self._atom_vars: Dict[Atom, int] = {atom: v for v, atom in enumerate(self.variables) if atom is not None}
+        self._atom_vars: Dict[Atom, int] = {atom: v for v, atom in enumerate(self.variables)}
         self._search: Optional[_Search] = None
 
     def _state(self) -> tuple:
@@ -113,43 +115,38 @@ class IlpProgram:
             self.variables.append(atom)
         return var
 
-    def clause_var(self, weight: Fraction) -> int:
-        var = len(self.variables)
-        self.variables.append(None)
-        self.objective.append((var, weight))
-        return var
-
     def true_atoms(self, assignment: Sequence[int]) -> frozenset:
         return frozenset(a for a, v in self._atom_vars.items() if assignment[v] == 1)
 
 
 def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozenset()) -> list:
-    """Add the constraint(s) for one violated clause to the program.
+    """Add one violated clause to the program; return the constraints made.
 
-    Atoms fixed true in every world, by the deterministic statements and by
-    the facts of the body-less rules (F1, F2, UNA), are substituted out: a
-    positive literal over one satisfies the clause outright, a negated
-    literal over one can never help and is omitted from the sums. A hard
+    A weighted clause must be a positive unit, an evidence clause: its
+    weight goes on its atom's variable, and no constraint is made. A hard
+    clause becomes one constraint, at least one literal true. Atoms fixed
+    true in every world, by the deterministic statements and by the facts
+    of the body-less rules (F1, F2, UNA), are substituted out: a unit over
+    one adds only a constant to the objective and is dropped, a positive
+    literal over one satisfies a hard clause outright, and a negated
+    literal over one can never help and is omitted from the sum. A hard
     clause left with no literal raises ``Infeasible``.
     """
-    satisfied = sum(1 for atom in clause.positive if atom in fixed_true)
-    pos = [atom for atom in clause.positive if atom not in fixed_true]
+    if not is_infinite(clause.weight):
+        if len(clause.positive) != 1 or clause.negative:
+            raise ValueError(f"a weighted clause must be a positive unit, not {clause}")
+        (atom,) = clause.positive
+        if atom not in fixed_true:
+            program.objective.append((program.atom_var(atom), clause.weight))
+        return []
+    if not clause.positive.isdisjoint(fixed_true):
+        return []
     neg = [atom for atom in clause.negative if atom not in fixed_true]
-    hard = is_infinite(clause.weight)
-    z = None if hard else program.clause_var(clause.weight)
-    if satisfied and (hard or clause.weight >= 0):
-        return []  # the clause already holds; a soft z is free to take 1
-    if hard and not pos and not neg:
+    if not clause.positive and not neg:
         raise Infeasible()
-    terms = [(program.atom_var(a), 1) for a in sorted(pos, key=atom_sort_key)]
+    terms = [(program.atom_var(a), 1) for a in sorted(clause.positive, key=atom_sort_key)]
     terms += [(program.atom_var(a), -1) for a in sorted(neg, key=atom_sort_key)]
-    if hard:
-        made = LinearConstraint(tuple(terms), ">=", 1 - len(neg))
-    elif clause.weight < 0:
-        size = len(clause.positive) + len(clause.negative)
-        made = LinearConstraint((*terms, (z, -size)), "<=", -satisfied - len(neg))
-    else:
-        made = LinearConstraint((*terms, (z, -1)), ">=", -len(neg))
+    made = LinearConstraint(tuple(terms), 1 - len(neg))
     program.constraints.append(made)
     return [made]
 
@@ -205,7 +202,7 @@ class _Search:
             i = parent[i]
         return i
 
-    def update(self, variables: Sequence[Optional[Atom]], constraints: Sequence[LinearConstraint],
+    def update(self, variables: Sequence[Atom], constraints: Sequence[LinearConstraint],
                objective: Sequence[Tuple[int, Fraction]]) -> _Search:
         """Take in the variables, objective entries and constraints appended since the last call."""
         value, weight, loss, occ = self.value, self.weight, self.loss, self.occ
@@ -221,8 +218,8 @@ class _Search:
         self.parent += new
         dirty.update(new)
         for i, w in objective[self.entries:]:
-            # the carry (see solve) needs each entry on a new variable, as
-            # translate_clause makes it, and of weight <= 0
+            # the carry (see solve) needs each entry on a new variable and
+            # of weight <= 0
             if w > 0 or i < old:
                 self.carried = None
             if self.scale % w.denominator:
@@ -236,15 +233,14 @@ class _Search:
         self.entries = len(objective)
         for j in range(len(self.terms), len(constraints)):
             con = constraints[j]
-            sign = 1 if con.relation == ">=" else -1
             merged: Dict[int, int] = {}
             for i, c in con.terms:
-                merged[i] = merged.get(i, 0) + sign * c
+                merged[i] = merged.get(i, 0) + c
             terms = sorted(((i, abs(c), int(c > 0)) for i, c in merged.items() if c),
                            key=lambda t: -t[1])
             self.terms.append(terms)
             # the slack against the current values, which undoing restores exactly
-            slack = -sign * con.bound
+            slack = -con.bound
             for i, a, good in terms:
                 occ[1 - good][i].append((j, a))
                 if good:
@@ -464,20 +460,22 @@ def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
     the same part of the program as before, so its smallest optimum stands.
 
     A round whose new objective entries all have weight <= 0, each on a
-    variable new since the last solve (``translate_clause`` declares a
-    clause's z with its entry), is first carried instead: every old
-    variable keeps its value L, the new constraints are checked and
-    propagated, and the new variables alone are searched, 0 first in
-    declared order, for the first leaf that loses no weight. Where one
-    exists, it is the new program's smallest optimum. Projecting any
-    feasible assignment of the new program onto the old variables gives a
-    feasible assignment of the old program that scores no less, so the
-    optimum cannot rise, and the leaf attains it. Every optimum of the new
-    program thus projects onto an optimum of the old one, which is no
-    smaller than L, and the old variables come first in declared order; so
-    no optimum is smaller than L extended by the smallest lossless leaf.
-    Where the check conflicts or every extension loses weight, the carry
-    is undone and the dirty components are solved as above.
+    variable new since the last solve, is first carried instead. (The
+    cutting-plane loop grounds a negative-weight unit only once its atom
+    is true, so on an old variable: the rounds it carries add only hard
+    constraints.) Every old variable keeps its value L, the new
+    constraints are checked and propagated, and the new variables alone
+    are searched, 0 first in declared order, for the first leaf that loses
+    no weight. Where one exists, it is the new program's smallest optimum.
+    Projecting any feasible assignment of the new program onto the old
+    variables gives a feasible assignment of the old program that scores
+    no less, so the optimum cannot rise, and the leaf attains it. Every
+    optimum of the new program thus projects onto an optimum of the old
+    one, which is no smaller than L, and the old variables come first in
+    declared order; so no optimum is smaller than L extended by the
+    smallest lossless leaf. Where the check conflicts or every extension
+    loses weight, the carry is undone and the dirty components are solved
+    as above.
     """
     if program._search is None:
         program._search = _Search()
@@ -494,23 +492,19 @@ def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
 
 
 def _holds(con: LinearConstraint, assignment: Sequence[int]) -> bool:
-    lhs = sum(c * assignment[v] for v, c in con.terms)
-    return lhs >= con.bound if con.relation == ">=" else lhs <= con.bound
+    return sum(c * assignment[v] for v, c in con.terms) >= con.bound
 
 
 def dump(program: IlpProgram) -> str:
     """Serialize to the textual LP format, byte-stable across runs. Variables
     are named here alone, in declared order: ``x_`` and the atom's token,
-    plus ``_`` while distinct atoms mangle alike, or ``z_k`` for the k-th z."""
-    names, taken, clauses = [], set(), itertools.count(1)
+    plus ``_`` while distinct atoms mangle alike."""
+    names, taken = [], set()
     for atom in program.variables:
-        if atom is None:
-            name = f"z_{next(clauses)}"
-        else:
-            name = "x_" + atom_token(atom)
-            while name in taken:
-                name += "_"
-            taken.add(name)
+        name = "x_" + atom_token(atom)
+        while name in taken:
+            name += "_"
+        taken.add(name)
         names.append(name)
     lines = ["OBJECTIVE"]
     for var, weight in program.objective:

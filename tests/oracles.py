@@ -195,7 +195,7 @@ def enumerate_optima(program):
         lhs = np.zeros(1 << n, dtype=np.int64)
         for var, coef in con.terms:
             lhs += coef * cols[:, var].astype(np.int64)
-        feasible &= (lhs >= con.bound) if con.relation == ">=" else (lhs <= con.bound)
+        feasible &= lhs >= con.bound
     if not feasible.any():
         return None
 

@@ -147,6 +147,8 @@ def _random_program(rng):
             weight = Fraction(rng.randint(1, 20), 10)
         else:
             weight = Fraction(-rng.randint(1, 20), 10)
+        if weight is not INFINITE:  # a weighted clause is a unit
+            pos, neg = frozenset(chosen[:1]), frozenset()
         try:
             translate_clause(ViolatedClause(pos, neg, weight, "F3"), program, frozenset())
         except Infeasible:

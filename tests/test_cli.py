@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -448,6 +449,25 @@ class TestExitCodes:
         assert "both parts" in out
         code, _ = run_cli("solve", str(dup))
         assert code == 2
+
+    @pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+    def test_weights_beyond_float_range_end_in_a_report(self, tmp_path, capsys, sign):
+        # scores stay exact, but a probability is a float: exp of a score
+        # beyond float range is never taken
+        kb = tmp_path / "huge.kb"
+        kb.write_text(f"{sign}1{'0' * 400} A SUBCLASSOF B\n0.5 B SUBCLASSOF C\n")
+        query = tmp_path / "query.kb"
+        query.write_text("B SUBCLASSOF C\n")
+        code, out = run_cli("oracle", str(kb), "--format", "json")
+        assert code == 0
+        probabilities = [float(world["probability"]) for world in json.loads(out)["worlds"]]
+        assert len(probabilities) == 4
+        assert sum(probabilities) == pytest.approx(1)
+        code, out = run_cli("prob", str(kb), "--query", str(query), "--format", "json")
+        assert code == 0
+        # B SUBCLASSOF C holds in the worlds of weight 0.5 against those of 0
+        assert float(json.loads(out)["probability"]) == pytest.approx(1 / (1 + math.exp(-0.5)))
+        assert capsys.readouterr().err == ""
 
 
 

@@ -391,24 +391,28 @@ class TestMapInvariants:
 
     @pytest.mark.parametrize("domain", ["real", "integer"])
     def test_the_compiled_closure_meets_every_hard_constraint(self, domain):
-        # every hard constraint comes from a rule grounding or from COH, and
-        # the closure holds the facts, is closed and is coherent: so no MAP
-        # program is infeasible
+        # every constraint is hard and comes from a rule grounding or from
+        # COH, and the closure holds the facts, is closed and is coherent: so
+        # no MAP program is infeasible. Every variable is an atom's, and the
+        # objective is the uncertain statements' weights on their atoms, at
+        # most one entry per statement
         config = ReasonerConfig(domain=domain)
         rng = random.Random(23)
-        checked = 0
+        checked = entries = 0
         for _ in range(200):
             kb = random_kb(rng, max_uncertain=16)
             compiled = engine._compile(kb, config)
             program = ilp.IlpProgram()
             engine._cutting_planes(kb, compiled, config, program)
+            assert all(isinstance(a, Atom) for a in program.variables), kb
+            weighted = Counter((program.variables[v], w) for v, w in program.objective)
+            assert not weighted - Counter((phi(ws.statement), ws.weight) for ws in kb.uncertain), kb
+            entries += len(program.objective)
             assignment = [int(a in compiled.closure.atoms) for a in program.variables]
-            soft = {z for z, _ in program.objective}
             for con in program.constraints:
-                if not any(v in soft for v, _ in con.terms):
-                    assert ilp._holds(con, assignment), (kb, con)
-                    checked += 1
-        assert checked >= 500
+                assert ilp._holds(con, assignment), (kb, con)
+                checked += 1
+        assert checked >= 500 and entries >= 500, (checked, entries)
 
     @pytest.mark.parametrize("domain", ["real", "integer"])
     def test_each_translated_clause_declares_at_most_one_atom_variable(self, domain, monkeypatch):
@@ -422,7 +426,7 @@ class TestMapInvariants:
         def counting(clause, program, *args):
             before = len(program.variables)
             made = translate(clause, program, *args)
-            declared[sum(a is not None for a in program.variables[before:])] += 1
+            declared[len(program.variables) - before] += 1
             return made
 
         monkeypatch.setattr(ilp, "translate_clause", counting)

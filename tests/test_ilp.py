@@ -42,45 +42,49 @@ class TestTranslateClause:
     def test_single_literal_hard_clause(self):
         program = IlpProgram()
         made = translate_clause(clause(["p"], [], INFINITE), program, frozenset())
-        assert made == [LinearConstraint(((program.atom_var(atom("p")), 1),), ">=", 1)]
+        assert made == [LinearConstraint(((program.atom_var(atom("p")), 1),), 1)]
 
     def test_positive_weight_clause(self):
+        # a weighted unit makes no constraint: its weight goes on its atom
         program = IlpProgram()
-        made = translate_clause(clause(["p"], ["q"], Fraction(8, 10)), program, frozenset())
-        x_p = program.atom_var(atom("p"))
-        x_q = program.atom_var(atom("q"))
-        # variables are numbered in declaration order, the clause's z first
-        assert program.variables == [None, atom("p"), atom("q")]
-        assert made == [LinearConstraint(((x_p, 1), (x_q, -1), (0, -1)), ">=", -1)]
+        made = translate_clause(clause(["p"], [], Fraction(8, 10)), program, frozenset())
+        assert made == []
+        assert program.variables == [atom("p")]
         assert program.objective == [(0, Fraction(8, 10))]
 
     def test_negative_weight_clause(self):
         program = IlpProgram()
-        made = translate_clause(clause(["p", "q"], [], Fraction(-1, 2)), program, frozenset())
-        x_p = program.atom_var(atom("p"))
-        x_q = program.atom_var(atom("q"))
-        (constraint,) = made
-        assert constraint.relation == "<="
-        assert constraint.bound == 0
-        assert program.variables[0] is None  # the clause's z
-        assert dict(constraint.terms) == {x_p: 1, x_q: 1, 0: -2}
+        translate_clause(clause(["q"], [], INFINITE), program, frozenset())
+        made = translate_clause(clause(["p"], [], Fraction(-1, 2)), program, frozenset())
+        assert made == []
+        assert program.variables == [atom("q"), atom("p")]
+        assert program.objective == [(1, Fraction(-1, 2))]
+
+    def test_a_weighted_clause_must_be_a_positive_unit(self):
+        program = IlpProgram()
+        for pos, neg in ((["p", "q"], []), (["p"], ["q"]), ([], ["p"]), ([], [])):
+            with pytest.raises(ValueError):
+                translate_clause(clause(pos, neg, Fraction(1, 2)), program, frozenset())
+        assert program == IlpProgram()
 
     def test_declaration_order(self):
         # the lexicographic tie-break reads variables in declaration order: a
-        # soft clause declares its z before its atoms, also when the fixed
-        # atoms satisfy it and no constraint is made (weight 0 included)
+        # unit over a fixed atom is a constant and declares nothing (weight 0
+        # included); a unit over a new atom declares it
         program = IlpProgram()
         fixed = frozenset({atom("e")})
-        assert translate_clause(clause(["e"], ["p"], Fraction(1, 2)), program, fixed) == []
-        assert translate_clause(clause(["e"], ["p"], Fraction(0)), program, fixed) == []
-        assert program.variables == [None, None]
-        (made,) = translate_clause(clause(["e", "q"], ["p"], Fraction(-1, 2)), program, fixed)
+        for weight in (Fraction(1, 2), Fraction(0), Fraction(-1, 2)):
+            assert translate_clause(clause(["e"], [], weight), program, fixed) == []
+        assert program == IlpProgram()
+        assert translate_clause(clause(["q"], [], Fraction(-1, 2)), program, fixed) == []
+        (made,) = translate_clause(clause(["q"], ["e", "p"], INFINITE), program, fixed)
         x_q, x_p = program.atom_var(atom("q")), program.atom_var(atom("p"))
-        assert made == LinearConstraint(((x_q, 1), (x_p, -1), (2, -3)), "<=", -2)
-        assert program.variables == [None, None, None, atom("q"), atom("p")]
-        assert (x_q, x_p) == (3, 4)
+        assert made == LinearConstraint(((x_q, 1), (x_p, -1)), 0)
+        assert program.variables == [atom("q"), atom("p")]
+        assert (x_q, x_p) == (0, 1)
+        assert program.objective == [(0, Fraction(-1, 2))]
         assert translate_clause(clause(["e"], ["r"], INFINITE), program, fixed) == []
-        assert len(program.variables) == 5 and len(program.constraints) == 1
+        assert len(program.variables) == 2 and len(program.constraints) == 1
 
     def test_evidence_fixed_atoms_are_omitted(self):
         program = IlpProgram()
@@ -139,12 +143,13 @@ class TestSolve:
             solve(program)
 
     def test_lexicographic_tie_break(self):
-        # two optima: {a=1,b=0} and {a=0,b=1}; a declared first, so 0 wins there
+        # c is worth 1 and needs a or b: among the optima {a=1,b=0} and
+        # {a=0,b=1} (with c=1), a is declared first, so 0 wins there
         program = IlpProgram()
         x_a = program.atom_var(atom("a"))
         x_b = program.atom_var(atom("b"))
-        z = program.clause_var(Fraction(1))
-        program.constraints.append(LinearConstraint(((x_a, 1), (x_b, 1), (z, -1)), ">=", 0))
+        translate_clause(clause(["a", "b"], ["c"], INFINITE), program, frozenset())
+        translate_clause(clause(["c"], [], Fraction(1)), program, frozenset())
         assignment, value = solve(program)
         assert value == 1
         assert assignment[x_a] == 0
@@ -158,29 +163,31 @@ def _random_literals(rng: random.Random, names: list):
     return chosen[:split], chosen[split:]
 
 
+def _unit(pos: list, neg: list):
+    """A weighted clause is a unit: the first of its literals' names, unnegated."""
+    return (pos + neg)[:1], []
+
+
 def _random_program(rng: random.Random):
     program = IlpProgram()
     n_atoms = rng.randint(2, 8)
     names = [f"a{i}" for i in range(n_atoms)]
     n_clauses = rng.randint(1, 12)
-    z_budget = 15 - n_atoms
     for _ in range(n_clauses):
         pos, neg = _random_literals(rng, names)
         kind = rng.random()
-        if kind < 0.4 or z_budget == 0:
+        if kind < 0.4:
             weight = INFINITE
         elif kind < 0.75:
             weight = Fraction(rng.randint(1, 20), 10)
-            z_budget -= 1
+            pos, neg = _unit(pos, neg)
         else:
             weight = Fraction(-rng.randint(1, 20), 10)
-            z_budget -= 1
+            pos, neg = _unit(pos, neg)
         try:
             translate_clause(clause(pos, neg, weight), program, frozenset())
         except Infeasible:
             continue
-        if z_budget == 0 and len(program.variables) >= 15:
-            break
     return program
 
 
@@ -192,7 +199,7 @@ def _disjoint_union(first: IlpProgram, second: IlpProgram) -> IlpProgram:
     new = {kv: i for i, kv in enumerate(order)}
     return IlpProgram(
         variables=[parts[k].variables[v] for k, v in order],
-        constraints=[LinearConstraint(tuple((new[k, v], c) for v, c in con.terms), con.relation, con.bound)
+        constraints=[LinearConstraint(tuple((new[k, v], c) for v, c in con.terms), con.bound)
                      for k, p in enumerate(parts) for con in p.constraints],
         objective=[(new[k, v], w) for k, p in enumerate(parts) for v, w in p.objective],
     )
@@ -262,6 +269,8 @@ def test_matches_enumeration_on_adversarial_programs():
                 weight = Fraction(-rng.randint(1, 5), 10)
             else:
                 weight = Fraction(rng.randint(1, 30), 10)
+            if weight is not INFINITE:  # a unit over the first name drawn
+                pos, neg = frozenset((atom(chosen[0]),)), frozenset()
             try:
                 translate_clause(ViolatedClause(pos, neg, weight, "F3"), program, frozenset())
             except Infeasible:
@@ -307,12 +316,13 @@ def test_a_program_built_from_lists_knows_its_atoms():
     # the atom -> variable map comes from the given variables: a copy names
     # its atoms' variables, reports its true atoms and equals the original
     program = IlpProgram()
-    translate_clause(clause(["p"], ["q"], Fraction(1, 2)), program, frozenset())
+    translate_clause(clause(["p"], [], Fraction(1, 2)), program, frozenset())
+    translate_clause(clause(["q"], ["p"], INFINITE), program, frozenset())
     copy = _copy(program)
     assert copy == program
-    assert [copy.atom_var(atom(n)) for n in ("p", "q")] == [1, 2]
-    assert copy.variables == [None, atom("p"), atom("q")]
-    assert copy.true_atoms([0, 1, 0]) == {atom("p")}
+    assert [copy.atom_var(atom(n)) for n in ("p", "q")] == [0, 1]
+    assert copy.variables == [atom("p"), atom("q")]
+    assert copy.true_atoms([1, 0]) == {atom("p")}
     assert IlpProgram(variables=[atom("p")]).atom_var(atom("p")) == 0
 
 
@@ -330,9 +340,10 @@ def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
     # grow programs clause by clause and solve the same program after each
     # clause: the search kept on it must answer as a fresh copy does, infeasible
     # programs included, and as enumeration does while it can. After a solve,
-    # a clause of weight <= 0 is first carried (the last assignment extended
-    # to the new variables), which may fall back to a search; a clause of
-    # positive weight is never carried
+    # a hard clause or a unit of weight <= 0 on a new variable is first
+    # carried (the last assignment extended to the new variables), which may
+    # fall back to a search; a unit of positive weight or on an old variable
+    # is never carried
     carries = []
     carry = _Search._carry
 
@@ -343,7 +354,7 @@ def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
     monkeypatch.setattr(_Search, "_carry", counted)
     rng = random.Random(4242)
     seen = dict.fromkeys(("raised scale", "joined", "cancelled", "zero weight", "infeasible",
-                          "carried", "fell back", "skipped"), 0)
+                          "carried", "fell back", "skipped", "old variable"), 0)
     for _ in range(60):
         program = IlpProgram()
         solved = False
@@ -364,6 +375,8 @@ def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
                 weight = Fraction(0)
             else:
                 weight = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.choice((10, 10, 3, 7)))
+            if weight is not INFINITE:
+                pos, neg = _unit(pos, neg)
             before = _components(program)
             try:
                 made = translate_clause(clause(pos, neg, weight), program, frozenset())
@@ -386,9 +399,11 @@ def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
                 break
             carries.clear()
             assert solve(program) == expected
-            if solved and weight is not INFINITE and weight > 0:
+            old = weight is not INFINITE and program.objective[-1][0] in before
+            if solved and weight is not INFINITE and (weight > 0 or old):
                 assert carries == []
                 seen["skipped"] += 1
+                seen["old variable"] += old and weight <= 0
             elif solved:
                 (carried,) = carries
                 seen["carried" if carried else "fell back"] += 1
@@ -410,8 +425,11 @@ def test_tie_break_on_programs_with_many_optima():
         names = [f"t{i}" for i in range(rng.randint(3, 8))]
         for _ in range(rng.randint(2, 10)):
             pos, neg = _random_literals(rng, names)
+            weight = rng.choice(weights)
+            if weight is not INFINITE:
+                pos, neg = _unit(pos, neg)
             try:
-                translate_clause(clause(pos, neg, rng.choice(weights)), program, frozenset())
+                translate_clause(clause(pos, neg, weight), program, frozenset())
             except Infeasible:
                 continue
         if len(program.variables) > 16:
@@ -427,7 +445,7 @@ def test_tie_break_on_programs_with_many_optima():
 
 class TestKeptSearch:
     CLAUSES = (
-        clause(["p"], ["q"], Fraction(8, 10)),
+        clause(["p"], [], Fraction(8, 10)),
         clause(["r"], [], Fraction(-1, 3)),
         clause(["q", "r"], [], INFINITE),
         clause(["s"], ["s"], INFINITE),
@@ -456,16 +474,16 @@ class TestKeptSearch:
             solve(program)
 
     def test_weight_added_to_a_solved_variable(self):
-        # translate_clause never does this, but the program is public: a
-        # negative entry on an old variable must not be carried, as it can
+        # a negative-weight unit is grounded once its atom is true, so its
+        # entry lands on an old variable; it must not be carried, as it can
         # change which old values are optimal
         program = IlpProgram()
         translate_clause(clause(["p"], [], Fraction(1, 2)), program, frozenset())
         translate_clause(clause(["q"], [], Fraction(1, 2)), program, frozenset())
         translate_clause(clause([], ["p", "q"], INFINITE), program, frozenset())
-        assert solve(program) == ([0, 0, 1, 1], Fraction(1, 2))  # z_p, x_p, z_q, x_q
-        program.objective.append((2, Fraction(-1)))
-        assert solve(program) == solve(_copy(program)) == ([1, 1, 0, 0], Fraction(1, 2))
+        assert solve(program) == ([0, 1], Fraction(1, 2))  # x_p, x_q
+        translate_clause(clause(["q"], [], Fraction(-1)), program, frozenset())
+        assert solve(program) == solve(_copy(program)) == ([1, 0], Fraction(1, 2))
 
     def test_infeasible_after_a_merge(self):
         # the last clause merges p's component into the larger {q, r}, whose
@@ -484,12 +502,12 @@ class TestKeptSearch:
 class TestDump:
     def test_sections_and_stability(self):
         program = IlpProgram()
-        translate_clause(clause(["p"], ["q"], Fraction(8, 10)), program, frozenset())
+        translate_clause(clause(["p"], [], Fraction(8, 10)), program, frozenset())
         translate_clause(clause(["p"], [], INFINITE), program, frozenset())
         text = dump(program)
         assert text.splitlines()[0] == "OBJECTIVE"
         assert "CONSTRAINTS" in text and "BINARY" in text
-        assert "0.8 z_1" in text
+        assert "0.8 x_sub_p_p" in text
         assert "x_sub_p_p" in text
         assert dump(program) == text
 
@@ -498,25 +516,23 @@ class TestDump:
 
     def test_exact_text_of_a_hand_built_program(self):
         # the atom declared second takes a "_" suffix; a value's "-" and "/"
-        # mangle to "m" and "d"; z_k is the k-th clause variable
+        # mangle to "m" and "d"
         value = Atom("rsupEx", ("C", "f", "<=", Fraction(-1, 3)))
         program = IlpProgram()
         translate_clause(ViolatedClause(frozenset({self.NOMINAL}), frozenset(), Fraction(1, 2), "F3"), program)
         translate_clause(ViolatedClause(frozenset({self.NAMED}), frozenset({self.NOMINAL}), INFINITE, "F3"), program)
-        translate_clause(ViolatedClause(frozenset({value}), frozenset({self.NAMED}), Fraction(-3, 4), "F3"), program)
+        translate_clause(ViolatedClause(frozenset({value}), frozenset({self.NAMED}), INFINITE, "F3"), program)
+        translate_clause(ViolatedClause(frozenset({value}), frozenset(), Fraction(-3, 4), "F3"), program)
         assert dump(program) == (
             "OBJECTIVE\n"
-            "  0.5 z_1\n"
-            "  -0.75 z_2\n"
+            "  0.5 x_sub_C_nom_a\n"
+            "  -0.75 x_rsupEx_C_f_le_m1d3\n"
             "CONSTRAINTS\n"
-            "  +1 x_sub_C_nom_a -1 z_1 >= 0\n"
             "  +1 x_sub_C_nom_a_ -1 x_sub_C_nom_a >= 0\n"
-            "  +1 x_rsupEx_C_f_le_m1d3 -1 x_sub_C_nom_a_ -2 z_2 <= -1\n"
+            "  +1 x_rsupEx_C_f_le_m1d3 -1 x_sub_C_nom_a_ >= 0\n"
             "BINARY\n"
-            "  z_1\n"
             "  x_sub_C_nom_a\n"
             "  x_sub_C_nom_a_\n"
-            "  z_2\n"
             "  x_rsupEx_C_f_le_m1d3\n"
         )
 
@@ -527,11 +543,11 @@ class TestDump:
             "from fractions import Fraction\n"
             "from probel.grounding import ViolatedClause\n"
             "from probel.ilp import IlpProgram, dump, translate_clause\n"
-            "from probel.model import Nominal\n"
+            "from probel.model import INFINITE, Nominal\n"
             "from probel.translate import Atom\n"
             "atoms = frozenset({Atom('sub', ('C', Nominal('a'))), Atom('sub', ('C', 'nom_a'))})\n"
             "program = IlpProgram()\n"
-            "translate_clause(ViolatedClause(atoms, frozenset(), Fraction(1), 'F3'), program)\n"
+            "translate_clause(ViolatedClause(atoms, frozenset(), INFINITE, 'F3'), program)\n"
             "print(program.variables)\n"
             "print(dump(program), end='')\n"
         )
@@ -544,8 +560,8 @@ class TestDump:
             for seed in ("0", "1")
         ]
         assert outputs[0] == outputs[1]
-        assert outputs[0].splitlines()[0] == repr([None, self.NAMED, self.NOMINAL])
-        assert "+1 x_sub_C_nom_a +1 x_sub_C_nom_a_ -1 z_1 >= 0" in outputs[0]
+        assert outputs[0].splitlines()[0] == repr([self.NAMED, self.NOMINAL])
+        assert "+1 x_sub_C_nom_a +1 x_sub_C_nom_a_ >= 1" in outputs[0]
 
     def test_every_returned_assignment_checks_numerically(self):
         rng = random.Random(31)
@@ -556,5 +572,4 @@ class TestDump:
             except Infeasible:
                 continue
             for con in program.constraints:
-                lhs = sum(c * assignment[v] for v, c in con.terms)
-                assert (lhs >= con.bound) if con.relation == ">=" else (lhs <= con.bound)
+                assert sum(c * assignment[v] for v, c in con.terms) >= con.bound
