@@ -41,7 +41,10 @@ tree's ``src``, under a per-row wall-clock limit. A row records:
   whose decision calls are counted as ``decisions_found`` (a leaf that
   keeps the optimum) and ``decisions_refuted``; and ``carries_made`` and
   ``carries_failed``, the rounds whose last assignment was or was not
-  carried (``_carry``). A column whose method a tree lacks is left out;
+  carried (``_carry``). A component with no constraint is set in closed
+  form where a tree has it, with no ``_dfs`` or ``_lexmin`` call, so it
+  adds to neither ``optimum_s`` nor ``tiebreak_s`` nor the decision
+  counts. A column whose method a tree lacks is left out;
 - for ``oracle``, ``worlds``: the number of distinct coherent worlds;
 - ``report_sha256``: the digest of the report on standard output.
 

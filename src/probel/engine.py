@@ -63,7 +63,7 @@ from .grounding import (
     incoherence_atoms,
     saturate,
 )
-from .model import INFINITE, KnowledgeBase, WeightedStatement, validate
+from .model import INFINITE, KnowledgeBase, WeightedStatement, exact_sum, validate
 from .translate import atom_sort_key, phi, phi_inverse, rule_templates
 
 _MAX_ITERATIONS = 100_000
@@ -304,18 +304,13 @@ def _cutting_planes(
         current = fixed_true | program.true_atoms(assignment)
 
     selected, rejected = [], []
-    objective = Fraction(0)
     for ws, unit in zip(kb.uncertain, compiled.units):
-        if unit.atom in current:
-            selected.append(ws)
-            objective += ws.weight
-        else:
-            rejected.append(ws)
+        (selected if unit.atom in current else rejected).append(ws)
     return MapResult(
         atoms=current,
         selected=tuple(selected),
         rejected=tuple(rejected),
-        objective=objective,
+        objective=exact_sum(ws.weight for ws in selected),
         iterations=iterations,
     )
 

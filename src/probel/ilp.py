@@ -15,12 +15,14 @@ exactly and deterministically:
   is kept up to date the same way. Assignments go on a trail that is
   undone on backtracking, and an explicit stack replaces recursion.
 - The program is split into connected components of its constraint graph,
-  each solved on its own: branch and bound finds a component's optimum,
-  and a walk in declared order from its best leaf gives the component's
-  lexicographically smallest optimal assignment (lexicographic
-  optimization as one optimization plus decision calls, Marques-Silva,
-  Argelich, Graca & Lynce 2011). ``solve`` shows why these make up the
-  smallest optimum of the whole program.
+  each solved on its own. A component with no constraint is one variable,
+  set in closed form: 1 when its weight is positive, else 0. Otherwise
+  branch and bound finds a component's optimum, and a walk in declared
+  order from its best leaf gives the component's lexicographically
+  smallest optimal assignment (lexicographic optimization as one
+  optimization plus decision calls, Marques-Silva, Argelich, Graca & Lynce
+  2011). ``solve`` shows why these make up the smallest optimum of the
+  whole program.
 - Programs are append-only, and the search is kept on the program across
   solves (Een & Sorensson 2003): each cutting-plane round takes in only
   the new variables, objective entries and constraints. A round that adds
@@ -38,7 +40,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .model import Nominal, format_value, is_infinite
+from .model import Nominal, exact_sum, format_value, is_infinite
 from .translate import Atom, atom_sort_key
 
 
@@ -170,7 +172,7 @@ class _Search:
     the larger. A root is dirty when its component gains a variable, an
     objective entry or a constraint, or merges with another component.
     ``solve`` first tries ``_carry``, whose work is only what was appended;
-    failing that, it searches the dirty components only and keeps the
+    failing that, it solves the dirty components only and keeps the
     values of every other one.
     """
 
@@ -406,11 +408,16 @@ class _Search:
         """(values, scaled optimum), or None when the program is infeasible.
 
         Carries the last solve's assignment where ``_carry`` can; else
-        searches the dirty components, which share no variable, in any order.
+        solves the dirty components, which share no variable, in any order:
+        one with no constraint in closed form, any other by search.
         """
-        weight = self.weight
+        weight, value = self.weight, self.value
         if self.carried is None or not self._carry(*self.carried):
             for root in self.dirty:
+                if not self.cons[root]:
+                    (var,) = self.members[root]  # only a constraint merges components
+                    value[var] = int(weight[var] > 0)
+                    continue
                 variables = sorted(self.members[root])
                 if not self._root(variables, self.cons[root]):
                     return None
@@ -423,8 +430,8 @@ class _Search:
                 return None
         self.dirty.clear()
         self.cancelled.clear()
-        self.carried = len(self.value), len(self.slack)
-        return self.value[:], sum(w for w, x in zip(weight, self.value) if x)
+        self.carried = len(value), len(self.slack)
+        return value[:], sum(w for w, x in zip(weight, value) if x)
 
 
 def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
@@ -447,8 +454,12 @@ def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
     reaches the optimum with a 0 there (in the first pass's branch order)
     either finds one, which becomes the witness, or proves that 1 it must
     be. The walk ends at the component's lexicographically smallest optimal
-    assignment. The components share no variable or constraint, so an
-    assignment is optimal exactly when each component's part is, and
+    assignment. A component with no constraint is a single variable, since
+    only a constraint merges two components. Its feasible values are 0 and
+    1 and its optimum is max(0, w) for its summed weight w, so its smallest
+    optimum is 1 when w > 0 and 0 otherwise (0 at w = 0), which it is set
+    to with no search. The components share no variable or constraint, so
+    an assignment is optimal exactly when each component's part is, and
     comparing two optimal assignments in declared order is comparing their
     component parts. Hence the union of each component's smallest optimum
     is the lexicographically smallest optimal assignment of the whole
@@ -487,7 +498,7 @@ def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
     assignment, scaled = solved
     optimum = Fraction(scaled, search.scale)
     assert all(_holds(con, assignment) for con in program.constraints)
-    assert sum((w for v, w in program.objective if assignment[v]), Fraction(0)) == optimum
+    assert exact_sum(w for v, w in program.objective if assignment[v]) == optimum
     return assignment, optimum
 
 

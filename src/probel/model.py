@@ -15,7 +15,7 @@ class, so ``Gci('A', 'B')`` is not ``Equiv('A', 'B')``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Iterable, NamedTuple, Optional, Tuple, Union
 
 TOP = "TOP"
 BOT = "BOT"
@@ -218,6 +218,23 @@ Weight = Union[Fraction, _InfiniteWeight]
 
 def is_infinite(weight: Weight) -> bool:
     return weight is INFINITE
+
+
+def exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """The exact sum of rationals, ``Fraction(0)`` when there is none.
+
+    The numerators are added as ints per denominator, and one ``Fraction``
+    is made per denominator: adding ``Fraction``s one at a time takes a gcd
+    at every step.
+    """
+    numerators = {}
+    for value in values:
+        den = value.denominator
+        numerators[den] = numerators.get(den, 0) + value.numerator
+    total = Fraction(0)
+    for den, num in numerators.items():
+        total += Fraction(num, den)
+    return total
 
 
 def format_value(value: Fraction) -> str:

@@ -132,7 +132,7 @@ def test_criterion_4_engine_oracle_equivalence(map_sweep):
 
 def _random_program(rng):
     program = IlpProgram()
-    atoms = [Atom("sub", (f"a{i}", f"a{i}")) for i in range(rng.randint(3, 9))]
+    atoms = [Atom("sub", (f"a{i}", f"a{i}")) for i in range(rng.randint(3, 16))]
     while len(program.constraints) < rng.randint(4, 40):
         size = rng.randint(1, 3)
         chosen = rng.sample(atoms, min(size, len(atoms)))

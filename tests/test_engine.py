@@ -105,7 +105,7 @@ class TestEdgeCases:
         sig = make_signature(concepts=("A", "B"))
         kb = KnowledgeBase(sig, (WeightedStatement(Gci("A", "B"), INFINITE),), ())
         result = map_inference(kb)
-        assert result.objective == 0
+        assert result.objective == 0 and type(result.objective) is Fraction
         assert result.selected == ()
         assert Gci("A", "B") in result.classified
         templates = rule_templates(sig)

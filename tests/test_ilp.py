@@ -156,6 +156,56 @@ class TestSolve:
         assert assignment[x_b] == 1
 
 
+class TestClosedForm:
+    """A component with no constraint is one variable, set to 1 exactly
+    when its summed weight is positive."""
+
+    def test_constraint_free_variables_beside_constrained_components(self):
+        # free variables of positive, negative and zero weight and one whose
+        # two entries cancel, declared between two constrained components
+        program = IlpProgram()
+        translate_clause(clause(["p"], [], Fraction(3, 4)), program, frozenset())
+        translate_clause(clause(["a", "b"], ["c"], INFINITE), program, frozenset())
+        translate_clause(clause(["n"], [], Fraction(-2, 3)), program, frozenset())
+        translate_clause(clause(["z"], [], Fraction(0)), program, frozenset())
+        translate_clause(clause(["h"], [], Fraction(1, 2)), program, frozenset())
+        translate_clause(clause(["h"], [], Fraction(-1, 2)), program, frozenset())
+        translate_clause(clause(["c"], [], Fraction(1)), program, frozenset())
+        translate_clause(clause(["d"], ["e"], INFINITE), program, frozenset())
+        translate_clause(clause(["e"], [], Fraction(1, 10)), program, frozenset())
+        translate_clause(clause(["d"], [], Fraction(-1, 5)), program, frozenset())
+        assignment, value = solve(program)
+        assert (assignment, value) == enumerate_solve(program)
+        free = {name: assignment[program.atom_var(atom(name))] for name in "pnzh"}
+        assert free == {"p": 1, "n": 0, "z": 0, "h": 0}
+        assert value == Fraction(3, 4) + 1  # p and c; e is not worth the d it needs
+
+    def test_no_search_without_constraints(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a constraint-free component was searched")
+
+        monkeypatch.setattr(_Search, "_dfs", refused)
+        program = IlpProgram()
+        for name, weight in (("p", Fraction(1, 3)), ("n", Fraction(-1)), ("z", Fraction(0)),
+                             ("h", Fraction(1, 2)), ("h", Fraction(-1, 2)), ("q", Fraction(2, 7))):
+            translate_clause(clause([name], [], weight), program, frozenset())
+        assert solve(program) == ([1, 0, 0, 0, 1], Fraction(1, 3) + Fraction(2, 7))
+
+    def test_a_free_variable_that_gains_a_constraint(self):
+        # p, q and r are solved alone first, then constraints join them and
+        # the kept search must answer as a fresh one does: q drops out
+        program = IlpProgram()
+        translate_clause(clause(["p"], [], Fraction(1, 2)), program, frozenset())
+        translate_clause(clause(["q"], [], Fraction(2, 3)), program, frozenset())
+        translate_clause(clause(["r"], [], Fraction(-1, 4)), program, frozenset())
+        assert solve(program) == ([1, 1, 0], Fraction(7, 6))
+        translate_clause(clause([], ["p", "q"], INFINITE), program, frozenset())
+        translate_clause(clause(["r"], ["q"], INFINITE), program, frozenset())
+        expected = solve(_copy(program))
+        assert solve(program) == expected == enumerate_solve(program)
+        assert expected == ([1, 0, 0], Fraction(1, 2))
+
+
 def _random_literals(rng: random.Random, names: list):
     """One to three distinct names, split into positive and negated literals."""
     chosen = rng.sample(names, min(rng.randint(1, 3), len(names)))
@@ -170,7 +220,7 @@ def _unit(pos: list, neg: list):
 
 def _random_program(rng: random.Random):
     program = IlpProgram()
-    n_atoms = rng.randint(2, 8)
+    n_atoms = rng.randint(2, 14)
     names = [f"a{i}" for i in range(n_atoms)]
     n_clauses = rng.randint(1, 12)
     for _ in range(n_clauses):

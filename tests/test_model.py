@@ -1,3 +1,4 @@
+import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -22,6 +23,7 @@ from probel.model import (
     RoleInclusion,
     TOP,
     WeightedStatement,
+    exact_sum,
     format_value,
     is_normal_form,
     make_signature,
@@ -204,3 +206,23 @@ class TestFormatValue:
     )
     def test_exact_rendering(self, value, expected):
         assert format_value(value) == expected
+
+
+class TestExactSum:
+    def test_empty_and_cancelling_sums_are_fractions(self):
+        for weights in ((), (Fraction(1, 2), Fraction(-1, 2), Fraction(10**400), Fraction(-(10**400)))):
+            total = exact_sum(weights)
+            assert total == 0 and type(total) is Fraction
+
+    def test_matches_fraction_addition_on_drawn_weights(self):
+        # mixed denominators and signs, and numerators of 400 digits like
+        # those of weights beyond float range
+        rng = random.Random(25)
+        for _ in range(200):
+            weights = []
+            for _ in range(rng.randint(0, 30)):
+                top = 10**400 if rng.random() < 0.2 else 50
+                weights.append(Fraction(rng.randint(-top, top), rng.choice((1, 2, 3, 7, 10, 100, 10**400))))
+            total = exact_sum(iter(weights))
+            assert total == sum(weights, Fraction(0))
+            assert type(total) is Fraction
