@@ -2,7 +2,8 @@
 
 Subcommands: solve (MAP inference), classify (deterministic saturation),
 prob (exact query probability via the enumeration oracle), oracle (full
-world distribution), dump-ilp (first-iteration program in the LP text
+world distribution), dump-ilp (the program of the cutting-plane loop's
+round 0, which starts from the deterministic closure, in the LP text
 format), check (parse and validation diagnostics).
 
 Exit codes: 0 success, 1 incoherent deterministic KB, 2 parse or validation
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prob.add_argument("--query", required=True, help="file with normal-form query statements")
     command("oracle", "full world distribution by exhaustive enumeration",
             "--format", "--max-worlds", "--domain")
-    command("dump-ilp", "first-iteration ILP in the LP text format", "--domain")
+    command("dump-ilp", "round-0 ILP, from the deterministic closure, in the LP text format", "--domain")
     command("check", "validate and report diagnostics", "--format")
     return parser
 

@@ -4,26 +4,24 @@ Every entry point compiles the KB once (``_compile``): it validates it,
 builds the facts of the body-less rules and the evidence atoms, and closes
 the deterministic part, which must be coherent. The rules with a body are
 the same for every KB, and every KB grounds them through the calculus's
-one plan table, ``grounding.CALCULUS``. MAP inference then starts from
-the deterministic evidence, repeatedly grounds only the clauses violated
-by the current solution, translates them into the ILP and re-solves
-(``_cutting_planes``). Each round's grounding is one pass over
-what its assignment adds to a base closure, or over all of it where the
-assignment has dropped an atom of the base. Round 0's base is the empty
-closure, so it joins the deterministic evidence in full. Round 1's is the
-compiled closure, which is closed and coherent and so falsifies no
-grounding, and round t's is round t-1's assignment, whose violated clauses
-were all reported then and are already added. The atoms true in every
-world, those of the deterministic statements and the facts of the
-body-less rules (F1, F2, UNA), are substituted out of the ILP, and the loop
-stops once no violated clause is new and all of them hold. The final
-assignment is the most probable coherent deductively closed world. Its ILP
-is never infeasible: every hard constraint comes from a rule grounding or
-from COH, and the compiled closure, which holds the facts, is closed under
-the rules with a body and is coherent, meets them all.
+one plan table, ``grounding.CALCULUS``. Every world holds that compiled
+closure, the facts among its atoms, so they are substituted out of the ILP.
+MAP inference (``_cutting_planes``) then repeats one round: solve the
+program, ground only the clauses its world violates, translate the new ones
+into the program. It stops when no violated clause is new. Each round's
+grounding is one pass over what its world adds to a base closure, or over
+all of it where the world has dropped an atom of the base. Round 0's base
+is the compiled closure, which falsifies no grounding; from an empty
+program its world is that closure too, so it finds only the evidence units
+the closure violates. Round t's base is round t-1's world, whose violated
+clauses were all reported then and are already added. The final
+world is the most probable coherent deductively closed world. Its ILP is
+never infeasible: every hard constraint comes from a rule grounding or from
+COH, and the compiled closure, which holds the facts, is closed under the
+rules with a body and is coherent, meets them all.
 ``explain_selection`` runs the same loop once per uncertain statement, from
-a program holding one FORCE clause that flips it, and reports an
-infeasible flip as incoherent. The probability-side counterpart is
+a program holding one FORCE clause that flips it, which round 0 solves
+before it grounds, and reports an infeasible flip as incoherent. The probability-side counterpart is
 computed by the subset-enumeration oracle, with scores kept as exact
 rationals inside formal sums of exponentials.
 
@@ -219,15 +217,13 @@ class MapResult(_MapFields):
 
 
 class _CompiledKB(NamedTuple):
-    """A validated KB: the deterministic and uncertain evidence atoms, the
-    coherent closure of the deterministic part with its chase index, and the
-    atoms fixed true in every world (the deterministic atoms and the facts).
-    Its rules are every KB's, grounded through CALCULUS."""
+    """A validated KB: its uncertain evidence atoms, and the coherent closure
+    of the deterministic part with its chase index, whose atoms, the facts
+    of the body-less rules among them, hold in every world. Its rules are
+    every KB's, grounded through CALCULUS."""
 
-    det_atoms: frozenset
     units: tuple
     closure: Closure
-    fixed_true: frozenset
 
 
 def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = None) -> _CompiledKB:
@@ -239,16 +235,14 @@ def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = Non
     if cap is not None and len(kb.uncertain) > cap:
         raise EnumerationCapExceeded(len(kb.uncertain), cap)
     templates = rule_templates(kb.signature)
-    det_atoms = frozenset(phi(ws.statement) for ws in kb.deterministic)
     units = tuple(
         EvidenceAtom(phi(ws.statement), ws.weight, index) for index, ws in enumerate(kb.uncertain)
     )
-    closure = saturate(templates, det_atoms, domain=config.domain)
+    closure = saturate(templates, (phi(ws.statement) for ws in kb.deterministic), domain=config.domain)
     bad = incoherence_atoms(closure.atoms)
     if bad:
         raise IncoherentDeterministic(_incoherent_core(kb, templates, config.domain), bad)
-    fixed_true = det_atoms.union(*(t.facts for t in templates))
-    return _CompiledKB(det_atoms, units, closure, fixed_true)
+    return _CompiledKB(units, closure)
 
 
 def _incoherent_core(kb, templates, domain) -> list:
@@ -274,25 +268,26 @@ def _statements(atoms) -> tuple:
 def _cutting_planes(
     kb: KnowledgeBase, compiled: _CompiledKB, config: ReasonerConfig, program: ilp.IlpProgram
 ) -> MapResult:
-    """Run the cutting-plane loop from ``program``: find violated clauses,
-    translate them into the program, re-solve, and stop when every violated
-    clause is already accounted for and every fixed-true atom holds.
+    """Run the cutting-plane loop from ``program``: solve it, find the
+    clauses its world violates, and stop when none is new; otherwise
+    translate them into the program and go round again.
 
-    Round 0 searches ``det_atoms`` from the empty closure, so it joins them
-    in full. Round 1 searches from the compiled closure, which falsifies no
-    grounding, so it finds every violated clause; each later round searches
-    from the previous round's assignment, whose violated clauses are all in
-    ``added``. So every round's fresh clauses are those of a full join."""
-    fixed_true = compiled.fixed_true
+    Every world holds the compiled closure, so its atoms are substituted
+    out of the program. Round 0 searches from the compiled closure, which
+    falsifies no grounding, and each later round from the previous round's
+    world, whose violated clauses are all in ``added``: so every round's
+    fresh clauses are those of a full join."""
+    fixed_true = compiled.closure.atoms
     added = set()
-    current = compiled.det_atoms
-    base = Closure.of(frozenset())
+    base = compiled.closure
     iterations = 0
     while True:
+        assignment, _ = ilp.solve(program)
+        current = fixed_true | program.true_atoms(assignment)
         violated = find_violated(CALCULUS, compiled.units, current, config.domain, base)
-        base = violated.closure if iterations else compiled.closure
+        base = violated.closure
         fresh = [g for g in violated if g not in added]
-        if not fresh and fixed_true <= current:
+        if not fresh:
             break
         iterations += 1
         if iterations > _MAX_ITERATIONS:
@@ -300,8 +295,6 @@ def _cutting_planes(
         for clause in fresh:
             added.add(clause)
             ilp.translate_clause(clause, program, fixed_true)
-        assignment, _ = ilp.solve(program)
-        current = fixed_true | program.true_atoms(assignment)
 
     selected, rejected = [], []
     for ws, unit in zip(kb.uncertain, compiled.units):
@@ -326,11 +319,13 @@ def map_inference(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_CONFIG) ->
 
 
 def first_iteration_program(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_CONFIG) -> ilp.IlpProgram:
-    """The ILP after translating the first round of violated clauses."""
+    """The ILP after translating the loop's round 0: the evidence units the
+    compiled closure violates, translated against the closure."""
     compiled = _compile(kb, config)
+    closure = compiled.closure
     program = ilp.IlpProgram()
-    for clause in find_violated(CALCULUS, compiled.units, compiled.det_atoms, domain=config.domain):
-        ilp.translate_clause(clause, program, compiled.fixed_true)
+    for clause in find_violated(CALCULUS, compiled.units, closure.atoms, config.domain, closure):
+        ilp.translate_clause(clause, program, closure.atoms)
     return program
 
 
@@ -480,7 +475,7 @@ def explain_selection(kb: KnowledgeBase, result: MapResult, config: ReasonerConf
         )
         program = ilp.IlpProgram()
         try:
-            ilp.translate_clause(force, program, compiled.fixed_true)
+            ilp.translate_clause(force, program, compiled.closure.atoms)
             delta = result.objective - _cutting_planes(kb, compiled, config, program).objective
         except ilp.Infeasible:
             delta = None

@@ -31,11 +31,10 @@ id. Two callers run passes:
   cutting-plane loop, never a fact. Its delta is what the assignment adds
   to a base, the Closure of an earlier assignment, so a grounding the base
   falsifies too may be skipped; if the assignment has left the base, all
-  of it is the delta. The loop's base is the empty closure in round 0,
-  the compiled deterministic closure, which falsifies no grounding, in
-  round 1, and the previous round's assignment after that; a clause it
-  skips was reported by the round that searched the base, so it is never
-  fresh.
+  of it is the delta. The loop's base is the compiled deterministic
+  closure, which falsifies no grounding, in round 0, and the previous
+  round's assignment after that; a clause it skips was reported by the
+  round that searched the base, so it is never fresh.
 
 A pass indexes only its delta and merges that into the old atoms' index
 (_merge), copying the two dicts and concatenating only the lists the

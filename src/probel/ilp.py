@@ -127,12 +127,12 @@ def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozen
     A weighted clause must be a positive unit, an evidence clause: its
     weight goes on its atom's variable, and no constraint is made. A hard
     clause becomes one constraint, at least one literal true. Atoms fixed
-    true in every world, by the deterministic statements and by the facts
-    of the body-less rules (F1, F2, UNA), are substituted out: a unit over
-    one adds only a constant to the objective and is dropped, a positive
-    literal over one satisfies a hard clause outright, and a negated
-    literal over one can never help and is omitted from the sum. A hard
-    clause left with no literal raises ``Infeasible``.
+    true in every world, those of the deterministic part's closure, which
+    holds the facts of the body-less rules (F1, F2, UNA), are substituted
+    out: a unit over one adds only a constant to the objective and is
+    dropped, a positive literal over one satisfies a hard clause outright,
+    and a negated literal over one can never help and is omitted from the
+    sum. A hard clause left with no literal raises ``Infeasible``.
     """
     if not is_infinite(clause.weight):
         if len(clause.positive) != 1 or clause.negative:

@@ -1,8 +1,10 @@
 import gc
+import importlib.util
 import random
 import re
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from probel.engine import (
     probability_of,
 )
 from probel.grounding import CALCULUS, find_violated, incoherence_atoms, saturate
-from probel.kbformat import KEYWORDS, parse_kb, serialize_kb
+from probel.kbformat import KEYWORDS, MAX_NESTING, parse_kb, serialize_kb
 from probel.model import (
     And,
     BOT,
@@ -395,11 +397,12 @@ class TestMapInvariants:
         # COH, and the closure holds the facts, is closed and is coherent: so
         # no MAP program is infeasible. Every variable is an atom's, and the
         # objective is the uncertain statements' weights on their atoms, at
-        # most one entry per statement
+        # most one entry per statement. The closure's atoms are substituted
+        # out, so programs are small: 200 KBs give fewer than 500 constraints
         config = ReasonerConfig(domain=domain)
         rng = random.Random(23)
         checked = entries = 0
-        for _ in range(200):
+        for _ in range(300):
             kb = random_kb(rng, max_uncertain=16)
             compiled = engine._compile(kb, config)
             program = ilp.IlpProgram()
@@ -600,30 +603,31 @@ class TestDistribution:
 
 
 class TestRoundsFromTheDelta:
-    """Round 0 joins the deterministic evidence in full; every later round
-    grounds only around what the last solve changed, from the compiled
-    closure and then from the previous assignment. Its fresh clauses must be
-    those of a full join."""
+    """Each round solves the program, then grounds only around what the
+    solve changed: round 0 from the compiled closure, every later round from
+    the previous round's world. Its fresh clauses must be those of a full
+    join."""
 
     @staticmethod
     def full_join_loop(compiled, config, program):
         """_cutting_planes with every round joined in full: the fresh clause
-        list of each round, the final world, and whether some round after
-        the first made an atom false that the round before made true."""
-        added, rounds, shrank = set(), [], False
-        current, previous = compiled.det_atoms, None
+        list of each round, the final world, and whether some solve made an
+        atom false that the solve before made true."""
+        fixed_true = compiled.closure.atoms
+        added, rounds, shrank, previous = set(), [], False, None
         while True:
+            assignment, _ = ilp.solve(program)
+            current = fixed_true | program.true_atoms(assignment)
+            shrank |= previous is not None and not previous <= current
             violated = find_violated(CALCULUS, compiled.units, current, domain=config.domain)
             fresh = [g for g in violated if g not in added]
-            if not fresh and compiled.fixed_true <= current:
+            if not fresh:
                 return rounds, current, shrank
             rounds.append(fresh)
             for clause in fresh:
                 added.add(clause)
-                ilp.translate_clause(clause, program, compiled.fixed_true)
-            assignment, _ = ilp.solve(program)
-            current, previous = compiled.fixed_true | program.true_atoms(assignment), current
-            shrank |= len(rounds) > 1 and not previous <= current
+                ilp.translate_clause(clause, program, fixed_true)
+            previous = current
 
     @pytest.mark.parametrize("domain", ["real", "integer"])
     def test_rounds_match_a_full_join_every_round(self, domain, monkeypatch):
@@ -637,7 +641,7 @@ class TestRoundsFromTheDelta:
             reference = ilp.IlpProgram()
             expected, world, removed = self.full_join_loop(compiled, config, reference)
             shrank |= removed
-            rounds = [[]]  # the clauses translated before each solve
+            rounds = []  # the clauses translated after each solve
             with monkeypatch.context() as patch:
                 patch.setattr(ilp, "translate_clause", lambda clause, *args: rounds[-1].append(clause) or translate(clause, *args))
                 patch.setattr(ilp, "solve", lambda program: rounds.append([]) or solve(program))
@@ -689,7 +693,8 @@ class TestExplain:
 
 class TestFactsOutOfTheIlp:
     """The facts of the body-less rules (F1, F2, UNA) hold in every world, so
-    they are substituted out of the ILP as the deterministic atoms are."""
+    they are substituted out of the ILP with the rest of the compiled
+    closure."""
 
     @staticmethod
     def atoms_of(program) -> frozenset:
@@ -712,30 +717,98 @@ class TestFactsOutOfTheIlp:
             assert facts <= result.atoms
 
     def test_round_one_of_only_facts_still_counts(self):
-        # round 1 violates no clause, yet it is a round exactly when the
-        # deterministic evidence lacks a fact
-        for text, rounds in (
-            ("-0.5 A SUBCLASSOF B\n", 1),
-            ("-0.5 TOP SUBCLASSOF BOT\n", 1),
-            ("TOP SUBCLASSOF TOP\nBOT SUBCLASSOF BOT\nBOT SUBCLASSOF TOP\n-0.5 TOP SUBCLASSOF BOT\n", 0),
+        # the loop starts from the compiled closure, which holds the facts:
+        # whether or not the deterministic statements name them, a KB whose
+        # only statement has a negative weight violates nothing and takes no
+        # round
+        for text in (
+            "-0.5 A SUBCLASSOF B\n",
+            "-0.5 TOP SUBCLASSOF BOT\n",
+            "TOP SUBCLASSOF TOP\nBOT SUBCLASSOF BOT\nBOT SUBCLASSOF TOP\n-0.5 TOP SUBCLASSOF BOT\n",
         ):
             result = map_inference(parse_kb(text).kb)
-            assert result.iterations == rounds, text
+            assert result.iterations == 0, text
             assert result.objective == 0
 
     @pytest.mark.parametrize(
         "text",
-        ["0.5 A SUBCLASSOF TOP\n", "0.5 A SUBCLASSOF A\n", "-0.4 B SUBCLASSOF TOP\n", "-0.5 A SUBCLASSOF BOT\n"],
+        [
+            "0.5 A SUBCLASSOF TOP\n",
+            "0.5 A SUBCLASSOF A\n",
+            "-0.4 B SUBCLASSOF TOP\n",
+            "-0.5 A SUBCLASSOF BOT\n",
+            "TOP SUBCLASSOF TOP\nBOT SUBCLASSOF BOT\nBOT SUBCLASSOF TOP\n-0.5 TOP SUBCLASSOF BOT\n",
+        ],
     )
     def test_forcing_a_fact_out_is_incoherent(self, text):
         # a fact forced out leaves a hard clause with no literal, and
-        # translate_clause raises; A forced under BOT is infeasible only when
-        # the loop solves the program with COH's clause added
+        # translate_clause raises; a concept forced under BOT is infeasible
+        # only when the loop solves the program with COH's clause added. With
+        # every fact stated, the closure violates nothing, so the FORCE
+        # program must be solved before the first grounding
         kb = parse_kb(text).kb
         result = map_inference(kb)
         (entry,) = explain_selection(kb, result)
         assert entry.selected is not text.endswith("BOT\n")
         assert entry.delta is None
+
+
+def _deterministic_g_kb() -> str:
+    """An unweighted G(40, 100, 6) KB from the benchmark's generator, which
+    imports nothing from probel: 100 deterministic statements, no BOT."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.g_kb(random.Random(5), 40, 100, 6, weighted=False)
+
+
+class TestLoopFromTheClosure:
+    """Every world holds the compiled closure, so its atoms are no ILP
+    variables and the loop starts from it: a KB with nothing uncertain takes
+    no round, and a statement the deterministic part entails is selected
+    and cannot be flipped."""
+
+    NESTED = f"C SUBCLASSOF {'r SOME ({a} AND ' * MAX_NESTING}B{')' * MAX_NESTING}\n"
+
+    @pytest.fixture(scope="class", params=["nested", "g_kb"])
+    def deterministic_kb(self, request):
+        kb = parse_kb(self.NESTED if request.param == "nested" else _deterministic_g_kb()).kb
+        assert kb.deterministic and not kb.uncertain
+        return kb
+
+    @pytest.mark.parametrize("domain", ["real", "integer"])
+    def test_a_deterministic_kb_takes_no_round_and_an_empty_ilp(self, deterministic_kb, domain):
+        config = ReasonerConfig(domain=domain)
+        compiled = engine._compile(deterministic_kb, config)
+        program = ilp.IlpProgram()
+        result = engine._cutting_planes(deterministic_kb, compiled, config, program)
+        assert result.iterations == 0
+        assert program == ilp.IlpProgram()
+        assert engine.first_iteration_program(deterministic_kb, config) == ilp.IlpProgram()
+        assert result.atoms == compiled.closure.atoms
+        assert result.objective == 0
+
+    def test_its_classified_world_is_classify_s(self, deterministic_kb):
+        assert map_inference(deterministic_kb).classified == classify_deterministic(deterministic_kb)
+
+    def test_an_entailed_statement_adds_no_variable_and_cannot_be_flipped(self):
+        # A SUBCLASSOF C follows from the deterministic part whatever its
+        # weight; C SUBCLASSOF D does not, and it alone brings variables
+        kb = parse_kb(
+            "A SUBCLASSOF B\nB SUBCLASSOF C\n0.7 A SUBCLASSOF C\n-0.4 A SUBCLASSOF C\n0.5 C SUBCLASSOF D\n"
+        ).kb
+        entailed = Atom("sub", ("A", "C"))
+        compiled = engine._compile(kb, engine.DEFAULT_CONFIG)
+        assert entailed in compiled.closure.atoms
+        program = ilp.IlpProgram()
+        result = engine._cutting_planes(kb, compiled, engine.DEFAULT_CONFIG, program)
+        assert program.variables and entailed not in program.variables
+        assert not set(program.variables) & compiled.closure.atoms
+        assert [ws.statement for ws in result.selected] == [Gci("A", "C"), Gci("A", "C"), Gci("C", "D")]
+        assert result.objective == Fraction(8, 10)
+        entries = explain_selection(kb, result)
+        assert [e.delta for e in entries] == [None, None, Fraction(1, 2)]
 
 
 def test_validation_and_inference_leave_no_cyclic_garbage():

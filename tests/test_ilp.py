@@ -222,7 +222,7 @@ def _random_program(rng: random.Random):
     program = IlpProgram()
     n_atoms = rng.randint(2, 14)
     names = [f"a{i}" for i in range(n_atoms)]
-    n_clauses = rng.randint(1, 12)
+    n_clauses = rng.randint(1, 24)
     for _ in range(n_clauses):
         pos, neg = _random_literals(rng, names)
         kind = rng.random()
@@ -271,13 +271,14 @@ def _assert_union_matches(first, second):
 
 def test_matches_enumeration_on_random_programs():
     rng = random.Random(99)
-    checked = unions = 0
+    checked = unions = largest = 0
     previous = None
     for _ in range(40):
         program = _random_program(rng)
         if len(program.variables) > 15:
             continue
         expected = enumerate_solve(program)
+        largest = max(largest, len(program.variables))
         part = (program, expected and expected[1])
         if previous is not None and len(previous[0].variables) + len(program.variables) <= 20:
             _assert_union_matches(previous, part)
@@ -294,6 +295,8 @@ def test_matches_enumeration_on_random_programs():
         checked += 1
     assert checked >= 25
     assert unions >= 10
+    # the clause count lets programs reach the atom budget of 14
+    assert largest >= 13
 
 
 def test_matches_enumeration_on_adversarial_programs():
