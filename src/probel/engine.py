@@ -1,27 +1,28 @@
 """Cutting-plane MAP inference and the exhaustive distribution oracle.
 
 Every entry point compiles the KB once (``_compile``): it validates it,
-builds the facts of the body-less rules and the evidence atoms, and closes
-the deterministic part, which must be coherent. The rules with a body are
-the same for every KB, and every KB grounds them through the calculus's
-one plan table, ``grounding.CALCULUS``. Every world holds that compiled
-closure, the facts among its atoms, so they are substituted out of the ILP.
-MAP inference (``_cutting_planes``) then repeats one round: solve the
-program, ground only the clauses its world violates, translate the new ones
-into the program. It stops when no violated clause is new. Each round's
-grounding is one pass over what its world adds to a base closure, or over
-all of it where the world has dropped an atom of the base. Round 0's base
-is the compiled closure, which falsifies no grounding; from an empty
-program its world is that closure too, so it finds only the evidence units
-the closure violates. Round t's base is round t-1's world, whose violated
-clauses were all reported then and are already added. The final
-world is the most probable coherent deductively closed world. Its ILP is
-never infeasible: every hard constraint comes from a rule grounding or from
-COH, and the compiled closure, which holds the facts, is closed under the
-rules with a body and is coherent, meets them all.
-``explain_selection`` runs the same loop once per uncertain statement, from
-a program holding one FORCE clause that flips it, which round 0 solves
-before it grounds, and reports an infeasible flip as incoherent. The probability-side counterpart is
+builds the facts of the body-less rules and the uncertain statements'
+atoms, and closes the deterministic part, which must be coherent. The rules
+with a body are the same for every KB, and every KB grounds them through
+the calculus's one plan table, ``grounding.CALCULUS``. Every world holds
+that compiled closure, the facts among its atoms, so they are substituted
+out of the ILP. MAP inference (``_cutting_planes``) then repeats one round:
+solve the program, ground only the clauses its world violates and translate
+the new ones, then put the weight of each uncertain statement it violates
+for the first time straight onto its atom's variable (``_weigh``). It stops
+when neither is new. Each round's grounding is one pass over what its world
+adds to a base closure, or over all of it where the world has dropped an
+atom of the base. Round 0's base is the compiled closure, which falsifies
+no grounding; from an empty program its world is that closure too, so it
+only weighs. Round t's base is round t-1's world, whose violated clauses
+were all reported then and are already added. The final world is the most
+probable coherent deductively closed world. Its ILP is never infeasible:
+every hard constraint comes from a rule grounding or from COH, and the
+compiled closure, which holds the facts, is closed under the rules with a
+body and is coherent, meets them all. ``explain_selection`` runs the same
+loop once per uncertain statement, from a program holding one FORCE clause
+that flips it, which round 0 solves before it grounds, and reports an
+infeasible flip as incoherent. The probability-side counterpart is
 computed by the subset-enumeration oracle, with scores kept as exact
 rationals inside formal sums of exponentials.
 
@@ -54,14 +55,13 @@ from .grounding import (
     INTEGER,
     REAL,
     Closure,
-    EvidenceAtom,
     ViolatedClause,
     extend_closure,
     find_violated,
     incoherence_atoms,
     saturate,
 )
-from .model import INFINITE, KnowledgeBase, WeightedStatement, exact_sum, validate
+from .model import KnowledgeBase, WeightedStatement, exact_sum, validate
 from .translate import atom_sort_key, phi, phi_inverse, rule_templates
 
 _MAX_ITERATIONS = 100_000
@@ -217,10 +217,10 @@ class MapResult(_MapFields):
 
 
 class _CompiledKB(NamedTuple):
-    """A validated KB: its uncertain evidence atoms, and the coherent closure
-    of the deterministic part with its chase index, whose atoms, the facts
-    of the body-less rules among them, hold in every world. Its rules are
-    every KB's, grounded through CALCULUS."""
+    """A validated KB: its uncertain statements' atoms, and the coherent
+    closure of the deterministic part with its chase index, whose atoms, the
+    facts of the body-less rules among them, hold in every world. Its rules
+    are every KB's, grounded through CALCULUS."""
 
     units: tuple
     closure: Closure
@@ -228,16 +228,14 @@ class _CompiledKB(NamedTuple):
 
 def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = None) -> _CompiledKB:
     """Validate the KB, check the enumeration cap if one is given, build the
-    facts and the evidence, and close and gate the deterministic part."""
+    facts and the statement atoms, and close and gate the deterministic part."""
     diagnostics = validate(kb)
     if diagnostics:
         raise ValidationFailed(diagnostics)
     if cap is not None and len(kb.uncertain) > cap:
         raise EnumerationCapExceeded(len(kb.uncertain), cap)
     templates = rule_templates(kb.signature)
-    units = tuple(
-        EvidenceAtom(phi(ws.statement), ws.weight, index) for index, ws in enumerate(kb.uncertain)
-    )
+    units = tuple(phi(ws.statement) for ws in kb.uncertain)
     closure = saturate(templates, (phi(ws.statement) for ws in kb.deterministic), domain=config.domain)
     bad = incoherence_atoms(closure.atoms)
     if bad:
@@ -265,12 +263,27 @@ def _statements(atoms) -> tuple:
     return tuple(phi_inverse(a) for a in sorted(atoms, key=atom_sort_key))
 
 
+def _weigh(units, current: frozenset, fixed_true: frozenset, program: ilp.IlpProgram) -> list:
+    """Put the weight of each (atom, weight) unit ``current`` violates (its
+    atom false under a positive weight, true under a negative one) onto its
+    atom's variable in order, or drop it where ``fixed_true`` holds the
+    atom. Returns the other units, weight 0 included, still pending."""
+    left = []
+    for atom, weight in units:
+        if not weight or (atom in current) is (weight > 0):
+            left.append((atom, weight))
+        elif atom not in fixed_true:
+            program.objective.append((program.atom_var(atom), weight))
+    return left
+
+
 def _cutting_planes(
     kb: KnowledgeBase, compiled: _CompiledKB, config: ReasonerConfig, program: ilp.IlpProgram
 ) -> MapResult:
-    """Run the cutting-plane loop from ``program``: solve it, find the
-    clauses its world violates, and stop when none is new; otherwise
-    translate them into the program and go round again.
+    """Run the cutting-plane loop from ``program``: solve it, find the new
+    clauses and the pending statements its world violates, and stop when
+    there are none; otherwise translate the clauses, weigh the statements
+    (_weigh), and go round again.
 
     Every world holds the compiled closure, so its atoms are substituted
     out of the program. Round 0 searches from the compiled closure, which
@@ -280,25 +293,28 @@ def _cutting_planes(
     fixed_true = compiled.closure.atoms
     added = set()
     base = compiled.closure
+    pending = list(zip(compiled.units, (ws.weight for ws in kb.uncertain)))
     iterations = 0
     while True:
         assignment, _ = ilp.solve(program)
         current = fixed_true | program.true_atoms(assignment)
-        violated = find_violated(CALCULUS, compiled.units, current, config.domain, base)
+        violated = find_violated(CALCULUS, current, config.domain, base)
         base = violated.closure
         fresh = [g for g in violated if g not in added]
-        if not fresh:
-            break
-        iterations += 1
-        if iterations > _MAX_ITERATIONS:
-            raise RuntimeError("cutting-plane loop failed to converge")
         for clause in fresh:
             added.add(clause)
             ilp.translate_clause(clause, program, fixed_true)
+        left = _weigh(pending, current, fixed_true, program)
+        if not fresh and len(left) == len(pending):
+            break
+        pending = left
+        iterations += 1
+        if iterations > _MAX_ITERATIONS:
+            raise RuntimeError("cutting-plane loop failed to converge")
 
     selected, rejected = [], []
-    for ws, unit in zip(kb.uncertain, compiled.units):
-        (selected if unit.atom in current else rejected).append(ws)
+    for ws, atom in zip(kb.uncertain, compiled.units):
+        (selected if atom in current else rejected).append(ws)
     return MapResult(
         atoms=current,
         selected=tuple(selected),
@@ -319,13 +335,13 @@ def map_inference(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_CONFIG) ->
 
 
 def first_iteration_program(kb: KnowledgeBase, config: ReasonerConfig = DEFAULT_CONFIG) -> ilp.IlpProgram:
-    """The ILP after translating the loop's round 0: the evidence units the
-    compiled closure violates, translated against the closure."""
+    """The ILP after the loop's round 0, whose world is the compiled
+    closure: that falsifies no grounding, so the program holds only the
+    weights of the uncertain statements the closure violates."""
     compiled = _compile(kb, config)
-    closure = compiled.closure
+    atoms = compiled.closure.atoms
     program = ilp.IlpProgram()
-    for clause in find_violated(CALCULUS, compiled.units, closure.atoms, config.domain, closure):
-        ilp.translate_clause(clause, program, closure.atoms)
+    _weigh(zip(compiled.units, (ws.weight for ws in kb.uncertain)), atoms, atoms, program)
     return program
 
 
@@ -381,11 +397,11 @@ def brute_force_distribution(
     scale = math.lcm(*(ws.weight.denominator for ws in kb.uncertain))
     weights = {}  # unit atom -> (its statements' bits, their summed scaled weight)
     twins = 0  # the bits of statements whose atom a lower-index statement has
-    for i, (ws, unit) in enumerate(zip(kb.uncertain, units)):
-        bits, total = weights.get(unit.atom, (0, 0))
+    for i, (ws, atom) in enumerate(zip(kb.uncertain, units)):
+        bits, total = weights.get(atom, (0, 0))
         if bits:
             twins |= 1 << i
-        weights[unit.atom] = (bits | 1 << i, total + ws.weight.numerator * (scale // ws.weight.denominator))
+        weights[atom] = (bits | 1 << i, total + ws.weight.numerator * (scale // ws.weight.denominator))
     unit_atoms = frozenset(weights)
 
     def grow(entailed, total, atoms):
@@ -407,7 +423,7 @@ def brute_force_distribution(
         base, entailed, total = levels[(parent & -parent or full).bit_length() - 1]
         if not (entailed | twins) & low:
             level = low.bit_length() - 1
-            closure = extend_closure(CALCULUS, base, (units[level].atom,), domain=config.domain)
+            closure = extend_closure(CALCULUS, base, (units[level],), domain=config.domain)
             new = closure.atoms - base.atoms
             if not incoherence_atoms(new):
                 entailed, total = grow(entailed, total, new)
@@ -467,12 +483,10 @@ def explain_selection(kb: KnowledgeBase, result: MapResult, config: ReasonerConf
     """Re-solve once per uncertain statement with its selection flipped."""
     compiled = _compile(kb, config)
     entries = []
-    for ws, unit in zip(kb.uncertain, compiled.units):
-        selected = unit.atom in result.atoms
-        atoms = frozenset((unit.atom,))
-        force = ViolatedClause(
-            frozenset() if selected else atoms, atoms if selected else frozenset(), INFINITE, "FORCE"
-        )
+    for ws, atom in zip(kb.uncertain, compiled.units):
+        selected = atom in result.atoms
+        atoms = frozenset((atom,))
+        force = ViolatedClause(frozenset() if selected else atoms, atoms if selected else frozenset(), "FORCE")
         program = ilp.IlpProgram()
         try:
             ilp.translate_clause(force, program, compiled.closure.atoms)

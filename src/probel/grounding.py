@@ -27,14 +27,15 @@ id. Two callers run passes:
   closure: saturate() runs it over the input atoms from the closure of the
   facts, which as rule_templates makes them are closed under every rule
   with a body, and the enumeration oracle from a closed one.
-- find_violated() reports the groundings an assignment falsifies, for the
-  cutting-plane loop, never a fact. Its delta is what the assignment adds
-  to a base, the Closure of an earlier assignment, so a grounding the base
-  falsifies too may be skipped; if the assignment has left the base, all
-  of it is the delta. The loop's base is the compiled deterministic
-  closure, which falsifies no grounding, in round 0, and the previous
-  round's assignment after that; a clause it skips was reported by the
-  round that searched the base, so it is never fresh.
+- find_violated() reports the rule groundings an assignment falsifies, for
+  the cutting-plane loop: hard clauses only, never a fact, and no weight,
+  which the engine puts on the objective itself. Its delta is what the
+  assignment adds to a base, the Closure of an earlier assignment, so a
+  grounding the base falsifies too may be skipped; if the assignment has
+  left the base, all of it is the delta. The loop's base is the compiled
+  deterministic closure, which falsifies no grounding, in round 0, and the
+  previous round's assignment after that; a clause it skips was reported
+  by the round that searched the base, so it is never fresh.
 
 A pass indexes only its delta and merges that into the old atoms' index
 (_merge), copying the two dicts and concatenating only the lists the
@@ -56,7 +57,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .model import BOT, INFINITE, OPERATORS, Nominal, is_infinite
+from .model import BOT, OPERATORS, Nominal
 from .translate import (
     Atom,
     ClauseTemplate,
@@ -125,23 +126,8 @@ def _interval(op: str, v: Fraction, domain: str):
 # Grounding
 # ---------------------------------------------------------------------------
 
-class EvidenceAtom:
-    """A statement atom with its weight; deterministic atoms carry INFINITE.
-    ``wanted`` is the truth value of the atom that satisfies its unit
-    clause: True for an infinite or positive weight, False for a negative
-    one, and None for zero, which no world violates."""
-
-    __slots__ = ("atom", "weight", "origin", "wanted")
-
-    def __init__(self, atom: Atom, weight, origin: Optional[int] = None):
-        self.atom = atom
-        self.weight = weight
-        self.origin = origin
-        self.wanted = True if is_infinite(weight) or weight > 0 else False if weight < 0 else None
-
-
 class ViolatedClause(NamedTuple):
-    """A ground clause falsified by the current assignment.
+    """A ground hard clause falsified by the current assignment.
 
     positive holds the atoms occurring unnegated (the head, if any), negative
     the atoms occurring negated (the body). eval literals never appear.
@@ -149,16 +135,11 @@ class ViolatedClause(NamedTuple):
 
     positive: frozenset
     negative: frozenset
-    weight: object
     template_id: str
-    origin: Optional[int] = None
 
     def sort_key(self):
-        order = TEMPLATE_ORDER[self.template_id]
-        if self.origin is not None:  # an uncertain statement has one evidence clause
-            return (order, self.origin)
         atoms = (tuple(sorted(map(atom_sort_key, side))) for side in (self.positive, self.negative))
-        return (order, -1, *atoms)
+        return (TEMPLATE_ORDER[self.template_id], *atoms)
 
 
 _SORT_TESTS = {
@@ -327,13 +308,13 @@ def _merge(old: tuple, delta: tuple) -> tuple:
     copies of old's dicts in which each list that delta touches is replaced
     by the concatenation. Neither index changes, and every list delta does
     not touch is shared with ``old``."""
-    merged = []
+    joined = []
     for table, extra in zip(old, delta):
         table = dict(table)
         for key, atoms in extra.items():
             table[key] = table[key] + atoms if key in table else atoms
-        merged.append(table)
-    return tuple(merged)
+        joined.append(table)
+    return tuple(joined)
 
 
 class Closure(NamedTuple):
@@ -394,16 +375,15 @@ def _join(plans: dict, delta: tuple, old: tuple, index: tuple, known, domain: st
 
 def find_violated(
     plans: dict,
-    evidence: Iterable[EvidenceAtom],
     current: frozenset,
     domain: str = REAL,
     base: Closure = _EMPTY,
 ) -> Violations:
     """The groundings of the (hard) rules of ``plans``, from plan_table,
-    whose body ``current`` satisfies and whose head it falsifies, plus each
-    violated weighted evidence unit clause. The facts of the body-less
-    rules are not reported even when ``current`` lacks them: they hold in
-    every world.
+    whose body ``current`` satisfies and whose head it falsifies; no weight
+    is reported, as the engine weighs the uncertain statements itself. The
+    facts of the body-less rules are not reported even when ``current``
+    lacks them: they hold in every world.
 
     ``base``, the Closure of an earlier assignment, lets the search skip
     groundings that ``base`` falsifies too. If ``current`` holds all of
@@ -411,7 +391,7 @@ def find_violated(
     body atom that ``base`` lacks, so one pass over that delta, with
     ``base`` as the old atoms, finds it. Otherwise the search starts from
     the empty closure, from which all of ``current`` is the delta and every
-    violated grounding is found. The evidence units are checked in full.
+    violated grounding is found.
 
     Grounding is join-driven: candidate substitutions are enumerated from the
     true atoms only, never by cross product. Results come back in canonical
@@ -425,12 +405,9 @@ def find_violated(
 
     def emit(rule_id, head, body):
         positive = frozenset() if head is None else frozenset((head,))
-        found.add(ViolatedClause(positive, frozenset(body), INFINITE, rule_id))
+        found.add(ViolatedClause(positive, frozenset(body), rule_id))
 
     _join(plans, delta, base.index, index, current, domain, emit)
-    for ev in evidence:
-        if ev.wanted is not None and (ev.atom in current) is not ev.wanted:
-            found.add(ViolatedClause(frozenset((ev.atom,)), frozenset(), ev.weight, "EV", ev.origin))
 
     result = Violations(sorted(found, key=ViolatedClause.sort_key))
     result.closure = Closure(current, index)

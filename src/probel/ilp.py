@@ -1,19 +1,19 @@
 """Exact 0/1 integer linear programming for clause constraints.
 
 A violated hard clause translates into one ``>=`` constraint over its
-atoms' variables, and a weighted unit clause, the only weighted clause MAP
-inference grounds, into its weight on its atom's variable: the objective is
-the sum of the weights of the true atoms. The internal solver maximizes it
-exactly and deterministically:
+atoms' variables, and an uncertain statement's weight is an objective entry
+on its atom's variable: the objective is the sum of the weights of the true
+atoms. The internal solver maximizes it exactly and deterministically:
 
 - The weights are scaled to integers by the least common multiple of
   their denominators; only the returned optimum is a ``Fraction``.
-- Constraints are kept in ``>=`` form with a slack counter each and are
-  propagated through per-variable occurrence lists, so assigning a
-  variable revisits only the constraints it can tighten (counter-based
-  pseudo-Boolean propagation, Chai & Kuehlmann 2003). The objective bound
-  is kept up to date the same way. Assignments go on a trail that is
-  undone on backtracking, and an explicit stack replaces recursion.
+- Every constraint is a clause, kept with a slack counter, its literals
+  not yet false minus one, and propagated through per-variable occurrence
+  lists: assigning a variable revisits only the clauses it falsifies a
+  literal of, and one at slack 0 sets its last free literal (counter-based
+  unit propagation). The objective bound is kept up to date the same way.
+  Assignments go on a trail that is undone on backtracking, and an
+  explicit stack replaces recursion.
 - The program is split into connected components of its constraint graph,
   each solved on its own. A component with no constraint is one variable,
   set in closed form: 1 when its weight is positive, else 0. Otherwise
@@ -40,7 +40,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .model import Nominal, exact_sum, format_value, is_infinite
+from .model import Nominal, exact_sum, format_value
 from .translate import Atom, atom_sort_key
 
 
@@ -49,7 +49,8 @@ class Infeasible(Exception):
 
 
 class LinearConstraint(NamedTuple):
-    """sum(coefficient * variable) >= bound."""
+    """sum(coefficient * variable) >= bound; translate_clause makes clauses
+    only: coefficients +1 or -1 on distinct variables, bound 1 - (the -1s)."""
 
     terms: tuple  # ((variable, integer coefficient), ...)
     bound: int
@@ -85,8 +86,8 @@ class IlpProgram:
 
     The program is append-only between solves: ``solve`` keeps its search
     on the program and takes in only the variables, objective entries and
-    constraints appended since the last call. ``translate_clause`` is the
-    one writer in the package.
+    constraints appended since the last call. ``translate_clause`` writes
+    every constraint in the package, the engine every objective entry.
     """
 
     def __init__(self, variables=None, constraints=None, objective=None):
@@ -122,26 +123,18 @@ class IlpProgram:
 
 
 def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozenset()) -> list:
-    """Add one violated clause to the program; return the constraints made.
+    """Add one violated hard clause to the program; return the constraints made.
 
-    A weighted clause must be a positive unit, an evidence clause: its
-    weight goes on its atom's variable, and no constraint is made. A hard
-    clause becomes one constraint, at least one literal true. Atoms fixed
-    true in every world, those of the deterministic part's closure, which
-    holds the facts of the body-less rules (F1, F2, UNA), are substituted
-    out: a unit over one adds only a constant to the objective and is
-    dropped, a positive literal over one satisfies a hard clause outright,
-    and a negated literal over one can never help and is omitted from the
-    sum. A hard clause left with no literal raises ``Infeasible``.
+    The clause becomes one constraint, at least one literal true. A
+    tautology, an atom on both sides, holds in every world: it makes no
+    constraint and declares no variable. Atoms fixed true in every world,
+    those of the deterministic part's closure, which holds the facts of the
+    body-less rules (F1, F2, UNA), are substituted out: a positive literal
+    over one satisfies the clause outright, and a negated literal over one
+    can never help and is omitted from the sum. A clause left with no
+    literal raises ``Infeasible``.
     """
-    if not is_infinite(clause.weight):
-        if len(clause.positive) != 1 or clause.negative:
-            raise ValueError(f"a weighted clause must be a positive unit, not {clause}")
-        (atom,) = clause.positive
-        if atom not in fixed_true:
-            program.objective.append((program.atom_var(atom), clause.weight))
-        return []
-    if not clause.positive.isdisjoint(fixed_true):
+    if not (clause.positive.isdisjoint(fixed_true) and clause.positive.isdisjoint(clause.negative)):
         return []
     neg = [atom for atom in clause.negative if atom not in fixed_true]
     if not clause.positive and not neg:
@@ -160,15 +153,16 @@ def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozen
 class _Search:
     """Branch and bound with counter-based propagation over one growing 0/1 program.
 
-    A constraint's slack is the largest left-hand side the current
-    assignment still allows, minus the bound; ``occ[value][var]`` lists the
-    constraints (and amounts) whose slack drops when var takes value.
+    Each constraint is a clause of literals ``(var, good)``, true when var
+    is good; its slack is the number of its literals not yet false, minus
+    one. ``occ[value][var]`` lists the constraints whose slack drops by one
+    when var takes value.
     ``ub`` is the scaled value of the variables set to 1 plus the free
     positive weight of the component being solved.
 
     ``update`` takes in what was appended to the program since its last
     call. The components live in a union-find (``parent``) with the
-    ``members`` and ``cons`` of each root, the smaller lists merged into
+    ``members`` and ``cons`` of each root, the smaller lists appended to
     the larger. A root is dirty when its component gains a variable, an
     objective entry or a constraint, or merges with another component.
     ``solve`` first tries ``_carry``, whose work is only what was appended;
@@ -180,7 +174,7 @@ class _Search:
         self.scale = 1
         self.weight: List[int] = []
         self.loss: Tuple[List[int], List[int]] = ([], [])  # loss[value][var]: how much ub drops
-        self.terms: List[list] = []  # per constraint: (var, |coefficient|, good value), largest first
+        self.literals: List[list] = []  # per constraint: (var, good value)
         self.slack: List[int] = []
         self.occ: Tuple[List[list], List[list]] = ([], [])
         self.value: List[int] = []  # -1 free, else 0 or 1
@@ -188,7 +182,6 @@ class _Search:
         self.members: List[Optional[List[int]]] = []
         self.cons: List[Optional[List[int]]] = []
         self.dirty = set()
-        self.cancelled: List[int] = []  # unchecked constraints whose terms all cancel
         self.entries = 0  # objective entries taken in
         # (variables, constraints) of the last solve while its lexmin may be
         # carried: no objective entry since has a positive weight or an old variable
@@ -233,27 +226,14 @@ class _Search:
             loss[0][i], loss[1][i] = max(weight[i], 0), max(-weight[i], 0)
             dirty.add(find(i))
         self.entries = len(objective)
-        for j in range(len(self.terms), len(constraints)):
-            con = constraints[j]
-            merged: Dict[int, int] = {}
-            for i, c in con.terms:
-                merged[i] = merged.get(i, 0) + c
-            terms = sorted(((i, abs(c), int(c > 0)) for i, c in merged.items() if c),
-                           key=lambda t: -t[1])
-            self.terms.append(terms)
+        for j in range(len(self.literals), len(constraints)):
+            literals = [(i, int(c > 0)) for i, c in constraints[j].terms]
+            self.literals.append(literals)
+            for i, good in literals:
+                occ[1 - good][i].append(j)
             # the slack against the current values, which undoing restores exactly
-            slack = -con.bound
-            for i, a, good in terms:
-                occ[1 - good][i].append((j, a))
-                if good:
-                    slack += a
-                if value[i] == 1 - good:
-                    slack -= a
-            self.slack.append(slack)
-            if not terms:
-                self.cancelled.append(j)
-                continue
-            roots = {find(i) for i, _, _ in terms}
+            self.slack.append(sum(value[i] != 1 - good for i, good in literals) - 1)
+            roots = {find(i) for i, _ in literals}
             root = roots.pop()
             for other in roots:  # merge the smaller lists into the larger
                 if len(members[root]) < len(members[other]):
@@ -272,8 +252,8 @@ class _Search:
         self.trail.append(i)
         self.ub -= self.loss[v][i]
         slack = self.slack
-        for j, a in self.occ[v][i]:
-            slack[j] -= a
+        for j in self.occ[v][i]:
+            slack[j] -= 1
 
     def _undo(self, mark: int):
         trail, value, slack, occ, loss = self.trail, self.value, self.slack, self.occ, self.loss
@@ -282,18 +262,14 @@ class _Search:
             v = value[i]
             value[i] = -1
             self.ub += loss[v][i]
-            for j, a in occ[v][i]:
-                slack[j] += a
+            for j in occ[v][i]:
+                slack[j] += 1
         self.head = mark
 
     def _force(self, j: int):
-        """Set the free terms of constraint j that its slack cannot afford to lose."""
-        s = self.slack[j]
-        value = self.value
-        for k, a, good in self.terms[j]:
-            if a <= s:
-                break
-            if value[k] < 0:
+        """Set the free literal of constraint j, whose slack is 0, if any."""
+        for k, good in self.literals[j]:
+            if self.value[k] < 0:
                 self._assign(k, good)
 
     def _propagate(self) -> bool:
@@ -302,10 +278,11 @@ class _Search:
         while self.head < len(trail):
             i = trail[self.head]
             self.head += 1
-            for j, _ in occ[value[i]][i]:
-                if slack[j] < 0:
-                    return False
-                self._force(j)
+            for j in occ[value[i]][i]:
+                if slack[j] < 1:
+                    if slack[j] < 0:
+                        return False
+                    self._force(j)
         return True
 
     def _root(self, variables: List[int], constraints: List[int]) -> bool:
@@ -316,8 +293,8 @@ class _Search:
             v = value[i]
             if v >= 0:
                 value[i] = -1
-                for j, a in occ[v][i]:
-                    slack[j] += a
+                for j in occ[v][i]:
+                    slack[j] += 1
         return self._start(sum(self.loss[0][i] for i in variables), constraints)
 
     def _start(self, ub: int, constraints: Sequence[int]) -> bool:
@@ -327,7 +304,8 @@ class _Search:
         for j in constraints:
             if self.slack[j] < 0:
                 return False
-            self._force(j)
+            if not self.slack[j]:
+                self._force(j)
         return self._propagate()
 
     def _dfs(self, order: Sequence[int], first: int, floor: int, first_leaf: bool,
@@ -426,10 +404,7 @@ class _Search:
                 if found is None:
                     return None
                 self._lexmin(variables, branch_order, *found)
-            if any(self.slack[j] < 0 for j in self.cancelled):
-                return None
         self.dirty.clear()
-        self.cancelled.clear()
         self.carried = len(value), len(self.slack)
         return value[:], sum(w for w, x in zip(weight, value) if x)
 
@@ -439,10 +414,11 @@ def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
 
     The objective is scaled to integers by the least common multiple of the
     weight denominators, so the search does integer arithmetic only and the
-    optimum is returned as an exact ``Fraction``. Constraints propagate
-    through per-variable occurrence lists and slack counters, with an
-    explicit decision stack and an assignment trail undone on backtracking;
-    no recursion grows with the program.
+    optimum is returned as an exact ``Fraction``. Each constraint is a
+    clause with a slack counter, its literals not yet false minus one: below
+    0 it conflicts, at 0 it sets its last free literal. Clauses propagate
+    through per-variable occurrence lists, with an explicit decision stack
+    and an assignment trail undone on backtracking; no recursion grows.
 
     The program splits into connected components of its constraint graph
     (variables sharing a constraint), and each component is solved on its
@@ -467,14 +443,14 @@ def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
 
     The same argument lets a repeated solve of a grown program re-solve
     only the components that gained a variable, an objective entry or a
-    constraint since the last solve, or merged: every other component has
+    constraint since the last solve, or were joined: every other component has
     the same part of the program as before, so its smallest optimum stands.
 
     A round whose new objective entries all have weight <= 0, each on a
     variable new since the last solve, is first carried instead. (The
-    cutting-plane loop grounds a negative-weight unit only once its atom
-    is true, so on an old variable: the rounds it carries add only hard
-    constraints.) Every old variable keeps its value L, the new
+    cutting-plane loop weighs a negative-weight statement only once its
+    atom is true, so on an old variable: the rounds it carries add only
+    hard constraints.) Every old variable keeps its value L, the new
     constraints are checked and propagated, and the new variables alone
     are searched, 0 first in declared order, for the first leaf that loses
     no weight. Where one exists, it is the new program's smallest optimum.
@@ -497,8 +473,10 @@ def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
         raise Infeasible()
     assignment, scaled = solved
     optimum = Fraction(scaled, search.scale)
-    assert all(_holds(con, assignment) for con in program.constraints)
-    assert exact_sum(w for v, w in program.objective if assignment[v]) == optimum
+    if not all(_holds(con, assignment) for con in program.constraints):
+        raise AssertionError("the search's assignment violates a constraint")
+    if exact_sum(w for v, w in program.objective if assignment[v]) != optimum:
+        raise AssertionError("the search's optimum is not its assignment's objective")
     return assignment, optimum
 
 

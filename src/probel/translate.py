@@ -219,7 +219,7 @@ def _p(pred, *args):
 
 
 TEMPLATE_ORDER = {f"F{i}": i for i in range(1, 28)}
-TEMPLATE_ORDER.update({"SUBNOM": 28, "UNA": 29, "COH": 30, "EV": 31})
+TEMPLATE_ORDER.update({"SUBNOM": 28, "UNA": 29, "COH": 30})
 
 
 def concept_constants(sig: Signature) -> list:

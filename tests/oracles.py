@@ -6,7 +6,7 @@ exhaustive 0/1 enumeration, and witness-sampled interval containment.
 from fractions import Fraction
 
 from probel.grounding import ViolatedClause, eval_op
-from probel.model import BOT, INFINITE, Nominal, OPERATORS, format_value, is_infinite
+from probel.model import BOT, Nominal, OPERATORS, format_value
 from probel.translate import (
     Atom,
     NomOf,
@@ -49,11 +49,11 @@ def instantiate(pattern, binding):
     return make_atom(pattern.pred, *_instantiate_raw(pattern, binding).args)
 
 
-def _universes(sig, evidence, current):
+def _universes(sig, current):
     concepts = list(concept_constants(sig))
     individuals = set(sig.individuals)
     values = set()
-    for atom in list(current) + [ev.atom for ev in evidence]:
+    for atom in current:
         for arg in atom.args:
             if isinstance(arg, Fraction):
                 values.add(arg)
@@ -82,10 +82,10 @@ def _template_vars(template):
     return names
 
 
-def naive_find_violated(templates, evidence, current, sig, domain="real"):
+def naive_find_violated(templates, current, sig, domain="real"):
     """Cross-product grounding over the full per-sort universes. A body-less
     template is never violated: its facts hold in every world."""
-    universes = _universes(sig, evidence, current)
+    universes = _universes(sig, current)
     found = set()
     for template in templates:
         if not template.body:
@@ -120,16 +120,7 @@ def naive_find_violated(templates, evidence, current, sig, domain="real"):
                 if not all(eval_op(*(value_of(a) for a in ev.args), domain=domain) for ev in evals):
                     continue
             negative = frozenset(_instantiate_raw(p, binding) for p in body)
-            found.add(ViolatedClause(positive, negative, INFINITE, template.id))
-    for ev in evidence:
-        if is_infinite(ev.weight) or ev.weight > 0:
-            violated = ev.atom not in current
-        elif ev.weight < 0:
-            violated = ev.atom in current
-        else:
-            violated = False
-        if violated:
-            found.add(ViolatedClause(frozenset((ev.atom,)), frozenset(), ev.weight, "EV", ev.origin))
+            found.add(ViolatedClause(positive, negative, template.id))
     return found
 
 
@@ -140,7 +131,7 @@ def naive_saturate(templates, atoms, sig, domain="real"):
     one per concept under BOT."""
     current = frozenset(atoms).union(*(t.facts for t in templates))
     while True:
-        violated = naive_find_violated(templates, (), current, sig, domain)
+        violated = naive_find_violated(templates, current, sig, domain)
         heads = {atom for clause in violated for atom in clause.positive}
         if not heads:
             return current, {clause for clause in violated if not clause.positive}

@@ -13,7 +13,7 @@ import pytest
 
 from probel.cli import main as cli_main
 from probel.engine import brute_force_distribution, map_inference, probability_of
-from probel.grounding import CALCULUS, EvidenceAtom, eval_op, find_violated, saturate
+from probel.grounding import CALCULUS, eval_op, find_violated, saturate
 from probel.ilp import IlpProgram, Infeasible, solve, translate_clause
 from probel.grounding import ViolatedClause
 from probel.model import BOT, Gci, INFINITE, OPERATORS
@@ -70,7 +70,7 @@ def test_criterion_2_datatype_subsumption_example(two_year_old_kb):
     # the subsumption must come from the datatype bridge rule
     unc_atoms = frozenset(phi(ws.statement) for ws in two_year_old_kb.uncertain)
     fired = [
-        v for v in find_violated(CALCULUS, (), unc_atoms)
+        v for v in find_violated(CALCULUS, unc_atoms)
         if v.template_id == "F13" and Atom("sub", ("TwoYearOld", "Toddler")) in v.positive
     ]
     assert fired
@@ -147,10 +147,11 @@ def _random_program(rng):
             weight = Fraction(rng.randint(1, 20), 10)
         else:
             weight = Fraction(-rng.randint(1, 20), 10)
-        if weight is not INFINITE:  # a weighted clause is a unit
-            pos, neg = frozenset(chosen[:1]), frozenset()
         try:
-            translate_clause(ViolatedClause(pos, neg, weight, "F3"), program, frozenset())
+            if weight is INFINITE:
+                translate_clause(ViolatedClause(pos, neg, "F3"), program, frozenset())
+            else:  # a weight goes on one atom's variable
+                program.objective.append((program.atom_var(chosen[0]), weight))
         except Infeasible:
             continue
         if len(program.variables) >= 15:
@@ -191,12 +192,7 @@ def test_criterion_6_coherence_and_hard_clauses(map_sweep, toddler_kb, two_year_
         for atom in result.atoms:
             assert not (atom.pred == "sub" and atom.args[1] == BOT and atom.args[0] != BOT)
         templates = rule_templates(kb.signature)
-        evidence = tuple(
-            EvidenceAtom(phi(ws.statement), ws.weight, i)
-            for i, ws in enumerate(kb.uncertain)
-        )
-        violated = naive_find_violated(templates, evidence, result.atoms, kb.signature)
-        assert not [v for v in violated if v.weight is INFINITE]
+        assert not naive_find_violated(templates, result.atoms, kb.signature)
     elapsed = time.perf_counter() - started
     print(
         f"CRITERION 6: PASS  no sub(C,BOT) and every hard ground clause satisfied "
@@ -208,10 +204,7 @@ def test_criterion_7_closure_idempotence(map_sweep):
     started = time.perf_counter()
     results, _ = map_sweep
     for kb, result, _ in results:
-        remaining = [
-            v for v in find_violated(CALCULUS, (), result.atoms) if v.weight is INFINITE
-        ]
-        assert remaining == []
+        assert find_violated(CALCULUS, result.atoms) == []
     elapsed = time.perf_counter() - started
     print(f"CRITERION 7: PASS  one extra grounding pass adds nothing on {len(results)} MAP results  ({elapsed:.1f}s)")
 

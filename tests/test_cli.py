@@ -281,6 +281,25 @@ class TestCommands:
         golden = Path(__file__).resolve().parent / "data" / "toddler.ilp"
         assert out1.encode() == golden.read_bytes()
 
+    def test_dump_ilp_lists_the_weights_in_statement_order(self, tmp_path):
+        # one objective entry per uncertain statement, in statement order, so
+        # the first and third share a variable, declared where the first
+        # statement is weighed: the tie-break reads variables in that order
+        kb = tmp_path / "shared.kb"
+        kb.write_text("0.5 A SUBCLASSOF B\n0.3 C SUBCLASSOF D\n0.2 A SUBCLASSOF B\n")
+        code, out = run_cli("dump-ilp", str(kb))
+        assert code == 0
+        assert out == (
+            "OBJECTIVE\n"
+            "  0.5 x_sub_A_B\n"
+            "  0.3 x_sub_C_D\n"
+            "  0.2 x_sub_A_B\n"
+            "CONSTRAINTS\n"
+            "BINARY\n"
+            "  x_sub_A_B\n"
+            "  x_sub_C_D\n"
+        )
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path):

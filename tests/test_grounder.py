@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from probel.grounding import (
     CALCULUS,
     Closure,
-    EvidenceAtom,
     ViolatedClause,
     eval_op,
     extend_closure,
@@ -30,7 +29,6 @@ from probel.model import (
     Exists,
     FeatureAssertion,
     Gci,
-    INFINITE,
     Nominal,
     Restriction,
     TOP,
@@ -55,12 +53,11 @@ def _toddler_inference_setup():
 
 def test_datatype_bridge_fires():
     current = _toddler_inference_setup()
-    clauses = [c for c in find_violated(CALCULUS, (), current) if c.template_id == "F13"]
+    clauses = [c for c in find_violated(CALCULUS, current) if c.template_id == "F13"]
     assert clauses == [
         ViolatedClause(
             positive=frozenset({Atom("sub", ("TwoYearOld", "Toddler"))}),
             negative=current,
-            weight=INFINITE,
             template_id="F13",
         )
     ]
@@ -73,12 +70,12 @@ def test_datatype_bridge_skipped_when_eval_false():
             Atom("rsubEx", ("age", "<=", Fraction(3), "Toddler")),
         }
     )
-    assert not [c for c in find_violated(CALCULUS, (), current) if c.template_id == "F13"]
+    assert not [c for c in find_violated(CALCULUS, current) if c.template_id == "F13"]
 
 
 def test_no_eval_atom_ever_emitted():
     current = _toddler_inference_setup()
-    for clause in find_violated(CALCULUS, (), current):
+    for clause in find_violated(CALCULUS, current):
         for atom in clause.positive | clause.negative:
             assert atom.pred != "eval"
 
@@ -88,7 +85,7 @@ def test_all_false_assignment_violates_no_fact():
     # reports one, and saturate closes the empty input to exactly them
     sig = make_signature(concepts=("A", "B"))
     templates = rule_templates(sig)
-    assert find_violated(CALCULUS, (), frozenset()) == []
+    assert find_violated(CALCULUS, frozenset()) == []
     facts = {Atom("sub", (c, d)) for c in ("A", "B", TOP, BOT) for d in (c, TOP)}
     assert saturate(templates, ()).atoms == facts
 
@@ -118,13 +115,13 @@ def test_saturated_assignment_yields_nothing():
     templates = rule_templates(sig)
     closure = saturate(templates, [phi(Gci("A", "B"))]).atoms
     assert not incoherence_atoms(closure)
-    assert find_violated(CALCULUS, (), closure) == []
+    assert find_violated(CALCULUS, closure) == []
 
 
 def test_canonical_order_is_stable():
     current = _toddler_inference_setup()
-    first = find_violated(CALCULUS, (), current)
-    second = find_violated(CALCULUS, (), current)
+    first = find_violated(CALCULUS, current)
+    second = find_violated(CALCULUS, current)
     assert first == second
 
 
@@ -214,20 +211,14 @@ def test_unique_names_make_shared_nominals_incoherent():
 class TestNaiveOracleEquivalence:
     def _compare(self, kb, current):
         templates = rule_templates(kb.signature)
-        evidence = tuple(
-            EvidenceAtom(phi(ws.statement), ws.weight, i) for i, ws in enumerate(kb.uncertain)
-        )
-        fast = set(find_violated(CALCULUS, evidence, current))
-        slow = naive_find_violated(templates, evidence, current, kb.signature)
+        fast = set(find_violated(CALCULUS, current))
+        slow = naive_find_violated(templates, current, kb.signature)
         assert fast == slow
 
     def _compare_domain(self, kb, current, domain):
         templates = rule_templates(kb.signature)
-        evidence = tuple(
-            EvidenceAtom(phi(ws.statement), ws.weight, i) for i, ws in enumerate(kb.uncertain)
-        )
-        fast = set(find_violated(CALCULUS, evidence, current, domain=domain))
-        slow = naive_find_violated(templates, evidence, current, kb.signature, domain=domain)
+        fast = set(find_violated(CALCULUS, current, domain=domain))
+        slow = naive_find_violated(templates, current, kb.signature, domain=domain)
         assert fast == slow
 
     def test_random_kbs_partial_assignments(self):
@@ -309,11 +300,9 @@ def test_compiled_grounding_matches_the_naive_oracles(statements, data, domain, 
     split = rng.randint(0, len(atoms))
     base = saturate(templates, atoms[:split], domain=domain)
     assert extend_closure(CALCULUS, base, atoms[split:], domain=domain).atoms == closure
-    weights = (Fraction(1, 2), Fraction(-1, 2), Fraction(0), INFINITE)
-    evidence = tuple(EvidenceAtom(a, weights[i % 4], i) for i, a in enumerate(atoms))
     partial = frozenset(a for a in sorted(closure, key=str) if rng.random() < 0.5)
-    fast = set(find_violated(CALCULUS, evidence, partial, domain=domain))
-    assert fast == naive_find_violated(templates, evidence, partial, SIG, domain)
+    fast = set(find_violated(CALCULUS, partial, domain=domain))
+    assert fast == naive_find_violated(templates, partial, SIG, domain)
 
 
 def test_every_rule_fires_on_the_way_to_the_targeted_closures():
@@ -336,7 +325,7 @@ def test_every_rule_fires_on_the_way_to_the_targeted_closures():
         for domain, rules in fired.items():
             current, base = facts.union(atoms), Closure.of(frozenset())
             while True:
-                found = find_violated(CALCULUS, (), current, domain, base)
+                found = find_violated(CALCULUS, current, domain, base)
                 rules.update(c.template_id for c in found)
                 heads = {atom for c in found for atom in c.positive}
                 if not heads:
@@ -403,14 +392,12 @@ def test_find_violated_from_a_base(statements, extra, data, domain, rng):
     templates = rule_templates(SIG)
     closure = saturate(templates, [phi(s) for s in statements + data], domain=domain)
     wider = sorted(saturate(templates, [phi(s) for s in statements + data + extra], domain=domain).atoms, key=str)
-    weights = (Fraction(1, 2), Fraction(-1, 2), INFINITE)
-    evidence = tuple(EvidenceAtom(phi(s), weights[i % 3], i) for i, s in enumerate(statements + extra))
     flip = rng.choice((0.05, 0.2, 0.5))
     base = frozenset(a for a in wider if rng.random() < 0.7)
     current = frozenset(a for a in wider if (a in base) != (rng.random() < flip))
-    full = naive_find_violated(templates, evidence, current, SIG, domain)
-    stale = naive_find_violated(templates, evidence, base, SIG, domain)
-    found = find_violated(CALCULUS, evidence, current, domain, base=Closure.of(base))
+    full = naive_find_violated(templates, current, SIG, domain)
+    stale = naive_find_violated(templates, base, SIG, domain)
+    found = find_violated(CALCULUS, current, domain, base=Closure.of(base))
     assert set(found) <= full
     assert set(found) - stale == full - stale
     assert found == sorted(found, key=ViolatedClause.sort_key)
@@ -419,7 +406,7 @@ def test_find_violated_from_a_base(statements, extra, data, domain, rng):
     assert _counted(found.closure.index) == _counted(Closure.of(current).index)
     # a closed, coherent base falsifies nothing, so the search is complete
     if not incoherence_atoms(closure.atoms):
-        assert set(find_violated(CALCULUS, evidence, current, domain, base=closure)) == full
+        assert set(find_violated(CALCULUS, current, domain, base=closure)) == full
 
 
 def test_find_violated_from_the_closure_finds_each_removed_head():
@@ -443,8 +430,8 @@ def test_find_violated_from_the_closure_finds_each_removed_head():
     derived = set()
     for atom in sorted(closure.atoms, key=str):
         current = closure.atoms - {atom}
-        found = find_violated(CALCULUS, (), current, base=closure)
-        assert set(found) == naive_find_violated(templates, (), current, sig), atom
+        found = find_violated(CALCULUS, current, base=closure)
+        assert set(found) == naive_find_violated(templates, current, sig), atom
         derived |= {(c.template_id, atom.pred, is_anonymous(atom.args[0])) for c in found}
     for rule in ("F14", "F24", "F25"):
         assert any(r == rule and pred == "ninst" for r, pred, _ in derived), rule
@@ -469,11 +456,11 @@ def test_plans_keep_no_template_alive():
         templates = rule_templates(sig)
         counts = [sys.getrefcount(t) for t in templates]
         closure = saturate(templates, atoms[:2])
-        find_violated(CALCULUS, (), closure.atoms)
+        find_violated(CALCULUS, closure.atoms)
         # from a base the assignment keeps, so that the pass joins only the
         # added atom, and from one it has left, so that it joins them all
-        find_violated(CALCULUS, (), closure.atoms | {atoms[2]}, base=closure)
-        find_violated(CALCULUS, (), (closure.atoms - {atoms[1]}) | {atoms[2]}, base=closure)
+        find_violated(CALCULUS, closure.atoms | {atoms[2]}, base=closure)
+        find_violated(CALCULUS, (closure.atoms - {atoms[1]}) | {atoms[2]}, base=closure)
         extend_closure(CALCULUS, closure, atoms[2:])
         assert [sys.getrefcount(t) for t in templates] == counts
     finally:
@@ -552,8 +539,8 @@ def test_every_kernel_matches_the_naive_oracles(domain):
     for template, sig, body, distractors in _kernel_cases(domain):
         templates, plans = [template], plan_table([template])
         current = frozenset(body) | distractors
-        fast = set(find_violated(plans, (), current, domain=domain))
-        assert fast == naive_find_violated(templates, (), current, sig, domain), template.id
+        fast = set(find_violated(plans, current, domain=domain))
+        assert fast == naive_find_violated(templates, current, sig, domain), template.id
         assert any(c.negative == frozenset(body) for c in fast), f"{template.id} misses its grounding"
         closure, _ = naive_saturate(templates, current, sig, domain)
         for atom in body:

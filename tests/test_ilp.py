@@ -29,67 +29,53 @@ def atom(name):
     return Atom("sub", (name, name))
 
 
-def clause(pos, neg, weight, template="F3"):
-    return ViolatedClause(
-        frozenset(atom(p) for p in pos),
-        frozenset(atom(n) for n in neg),
-        weight,
-        template,
-    )
+def clause(pos, neg, template="F3"):
+    return ViolatedClause(frozenset(atom(p) for p in pos), frozenset(atom(n) for n in neg), template)
+
+
+def weigh(program, atom_, weight):
+    """Put a weight on an atom's variable, as the engine weighs an uncertain statement."""
+    program.objective.append((program.atom_var(atom_), weight))
 
 
 class TestTranslateClause:
     def test_single_literal_hard_clause(self):
         program = IlpProgram()
-        made = translate_clause(clause(["p"], [], INFINITE), program, frozenset())
+        made = translate_clause(clause(["p"], []), program, frozenset())
         assert made == [LinearConstraint(((program.atom_var(atom("p")), 1),), 1)]
 
-    def test_positive_weight_clause(self):
-        # a weighted unit makes no constraint: its weight goes on its atom
+    def test_a_tautology_makes_nothing(self):
+        # an atom on both sides holds in every world: no constraint, and no
+        # variable declared, even beside a literal that fixed_true falsifies
         program = IlpProgram()
-        made = translate_clause(clause(["p"], [], Fraction(8, 10)), program, frozenset())
-        assert made == []
-        assert program.variables == [atom("p")]
-        assert program.objective == [(0, Fraction(8, 10))]
-
-    def test_negative_weight_clause(self):
-        program = IlpProgram()
-        translate_clause(clause(["q"], [], INFINITE), program, frozenset())
-        made = translate_clause(clause(["p"], [], Fraction(-1, 2)), program, frozenset())
-        assert made == []
-        assert program.variables == [atom("q"), atom("p")]
-        assert program.objective == [(1, Fraction(-1, 2))]
-
-    def test_a_weighted_clause_must_be_a_positive_unit(self):
-        program = IlpProgram()
-        for pos, neg in ((["p", "q"], []), (["p"], ["q"]), ([], ["p"]), ([], [])):
-            with pytest.raises(ValueError):
-                translate_clause(clause(pos, neg, Fraction(1, 2)), program, frozenset())
+        fixed = frozenset({atom("e")})
+        for pos, neg in ((["p"], ["p"]), (["p", "q"], ["q"]), (["p"], ["p", "e"]), (["e"], ["e"])):
+            assert translate_clause(clause(pos, neg), program, fixed) == []
         assert program == IlpProgram()
 
     def test_declaration_order(self):
-        # the lexicographic tie-break reads variables in declaration order: a
-        # unit over a fixed atom is a constant and declares nothing (weight 0
-        # included); a unit over a new atom declares it
+        # the lexicographic tie-break reads variables in declaration order:
+        # a clause declares its positive atoms, then its negated ones, each
+        # in atom order, and one satisfied by a fixed atom declares nothing
         program = IlpProgram()
         fixed = frozenset({atom("e")})
-        for weight in (Fraction(1, 2), Fraction(0), Fraction(-1, 2)):
-            assert translate_clause(clause(["e"], [], weight), program, fixed) == []
-        assert program == IlpProgram()
-        assert translate_clause(clause(["q"], [], Fraction(-1, 2)), program, fixed) == []
-        (made,) = translate_clause(clause(["q"], ["e", "p"], INFINITE), program, fixed)
+        weigh(program, atom("q"), Fraction(-1, 2))
+        (made,) = translate_clause(clause(["q"], ["e", "p"]), program, fixed)
         x_q, x_p = program.atom_var(atom("q")), program.atom_var(atom("p"))
         assert made == LinearConstraint(((x_q, 1), (x_p, -1)), 0)
         assert program.variables == [atom("q"), atom("p")]
         assert (x_q, x_p) == (0, 1)
         assert program.objective == [(0, Fraction(-1, 2))]
-        assert translate_clause(clause(["e"], ["r"], INFINITE), program, fixed) == []
-        assert len(program.variables) == 2 and len(program.constraints) == 1
+        assert translate_clause(clause(["e"], ["r"]), program, fixed) == []
+        (made,) = translate_clause(clause(["s", "r"], ["q", "t"]), program, fixed)
+        assert program.variables[2:] == [atom("r"), atom("s"), atom("t")]
+        assert made == LinearConstraint(((2, 1), (3, 1), (0, -1), (4, -1)), -1)
+        assert len(program.constraints) == 2
 
     def test_evidence_fixed_atoms_are_omitted(self):
         program = IlpProgram()
         fixed = frozenset((atom("e"),))
-        made = translate_clause(clause(["p"], ["e", "q"], INFINITE), program, fixed)
+        made = translate_clause(clause(["p"], ["e", "q"]), program, fixed)
         (constraint,) = made
         assert atom("e") not in {program.variables[v] for v, _ in constraint.terms}
         assert atom("e") not in program.variables
@@ -99,14 +85,14 @@ class TestTranslateClause:
         program = IlpProgram()
         fixed = frozenset((atom("e"),))
         with pytest.raises(Infeasible):
-            translate_clause(clause([], ["e"], INFINITE), program, fixed)
+            translate_clause(clause([], ["e"]), program, fixed)
 
 
 class TestSolve:
     def test_forced_chain(self):
         program = IlpProgram()
-        translate_clause(clause(["p"], [], INFINITE), program, frozenset())
-        translate_clause(clause(["p"], [], Fraction(1)), program, frozenset())
+        translate_clause(clause(["p"], []), program, frozenset())
+        weigh(program, atom("p"), Fraction(1))
         assignment, value = solve(program)
         assert value == 1
         assert assignment[program.atom_var(atom("p"))] == 1
@@ -117,17 +103,17 @@ class TestSolve:
     def test_rejecting_is_optimal_when_hard_clause_bites(self):
         # pay 0.1 for q, but q together with p is forbidden and p is worth 1.0
         program = IlpProgram()
-        translate_clause(clause(["p"], [], Fraction(1)), program, frozenset())
-        translate_clause(clause(["q"], [], Fraction(1, 10)), program, frozenset())
-        translate_clause(clause([], ["p", "q"], INFINITE), program, frozenset())
+        weigh(program, atom("p"), Fraction(1))
+        weigh(program, atom("q"), Fraction(1, 10))
+        translate_clause(clause([], ["p", "q"]), program, frozenset())
         _, value = solve(program)
         assert value == 1
 
     def test_infeasible_program_raises(self):
         program = IlpProgram()
-        translate_clause(clause(["p"], [], INFINITE), program, frozenset())
-        translate_clause(clause([], ["p"], INFINITE), program, frozenset())
-        translate_clause(clause(["q"], [], INFINITE), program, frozenset())
+        translate_clause(clause(["p"], []), program, frozenset())
+        translate_clause(clause([], ["p"]), program, frozenset())
+        translate_clause(clause(["q"], []), program, frozenset())
         with pytest.raises(Infeasible):
             solve(program)
 
@@ -135,10 +121,10 @@ class TestSolve:
         # 202 constraints in all, and the conflict lies in p's component alone:
         # the 200 feasible components beside it do not hide it
         program = IlpProgram()
-        translate_clause(clause(["p"], [], INFINITE), program, frozenset())
-        translate_clause(clause([], ["p"], INFINITE), program, frozenset())
+        translate_clause(clause(["p"], []), program, frozenset())
+        translate_clause(clause([], ["p"]), program, frozenset())
         for i in range(200):
-            translate_clause(clause([f"q{i}"], [f"r{i}"], INFINITE), program, frozenset())
+            translate_clause(clause([f"q{i}"], [f"r{i}"]), program, frozenset())
         with pytest.raises(Infeasible):
             solve(program)
 
@@ -148,12 +134,44 @@ class TestSolve:
         program = IlpProgram()
         x_a = program.atom_var(atom("a"))
         x_b = program.atom_var(atom("b"))
-        translate_clause(clause(["a", "b"], ["c"], INFINITE), program, frozenset())
-        translate_clause(clause(["c"], [], Fraction(1)), program, frozenset())
+        translate_clause(clause(["a", "b"], ["c"]), program, frozenset())
+        weigh(program, atom("c"), Fraction(1))
         assignment, value = solve(program)
         assert value == 1
         assert assignment[x_a] == 0
         assert assignment[x_b] == 1
+
+
+    def test_post_checks_raise_under_python_O(self):
+        # solve checks the search's answer against every constraint and the
+        # exact objective with explicit raises, which -O does not strip: a
+        # search that answers x_p = 1, x_q = 0 to q :- p, or that overstates
+        # its optimum, is refused
+        script = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from probel.grounding import ViolatedClause\n"
+            "from probel.ilp import IlpProgram, _Search, solve, translate_clause\n"
+            "from probel.translate import Atom\n"
+            "print('optimize', sys.flags.optimize)\n"
+            "p, q = Atom('sub', ('p', 'p')), Atom('sub', ('q', 'q'))\n"
+            "program = IlpProgram()\n"
+            "program.objective.append((program.atom_var(p), Fraction(1)))\n"
+            "translate_clause(ViolatedClause(frozenset({q}), frozenset({p}), 'F3'), program)\n"
+            "for answer in (([1, 0], 1), ([1, 1], 2)):\n"
+            "    _Search.solve = lambda self: answer\n"
+            "    try:\n"
+            "        print(solve(program))\n"
+            "    except AssertionError as err:\n"
+            "        print('refused:', err)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout.splitlines()
+        assert out[0] == "optimize 1"
+        assert [line.split(":")[0] for line in out[1:]] == ["refused", "refused"], out
 
 
 class TestClosedForm:
@@ -164,16 +182,16 @@ class TestClosedForm:
         # free variables of positive, negative and zero weight and one whose
         # two entries cancel, declared between two constrained components
         program = IlpProgram()
-        translate_clause(clause(["p"], [], Fraction(3, 4)), program, frozenset())
-        translate_clause(clause(["a", "b"], ["c"], INFINITE), program, frozenset())
-        translate_clause(clause(["n"], [], Fraction(-2, 3)), program, frozenset())
-        translate_clause(clause(["z"], [], Fraction(0)), program, frozenset())
-        translate_clause(clause(["h"], [], Fraction(1, 2)), program, frozenset())
-        translate_clause(clause(["h"], [], Fraction(-1, 2)), program, frozenset())
-        translate_clause(clause(["c"], [], Fraction(1)), program, frozenset())
-        translate_clause(clause(["d"], ["e"], INFINITE), program, frozenset())
-        translate_clause(clause(["e"], [], Fraction(1, 10)), program, frozenset())
-        translate_clause(clause(["d"], [], Fraction(-1, 5)), program, frozenset())
+        weigh(program, atom("p"), Fraction(3, 4))
+        translate_clause(clause(["a", "b"], ["c"]), program, frozenset())
+        weigh(program, atom("n"), Fraction(-2, 3))
+        weigh(program, atom("z"), Fraction(0))
+        weigh(program, atom("h"), Fraction(1, 2))
+        weigh(program, atom("h"), Fraction(-1, 2))
+        weigh(program, atom("c"), Fraction(1))
+        translate_clause(clause(["d"], ["e"]), program, frozenset())
+        weigh(program, atom("e"), Fraction(1, 10))
+        weigh(program, atom("d"), Fraction(-1, 5))
         assignment, value = solve(program)
         assert (assignment, value) == enumerate_solve(program)
         free = {name: assignment[program.atom_var(atom(name))] for name in "pnzh"}
@@ -188,19 +206,19 @@ class TestClosedForm:
         program = IlpProgram()
         for name, weight in (("p", Fraction(1, 3)), ("n", Fraction(-1)), ("z", Fraction(0)),
                              ("h", Fraction(1, 2)), ("h", Fraction(-1, 2)), ("q", Fraction(2, 7))):
-            translate_clause(clause([name], [], weight), program, frozenset())
+            weigh(program, atom(name), weight)
         assert solve(program) == ([1, 0, 0, 0, 1], Fraction(1, 3) + Fraction(2, 7))
 
     def test_a_free_variable_that_gains_a_constraint(self):
         # p, q and r are solved alone first, then constraints join them and
         # the kept search must answer as a fresh one does: q drops out
         program = IlpProgram()
-        translate_clause(clause(["p"], [], Fraction(1, 2)), program, frozenset())
-        translate_clause(clause(["q"], [], Fraction(2, 3)), program, frozenset())
-        translate_clause(clause(["r"], [], Fraction(-1, 4)), program, frozenset())
+        weigh(program, atom("p"), Fraction(1, 2))
+        weigh(program, atom("q"), Fraction(2, 3))
+        weigh(program, atom("r"), Fraction(-1, 4))
         assert solve(program) == ([1, 1, 0], Fraction(7, 6))
-        translate_clause(clause([], ["p", "q"], INFINITE), program, frozenset())
-        translate_clause(clause(["r"], ["q"], INFINITE), program, frozenset())
+        translate_clause(clause([], ["p", "q"]), program, frozenset())
+        translate_clause(clause(["r"], ["q"]), program, frozenset())
         expected = solve(_copy(program))
         assert solve(program) == expected == enumerate_solve(program)
         assert expected == ([1, 0, 0], Fraction(1, 2))
@@ -213,9 +231,13 @@ def _random_literals(rng: random.Random, names: list):
     return chosen[:split], chosen[split:]
 
 
-def _unit(pos: list, neg: list):
-    """A weighted clause is a unit: the first of its literals' names, unnegated."""
-    return (pos + neg)[:1], []
+def _add(program: IlpProgram, pos: list, neg: list, weight) -> list:
+    """Translate the hard clause of the drawn literals, or put a finite
+    weight on the first name drawn; return the constraints made."""
+    if weight is INFINITE:
+        return translate_clause(clause(pos, neg), program, frozenset())
+    weigh(program, atom((pos + neg)[0]), weight)
+    return []
 
 
 def _random_program(rng: random.Random):
@@ -230,12 +252,10 @@ def _random_program(rng: random.Random):
             weight = INFINITE
         elif kind < 0.75:
             weight = Fraction(rng.randint(1, 20), 10)
-            pos, neg = _unit(pos, neg)
         else:
             weight = Fraction(-rng.randint(1, 20), 10)
-            pos, neg = _unit(pos, neg)
         try:
-            translate_clause(clause(pos, neg, weight), program, frozenset())
+            _add(program, pos, neg, weight)
         except Infeasible:
             continue
     return program
@@ -322,10 +342,11 @@ def test_matches_enumeration_on_adversarial_programs():
                 weight = Fraction(-rng.randint(1, 5), 10)
             else:
                 weight = Fraction(rng.randint(1, 30), 10)
-            if weight is not INFINITE:  # a unit over the first name drawn
-                pos, neg = frozenset((atom(chosen[0]),)), frozenset()
             try:
-                translate_clause(ViolatedClause(pos, neg, weight, "F3"), program, frozenset())
+                if weight is INFINITE:
+                    translate_clause(ViolatedClause(pos, neg, "F3"), program, frozenset())
+                else:  # a weight on the first name drawn
+                    weigh(program, atom(chosen[0]), weight)
             except Infeasible:
                 continue
         if len(program.variables) > 18:
@@ -369,8 +390,8 @@ def test_a_program_built_from_lists_knows_its_atoms():
     # the atom -> variable map comes from the given variables: a copy names
     # its atoms' variables, reports its true atoms and equals the original
     program = IlpProgram()
-    translate_clause(clause(["p"], [], Fraction(1, 2)), program, frozenset())
-    translate_clause(clause(["q"], ["p"], INFINITE), program, frozenset())
+    weigh(program, atom("p"), Fraction(1, 2))
+    translate_clause(clause(["q"], ["p"]), program, frozenset())
     copy = _copy(program)
     assert copy == program
     assert [copy.atom_var(atom(n)) for n in ("p", "q")] == [0, 1]
@@ -393,10 +414,12 @@ def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
     # grow programs clause by clause and solve the same program after each
     # clause: the search kept on it must answer as a fresh copy does, infeasible
     # programs included, and as enumeration does while it can. After a solve,
-    # a hard clause or a unit of weight <= 0 on a new variable is first
-    # carried (the last assignment extended to the new variables), which may
-    # fall back to a search; a unit of positive weight or on an old variable
-    # is never carried
+    # a hard clause or a weight <= 0 on a new variable is first carried (the
+    # last assignment extended to the new variables), which may fall back to
+    # a search; a positive weight or one on an old variable is never carried.
+    # A tautology makes no constraint and declares no variable, and every
+    # constraint made is a clause, which the search relies on: coefficients
+    # +1 or -1 on distinct variables, bound 1 - (the number of -1 terms)
     carries = []
     carry = _Search._carry
 
@@ -406,7 +429,7 @@ def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
 
     monkeypatch.setattr(_Search, "_carry", counted)
     rng = random.Random(4242)
-    seen = dict.fromkeys(("raised scale", "joined", "cancelled", "zero weight", "infeasible",
+    seen = dict.fromkeys(("raised scale", "joined", "tautology", "zero weight", "infeasible",
                           "carried", "fell back", "skipped", "old variable"), 0)
     for _ in range(60):
         program = IlpProgram()
@@ -417,7 +440,7 @@ def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
             pos, neg = _random_literals(rng, names)
             kind = rng.random()
             if kind < 0.08:
-                pos = neg = pos + neg  # every term cancels
+                pos = neg = pos + neg  # every atom on both sides
                 weight = INFINITE
             elif kind < 0.2:
                 pos, neg = (pos[:1], []) if pos else ([], neg[:1])  # units drive infeasibility
@@ -428,20 +451,24 @@ def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
                 weight = Fraction(0)
             else:
                 weight = Fraction(rng.choice((-1, 1)) * rng.randint(1, 20), rng.choice((10, 10, 3, 7)))
-            if weight is not INFINITE:
-                pos, neg = _unit(pos, neg)
             before = _components(program)
             try:
-                made = translate_clause(clause(pos, neg, weight), program, frozenset())
+                made = _add(program, pos, neg, weight)
             except Infeasible:
                 continue
             if weight is not INFINITE:
                 seen["zero weight"] += weight == 0
                 seen["raised scale"] += step > 0 and scale % weight.denominator != 0
                 scale = math.lcm(scale, weight.denominator)
+            elif pos == neg:
+                assert made == [] and len(program.variables) == len(before)
+                seen["tautology"] += 1
             for con in made:
-                seen["joined"] += len({id(before[v]) for v, _ in con.terms if v in before}) > 1
-                seen["cancelled"] += pos == neg
+                variables = [v for v, _ in con.terms]
+                assert len(set(variables)) == len(variables), con
+                assert all(c in (1, -1) for _, c in con.terms), con
+                assert con.bound == 1 - sum(c == -1 for _, c in con.terms), con
+                seen["joined"] += len({id(before[v]) for v in variables if v in before}) > 1
             try:
                 expected = solve(_copy(program))
             except Infeasible:
@@ -479,10 +506,8 @@ def test_tie_break_on_programs_with_many_optima():
         for _ in range(rng.randint(2, 10)):
             pos, neg = _random_literals(rng, names)
             weight = rng.choice(weights)
-            if weight is not INFINITE:
-                pos, neg = _unit(pos, neg)
             try:
-                translate_clause(clause(pos, neg, weight), program, frozenset())
+                _add(program, pos, neg, weight)
             except Infeasible:
                 continue
         if len(program.variables) > 16:
@@ -497,18 +522,26 @@ def test_tie_break_on_programs_with_many_optima():
 
 
 class TestKeptSearch:
-    CLAUSES = (
-        clause(["p"], [], Fraction(8, 10)),
-        clause(["r"], [], Fraction(-1, 3)),
-        clause(["q", "r"], [], INFINITE),
-        clause(["s"], ["s"], INFINITE),
+    # weights on p and r, then two clauses, the second a tautology
+    STEPS = (
+        (atom("p"), Fraction(8, 10)),
+        (atom("r"), Fraction(-1, 3)),
+        clause(["q", "r"], []),
+        clause(["s"], ["s"]),
     )
+
+    @staticmethod
+    def add(step, program):
+        if isinstance(step, ViolatedClause):
+            translate_clause(step, program, frozenset())
+        else:
+            weigh(program, *step)
 
     def test_a_solved_program_is_equal_to_an_unsolved_one(self):
         solved, unsolved = IlpProgram(), IlpProgram()
-        for made in self.CLAUSES:
-            translate_clause(made, solved, frozenset())
-            translate_clause(made, unsolved, frozenset())
+        for step in self.STEPS:
+            self.add(step, solved)
+            self.add(step, unsolved)
             solve(solved)
         assert solved == unsolved
         assert repr(solved) == repr(unsolved)
@@ -516,26 +549,26 @@ class TestKeptSearch:
 
     def test_infeasible_again_after_a_feasible_solve(self):
         program = IlpProgram()
-        for made in self.CLAUSES:
-            translate_clause(made, program, frozenset())
+        for step in self.STEPS:
+            self.add(step, program)
         solve(program)
-        translate_clause(clause([], ["q"], INFINITE), program, frozenset())
-        translate_clause(clause([], ["r"], INFINITE), program, frozenset())
+        translate_clause(clause([], ["q"]), program, frozenset())
+        translate_clause(clause([], ["r"]), program, frozenset())
         with pytest.raises(Infeasible):
             solve(program)
         with pytest.raises(Infeasible):
             solve(program)
 
     def test_weight_added_to_a_solved_variable(self):
-        # a negative-weight unit is grounded once its atom is true, so its
+        # a negative weight is weighed once its atom is true, so its
         # entry lands on an old variable; it must not be carried, as it can
         # change which old values are optimal
         program = IlpProgram()
-        translate_clause(clause(["p"], [], Fraction(1, 2)), program, frozenset())
-        translate_clause(clause(["q"], [], Fraction(1, 2)), program, frozenset())
-        translate_clause(clause([], ["p", "q"], INFINITE), program, frozenset())
+        weigh(program, atom("p"), Fraction(1, 2))
+        weigh(program, atom("q"), Fraction(1, 2))
+        translate_clause(clause([], ["p", "q"]), program, frozenset())
         assert solve(program) == ([0, 1], Fraction(1, 2))  # x_p, x_q
-        translate_clause(clause(["q"], [], Fraction(-1)), program, frozenset())
+        weigh(program, atom("q"), Fraction(-1))
         assert solve(program) == solve(_copy(program)) == ([1, 0], Fraction(1, 2))
 
     def test_infeasible_after_a_merge(self):
@@ -543,11 +576,11 @@ class TestKeptSearch:
         # constraints come first in the merged list; the merged component is
         # infeasible
         program = IlpProgram()
-        translate_clause(clause(["p"], [], INFINITE), program, frozenset())
-        translate_clause(clause(["q", "r"], [], INFINITE), program, frozenset())
-        translate_clause(clause([], ["q"], INFINITE), program, frozenset())
+        translate_clause(clause(["p"], []), program, frozenset())
+        translate_clause(clause(["q", "r"], []), program, frozenset())
+        translate_clause(clause([], ["q"]), program, frozenset())
         solve(program)
-        translate_clause(clause([], ["p", "r"], INFINITE), program, frozenset())
+        translate_clause(clause([], ["p", "r"]), program, frozenset())
         with pytest.raises(Infeasible):
             solve(program)
 
@@ -555,8 +588,8 @@ class TestKeptSearch:
 class TestDump:
     def test_sections_and_stability(self):
         program = IlpProgram()
-        translate_clause(clause(["p"], [], Fraction(8, 10)), program, frozenset())
-        translate_clause(clause(["p"], [], INFINITE), program, frozenset())
+        weigh(program, atom("p"), Fraction(8, 10))
+        translate_clause(clause(["p"], []), program, frozenset())
         text = dump(program)
         assert text.splitlines()[0] == "OBJECTIVE"
         assert "CONSTRAINTS" in text and "BINARY" in text
@@ -572,10 +605,10 @@ class TestDump:
         # mangle to "m" and "d"
         value = Atom("rsupEx", ("C", "f", "<=", Fraction(-1, 3)))
         program = IlpProgram()
-        translate_clause(ViolatedClause(frozenset({self.NOMINAL}), frozenset(), Fraction(1, 2), "F3"), program)
-        translate_clause(ViolatedClause(frozenset({self.NAMED}), frozenset({self.NOMINAL}), INFINITE, "F3"), program)
-        translate_clause(ViolatedClause(frozenset({value}), frozenset({self.NAMED}), INFINITE, "F3"), program)
-        translate_clause(ViolatedClause(frozenset({value}), frozenset(), Fraction(-3, 4), "F3"), program)
+        weigh(program, self.NOMINAL, Fraction(1, 2))
+        translate_clause(ViolatedClause(frozenset({self.NAMED}), frozenset({self.NOMINAL}), "F3"), program)
+        translate_clause(ViolatedClause(frozenset({value}), frozenset({self.NAMED}), "F3"), program)
+        weigh(program, value, Fraction(-3, 4))
         assert dump(program) == (
             "OBJECTIVE\n"
             "  0.5 x_sub_C_nom_a\n"
@@ -596,11 +629,11 @@ class TestDump:
             "from fractions import Fraction\n"
             "from probel.grounding import ViolatedClause\n"
             "from probel.ilp import IlpProgram, dump, translate_clause\n"
-            "from probel.model import INFINITE, Nominal\n"
+            "from probel.model import Nominal\n"
             "from probel.translate import Atom\n"
             "atoms = frozenset({Atom('sub', ('C', Nominal('a'))), Atom('sub', ('C', 'nom_a'))})\n"
             "program = IlpProgram()\n"
-            "translate_clause(ViolatedClause(atoms, frozenset(), INFINITE, 'F3'), program)\n"
+            "translate_clause(ViolatedClause(atoms, frozenset(), 'F3'), program)\n"
             "print(program.variables)\n"
             "print(dump(program), end='')\n"
         )
