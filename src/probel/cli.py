@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import engine, ilp
@@ -97,9 +98,36 @@ def _load(path: str):
     return result
 
 
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of a report, whose dicts have str
+    keys. The standard encoder writes indented JSON in pure Python, through
+    nested functions that leave reference cycles; here every string goes
+    through the C string encoder, and every other scalar through the C
+    encoder of ``json.dumps`` without an indent."""
+    if value.__class__ is str:
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [
+            f"{encode_basestring_ascii(key)}: "
+            + (encode_basestring_ascii(item) if item.__class__ is str else _json(item, inner))
+            for key, item in value.items()
+        ]
+        ends = "{}"
+    elif isinstance(value, list):
+        try:  # most lists hold only strings
+            items = list(map(encode_basestring_ascii, value))
+        except TypeError:
+            items = [_json(item, inner) for item in value]
+        ends = "[]"
+    else:
+        return json.dumps(value)
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1] if items else ends
+
+
 def _emit(report: dict, fmt: str):
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_json(report) + "\n")
         return
     for key, value in report.items():
         if isinstance(value, list):

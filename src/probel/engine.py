@@ -62,7 +62,7 @@ from .grounding import (
     saturate,
 )
 from .model import KnowledgeBase, WeightedStatement, exact_sum, validate
-from .translate import atom_sort_key, phi, phi_inverse, rule_templates
+from .translate import atom_sort_key, make_atom, phi, phi_inverse, rule_templates
 
 _MAX_ITERATIONS = 100_000
 
@@ -228,15 +228,17 @@ class _CompiledKB(NamedTuple):
 
 def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = None) -> _CompiledKB:
     """Validate the KB, check the enumeration cap if one is given, build the
-    facts and the statement atoms, and close and gate the deterministic part."""
+    facts and the statement atoms, from the normal atoms validation found,
+    and close and gate the deterministic part."""
     diagnostics = validate(kb)
     if diagnostics:
         raise ValidationFailed(diagnostics)
     if cap is not None and len(kb.uncertain) > cap:
         raise EnumerationCapExceeded(len(kb.uncertain), cap)
     templates = rule_templates(kb.signature)
-    units = tuple(phi(ws.statement) for ws in kb.uncertain)
-    closure = saturate(templates, (phi(ws.statement) for ws in kb.deterministic), domain=config.domain)
+    units = tuple(make_atom(pred, *args) for pred, args in diagnostics.uncertain)
+    closure = saturate(templates, (make_atom(pred, *args) for pred, args in diagnostics.deterministic),
+                       domain=config.domain)
     bad = incoherence_atoms(closure.atoms)
     if bad:
         raise IncoherentDeterministic(_incoherent_core(kb, templates, config.domain), bad)

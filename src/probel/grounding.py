@@ -294,12 +294,16 @@ def _kernel(rule_id: str, stored: tuple, evals: tuple, head: Optional[PatternAto
 
 
 def _index(atoms) -> tuple:
+    """The chase index of ``atoms``: grouped by predicate first, then each
+    group indexed one argument position at a time, as every atom of a
+    predicate has that predicate's arity."""
     by_pred, by_pos = defaultdict(list), defaultdict(list)  # read only by get() and in, which never insert
     for atom in atoms:
-        pred, args = atom
-        by_pred[pred].append(atom)
-        for i, arg in enumerate(args):
-            by_pos[pred, i, arg].append(atom)
+        by_pred[atom[0]].append(atom)
+    for pred, group in by_pred.items():
+        for i in range(len(group[0][1])):
+            for atom in group:
+                by_pos[pred, i, atom[1][i]].append(atom)
     return by_pred, by_pos
 
 

@@ -49,8 +49,10 @@ class Infeasible(Exception):
 
 
 class LinearConstraint(NamedTuple):
-    """sum(coefficient * variable) >= bound; translate_clause makes clauses
-    only: coefficients +1 or -1 on distinct variables, bound 1 - (the -1s)."""
+    """sum(coefficient * variable) >= bound, a clause: coefficients +1 or
+    -1 on one or more distinct variables, bound 1 - (the -1s).
+    translate_clause makes clauses only, and ``solve`` raises ValueError on
+    any other constraint."""
 
     terms: tuple  # ((variable, integer coefficient), ...)
     bound: int
@@ -227,7 +229,10 @@ class _Search:
             dirty.add(find(i))
         self.entries = len(objective)
         for j in range(len(self.literals), len(constraints)):
-            literals = [(i, int(c > 0)) for i, c in constraints[j].terms]
+            con = constraints[j]
+            if not _is_clause(con):  # its signs alone would read as another constraint
+                raise ValueError(f"constraint {j} is not a clause: {con!r}")
+            literals = [(i, int(c > 0)) for i, c in con.terms]
             self.literals.append(literals)
             for i, good in literals:
                 occ[1 - good][i].append(j)
@@ -478,6 +483,18 @@ def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
     if exact_sum(w for v, w in program.objective if assignment[v]) != optimum:
         raise AssertionError("the search's optimum is not its assignment's objective")
     return assignment, optimum
+
+
+def _is_clause(con: LinearConstraint) -> bool:
+    """Coefficients +1 or -1 on one or more distinct variables, and bound
+    1 - (the -1s); translate_clause raises Infeasible for the empty clause."""
+    negative = 0
+    for _, c in con.terms:
+        if c == -1:
+            negative += 1
+        elif c != 1:
+            return False
+    return con.bound == 1 - negative and 0 < len(con.terms) == len({v for v, _ in con.terms})
 
 
 def _holds(con: LinearConstraint, assignment: Sequence[int]) -> bool:

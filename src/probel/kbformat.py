@@ -14,9 +14,14 @@ Examples::
     {mary} SUBCLASSOF Person
     0.6 (Person AND hasParent SOME Adult)(john)
 
-``parse_kb`` makes one pass per line: it tokenizes the line, reads it by
-recursive descent, converts each distinct number literal once and records
-each name's sort as it reads the name. It then normalizes the statements.
+``parse_kb`` makes one pass per line. One ``findall`` tokenizes the line:
+each match holds a token and the blanks before it, so a token's column is
+the sum of the lengths before it and its kind one dict lookup, and a
+character that starts no token leaves a gap in that sum, reported as
+unexpected. Recursive descent then reads the tokens, converts each
+distinct number literal once and records each name's sort as it reads the
+name. The rewriting that follows keeps a statement that is already normal
+as parsed, where it stands, and rewrites only the others.
 """
 from __future__ import annotations
 
@@ -37,6 +42,7 @@ from .model import (
     INFINITE,
     KnowledgeBase,
     Nominal,
+    OPERATORS,
     RESERVED_PREFIX,
     Restriction,
     RoleAssertion,
@@ -60,13 +66,17 @@ KEYWORDS = {"AND", "SOME", "SUBCLASSOF", "ROLECHAIN", "SUBROLEOF", "TOP", "BOT"}
 # the same column from any caller.
 MAX_NESTING = 100
 
+# One match per token: its leading blanks, then a number or else a name,
+# an operator or punctuation. ``findall`` skips a character that starts no
+# token; _tokenize notices the gap.
 _TOKEN = re.compile(
-    r"(?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op><=|>=|<|>|=)"
-    r"|(?P<punct>[(){},])"
-    r"|(?P<bad>\S)"
+    r"(\s*)(?:(-?\d+(?:\.\d+)?(?:/\d+)?)"
+    r"|([A-Za-z_][A-Za-z0-9_]*|<=|>=|<|>|=|[(){},]))"
 )
+_RESERVED = f"names starting with '{RESERVED_PREFIX}' are reserved"
+# the kind of every token but a number or a plain name
+_KINDS = {text: text for text in (*KEYWORDS, *"(){},")}
+_KINDS.update(dict.fromkeys(OPERATORS, "op"))
 
 
 class ParseError(NamedTuple):
@@ -87,17 +97,25 @@ class _LineSyntax(Exception):
 def _tokenize(line: str) -> list:
     """The (kind, text, column) tokens of one line without its comment,
     then four end tokens, so that every lookahead is a plain index. The
-    kind of a keyword or of punctuation is its text."""
+    kind of a keyword or of punctuation is its text. One ``findall`` reads
+    the line, and each token's column follows from the lengths before it."""
     tokens = []
-    end = 0  # an unexpected character is reported where the last token ends
-    for match in _TOKEN.finditer(line):
-        kind, text = match.lastgroup, match.group()
-        if kind == "bad":
-            raise _LineSyntax(end + 1, f"unexpected character {text!r}")
-        if kind == "punct" or (kind == "name" and text in KEYWORDS):
-            kind = text
-        tokens.append((kind, text, match.start() + 1))
-        end = match.end()
+    end = 0
+    for blanks, number, text in _TOKEN.findall(line):
+        start = end + len(blanks)
+        if number:
+            tokens.append(("number", number, start + 1))
+            end = start + len(number)
+        else:
+            tokens.append((_KINDS.get(text, "name"), text, start + 1))
+            end = start + len(text)
+    # the matches cover the line up to its trailing blanks unless findall
+    # skipped a character; then the last token ends past ``end``
+    if end < len(line) and not line[end:].isspace():
+        end = 0  # an unexpected character is reported where the last token ends
+        while match := _TOKEN.match(line, end):
+            end = match.end()
+        raise _LineSyntax(end + 1, f"unexpected character {line[end:].lstrip()[0]!r}")
     return tokens + [("end", "", len(line) + 1)] * 4
 
 
@@ -125,7 +143,7 @@ class _LineParser:
         if kind != "name":
             raise _LineSyntax(column, f"expected {what}, found {text or 'end of line'!r}")
         if text.startswith(RESERVED_PREFIX):
-            raise _LineSyntax(column, f"names starting with '{RESERVED_PREFIX}' are reserved")
+            raise _LineSyntax(column, _RESERVED)
         self.pos += 1
         if sort is not None:
             self.names.append((sort, text))
@@ -211,11 +229,18 @@ class _LineParser:
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def term(self) -> Concept:
-        if self.tokens[self.pos][0] == "name" and self.tokens[self.pos + 1][0] == "SOME":
-            name = self.name("role or feature name")
-            self.pos += 1  # SOME
-            return self.some_argument(name)
-        return self.primary()
+        tokens, pos = self.tokens, self.pos
+        kind, text, column = tokens[pos]
+        if kind != "name":
+            return self.primary()
+        if text.startswith(RESERVED_PREFIX):
+            raise _LineSyntax(column, _RESERVED)
+        if tokens[pos + 1][0] == "SOME":
+            self.pos = pos + 2
+            return self.some_argument(text)
+        self.pos = pos + 1  # a concept name, the commonest term, read inline
+        self.names.append(("concept", text))
+        return text
 
     def some_argument(self, name: str) -> Concept:
         tokens = self.tokens

@@ -349,13 +349,22 @@ def axiom_names(axiom: Axiom) -> list:
     return _mentions(axiom)[0]
 
 
-def validate(kb: KnowledgeBase) -> list:
+class Diagnostics(list):
+    """What validate finds, one Diagnostic per violation, and each
+    statement's ``normal_atom`` pair in the order of its part:
+    ``deterministic`` and ``uncertain``, whole only when the list is empty."""
+
+    __slots__ = ("deterministic", "uncertain")
+
+
+def validate(kb: KnowledgeBase) -> Diagnostics:
     """Check every statement and invariant; one Diagnostic per violation.
 
     Returns the empty list iff all statements are in normal form over the
-    signature and the weight/part invariant holds.
+    signature and the weight/part invariant holds. The list also carries
+    each statement's normal atom, so that no caller computes it again.
     """
-    diagnostics = []
+    diagnostics = Diagnostics()
     sig = kb.signature
     sorts = {}
     for sort, names in (
@@ -372,12 +381,17 @@ def validate(kb: KnowledgeBase) -> list:
         diagnostics.append(Diagnostic(None, None, "signature must contain TOP and BOT"))
 
     seen = {}
+    parts = []
     for part, statements in (("deterministic", kb.deterministic), ("uncertain", kb.uncertain)):
+        atoms = []
+        parts.append(atoms)
         for index, weighted in enumerate(statements):
             statement, weight = weighted.statement, weighted.weight
-            if not is_normal_form(statement):
+            atom = normal_atom(statement)
+            if atom is None:
                 diagnostics.append(Diagnostic(part, index, "statement is not in normal form"))
                 continue
+            atoms.append(atom)
             names, restrictions = _mentions(statement)
             for sort, name in names:
                 declared = sorts.get(name)
@@ -398,4 +412,5 @@ def validate(kb: KnowledgeBase) -> list:
                 diagnostics.append(Diagnostic(part, index, "infinite weight outside deterministic part"))
             if seen.setdefault(statement, part) != part:
                 diagnostics.append(Diagnostic(part, index, "statement appears in both parts"))
+    diagnostics.deterministic, diagnostics.uncertain = parts
     return diagnostics

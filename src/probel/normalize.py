@@ -55,6 +55,7 @@ class _Rewriter:
         self.name_map: dict = {}
         self.cache: dict = {}  # (side, expression) -> fresh name
         self.counter = 0
+        self.diagnostics: list = []
 
     def fresh_concept(self, expr) -> str:
         name = self._next_name(FRESH_CONCEPT)
@@ -86,6 +87,35 @@ class _Rewriter:
             self.deterministic[statement] = None
         else:
             self.uncertain.append(statement)
+
+    def rewrite(self, axiom: Axiom, weight: Weight):
+        """Add a flattened axiom: as it is when it is normal, else as the
+        normal statements it rewrites into."""
+        if is_normal_form(axiom):
+            self.add(axiom, weight)
+        elif isinstance(axiom, Gci):
+            if is_infinite(weight):
+                # no carrier needed: decompose in place
+                if is_ref(axiom.left):
+                    self.define_right(axiom.left, axiom.right)
+                elif is_ref(axiom.right):
+                    self.define_left(axiom.left, axiom.right)
+                else:
+                    self.define_right(self.left_ref(axiom.left), axiom.right)
+            else:
+                self.emit(Gci(self.left_ref(axiom.left), self.right_ref(axiom.right)), weight)
+        elif isinstance(axiom, ConceptAssertion):
+            self.emit(ConceptAssertion(self.right_ref(axiom.concept), axiom.individual), weight)
+        elif isinstance(axiom, RoleInclusion):
+            chain = axiom.chain
+            acc = chain[0]
+            for role in chain[1:-1]:
+                step = self.fresh_role((acc, role))
+                self.emit(RoleInclusion((acc, role), step), INFINITE)
+                acc = step
+            self.emit(RoleInclusion((acc, chain[-1]), axiom.sup), weight)
+        else:  # pragma: no cover - assertions and role axioms are always normal
+            self.diagnostics.append(Diagnostic("input", None, f"cannot normalize {axiom!r}"))
 
     # -- left side: returns a ref with (expr <= ref) among the definitions --
 
@@ -197,55 +227,22 @@ def rewrite(
     """The rewriting of :func:`normalize` alone, for axioms whose every name
     the signature already holds with the sort the axiom uses it with."""
     rewriter = _Rewriter(sig)
-    diagnostics = []
-
-    expanded = []
     for axiom, weight in axioms:
-        if isinstance(axiom, Equiv):
-            left, right = _flatten(axiom.left), _flatten(axiom.right)
-            expanded.append((Gci(left, right), weight))
-            expanded.append((Gci(right, left), weight))
-        elif isinstance(axiom, Gci):
-            expanded.append((Gci(_flatten(axiom.left), _flatten(axiom.right)), weight))
-        elif isinstance(axiom, ConceptAssertion):
-            expanded.append((ConceptAssertion(_flatten(axiom.concept), axiom.individual), weight))
-        else:
-            expanded.append((axiom, weight))
-
-    for axiom, weight in expanded:
-        if is_normal_form(axiom):
+        if is_normal_form(axiom):  # most axioms: kept where they stand, as they are
             rewriter.add(axiom, weight)
-            continue
-        if isinstance(axiom, Gci):
-            if is_infinite(weight):
-                # no carrier needed: decompose in place
-                if is_ref(axiom.left):
-                    rewriter.define_right(axiom.left, axiom.right)
-                elif is_ref(axiom.right):
-                    rewriter.define_left(axiom.left, axiom.right)
-                else:
-                    left = rewriter.left_ref(axiom.left)
-                    rewriter.define_right(left, axiom.right)
-            else:
-                left = rewriter.left_ref(axiom.left)
-                right = rewriter.right_ref(axiom.right)
-                rewriter.emit(Gci(left, right), weight)
+        elif isinstance(axiom, Equiv):
+            left, right = _flatten(axiom.left), _flatten(axiom.right)
+            rewriter.rewrite(Gci(left, right), weight)
+            rewriter.rewrite(Gci(right, left), weight)
+        elif isinstance(axiom, Gci):
+            rewriter.rewrite(Gci(_flatten(axiom.left), _flatten(axiom.right)), weight)
         elif isinstance(axiom, ConceptAssertion):
-            name = rewriter.right_ref(axiom.concept)
-            rewriter.emit(ConceptAssertion(name, axiom.individual), weight)
-        elif isinstance(axiom, RoleInclusion):
-            chain = axiom.chain
-            acc = chain[0]
-            for role in chain[1:-1]:
-                step = rewriter.fresh_role((acc, role))
-                rewriter.emit(RoleInclusion((acc, role), step), INFINITE)
-                acc = step
-            rewriter.emit(RoleInclusion((acc, chain[-1]), axiom.sup), weight)
-        else:  # pragma: no cover - assertions and role axioms are always normal
-            diagnostics.append(Diagnostic("input", None, f"cannot normalize {axiom!r}"))
+            rewriter.rewrite(ConceptAssertion(_flatten(axiom.concept), axiom.individual), weight)
+        else:
+            rewriter.rewrite(axiom, weight)
 
     out_sig = make_signature(
         rewriter.concepts, rewriter.roles, sig.features, sig.individuals
     )
     kb = KnowledgeBase(out_sig, tuple(rewriter.deterministic), tuple(rewriter.uncertain))
-    return NormalizeResult(kb, rewriter.name_map, diagnostics)
+    return NormalizeResult(kb, rewriter.name_map, rewriter.diagnostics)

@@ -36,6 +36,9 @@ from .model import (
 )
 
 
+_new = tuple.__new__
+
+
 class Atom(NamedTuple):
     pred: str
     args: tuple
@@ -54,8 +57,8 @@ def _arg_str(arg) -> str:
 
 def make_atom(pred: str, *args) -> Atom:
     if pred == "inst" and isinstance(args[1], Nominal):
-        return Atom("ninst", (args[0], args[1].individual))
-    return Atom(pred, tuple(args))
+        return _new(Atom, ("ninst", (args[0], args[1].individual)))
+    return _new(Atom, (pred, args))  # Atom(...) without its Python-level __new__
 
 
 def atom_sort_key(atom: Atom) -> tuple:
@@ -303,11 +306,12 @@ RULES = tuple(t for t in _TEMPLATES if t.body)  # built once per process, shared
 def rule_templates(sig: Signature) -> list:
     """The completion calculus of ``sig``: RULES, with F1, F2 and UNA ground
     as ``facts``, one per concept constant or pair of distinct individuals.
-    Only the facts are built per call."""
+    Only the facts are built per call, as the join kernels build atoms."""
     consts = concept_constants(sig)
+    nominals = consts[len(consts) - len(sig.individuals):]  # one per individual, in name order
     facts = {
-        "F1": tuple(Atom("sub", (cc, cc)) for cc in consts),
-        "F2": tuple(Atom("sub", (cc, TOP)) for cc in consts),
-        "UNA": tuple(Atom("int", (Nominal(p), Nominal(q), BOT)) for p, q in combinations(sorted(sig.individuals), 2)),
+        "F1": tuple(_new(Atom, ("sub", (cc, cc))) for cc in consts),
+        "F2": tuple(_new(Atom, ("sub", (cc, TOP))) for cc in consts),
+        "UNA": tuple(_new(Atom, ("int", (p, q, BOT))) for p, q in combinations(nominals, 2)),
     }
     return [t if t.body else t._replace(facts=facts[t.id]) for t in _TEMPLATES]

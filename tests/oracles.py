@@ -1,11 +1,14 @@
 """Independent reference implementations the test suite checks against.
 
-Everything here trades efficiency for obviousness: cross-product grounding,
-exhaustive 0/1 enumeration, and witness-sampled interval containment.
+Everything here trades efficiency for obviousness: a tokenizer that reads
+one match object per token, cross-product grounding, exhaustive 0/1
+enumeration, and witness-sampled interval containment.
 """
+import re
 from fractions import Fraction
 
 from probel.grounding import ViolatedClause, eval_op
+from probel.kbformat import KEYWORDS
 from probel.model import BOT, Nominal, OPERATORS, format_value
 from probel.translate import (
     Atom,
@@ -25,6 +28,37 @@ from probel.translate import (
     make_atom,
     successor_name,
 )
+
+
+# ---------------------------------------------------------------------------
+# tokenizing one line of the text format
+# ---------------------------------------------------------------------------
+
+_TOKEN = re.compile(
+    r"(?P<number>-?\d+(?:\.\d+)?(?:/\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op><=|>=|<|>|=)"
+    r"|(?P<punct>[(){},])"
+    r"|(?P<bad>\S)"
+)
+
+
+def tokenize(line):
+    """The (kind, text, column) tokens of a line without its comment, or
+    ("error", column, message) at its first unexpected character, which is
+    reported where the token before it ends. The kind of a keyword or of
+    punctuation is its text; no end tokens are appended."""
+    tokens = []
+    end = 0
+    for match in _TOKEN.finditer(line):
+        kind, text = match.lastgroup, match.group()
+        if kind == "bad":
+            return ("error", end + 1, f"unexpected character {text!r}")
+        if kind == "punct" or (kind == "name" and text in KEYWORDS):
+            kind = text
+        tokens.append((kind, text, match.start() + 1))
+        end = match.end()
+    return tokens
 
 
 def _instantiate_raw(pattern, binding):

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -13,8 +14,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from probel.cli import main
-from probel.kbformat import MAX_NESTING, parse_kb, serialize_kb
+from probel.cli import _json, main
+from probel.kbformat import MAX_NESTING, _LineSyntax, _tokenize, parse_kb, serialize_kb
 from probel.model import (
     INFINITE,
     And,
@@ -31,6 +32,7 @@ from probel.model import (
 from probel.normalize import normalize
 from probel.randgen import random_kb
 
+from oracles import tokenize
 from strategies import (
     SIG,
     data_statements,
@@ -597,6 +599,27 @@ def test_parser_fuzz(lines):
         assert parse_kb(serialize_kb(result.kb)).kb == result.kb
 
 
+# grammar tokens run together or apart, and characters that start no token:
+# a lone "-", "$", and letters outside the ASCII name class
+_fragments = st.sampled_from((
+    "A", "ab_1", "_x", "AND", "SOME", "SUBCLASSOF", "ROLECHAIN", "SUBROLEOF", "TOP", "BOT",
+    "0", "-2", "0.5", "3/4", "1.5/2", "<=", ">=", "<", ">", "=", "(", ")", "{", "}", ",",
+    " ", "   ", "\t", "-", ".", "$", "\u00e9", "\u00df",
+))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_fragments, max_size=12).map("".join))
+def test_tokenizer_matches_one_match_object_per_token(line):
+    expected = tokenize(line)
+    try:
+        tokens = _tokenize(line)
+    except _LineSyntax as err:
+        assert expected == ("error", err.column, err.message)
+    else:
+        assert tokens == expected + [("end", "", len(line) + 1)] * 4
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.one_of(normal_statements, data_statements, non_normal_statements), min_size=1, max_size=12),
@@ -657,6 +680,34 @@ class TestMoreSurface:
 
 
 class TestDeterminism:
+    def test_json_reports_are_the_standard_encoders(self, toddler_query_path):
+        # every command's report, each KB of kbs/ in both domains: the same
+        # bytes as json.dumps(report, indent=2), non-ASCII and empty
+        # containers included
+        query = str(toddler_query_path)
+        runs = []
+        for kb in sorted(str(path) for path in toddler_query_path.parents[1].glob("*.kb")):
+            runs.append(("check", kb))
+            for domain in ("--domain", "real"), ("--domain", "integer"):
+                runs += [("solve", kb, "--explain", *domain), ("classify", kb, *domain),
+                         ("oracle", kb, *domain), ("prob", kb, "--query", query, *domain)]
+        for argv in runs:
+            code, out = run_cli(*argv, "--format", "json")
+            assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        report = {"caf\u00e9": ["\u00df\n\"", {}, []], "empty": {}, "flags": [True, None, 3]}
+        assert _json(report) == json.dumps(report, indent=2)
+
+    def test_json_report_leaves_no_cyclic_garbage(self, toddler_path):
+        run_cli("solve", str(toddler_path), "--format", "json")  # builds the cached parser
+        gc.collect()
+        gc.disable()
+        try:
+            code, out = run_cli("solve", str(toddler_path), "--format", "json")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert code == 0 and json.loads(out)["coherent"] is True
+
     def test_repeated_invocations_byte_identical(self, toddler_path, two_year_old_path):
         for path in (toddler_path, two_year_old_path):
             for fmt in ("text", "json"):

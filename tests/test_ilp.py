@@ -141,6 +141,19 @@ class TestSolve:
         assert assignment[x_a] == 0
         assert assignment[x_b] == 1
 
+    def test_a_constraint_that_is_not_a_clause_is_refused(self):
+        # x_p + x_q >= 2 reads, by its signs alone, as the clause p or q;
+        # the search must not take it in as that clause
+        p, q = atom("p"), atom("q")
+        program = IlpProgram([p, q], [LinearConstraint(((0, 1), (1, 1)), 2)], [(0, Fraction(1)), (1, Fraction(-1))])
+        with pytest.raises(ValueError, match=r"constraint 0 is not a clause: LinearConstraint\(terms=\(\(0, 1\), \(1, 1\)\), bound=2\)"):
+            solve(program)
+        # a coefficient of 2, a repeated variable, a wrong bound, no term
+        for terms, bound in ((((0, 2),), 1), (((0, 1), (0, -1)), 0), (((0, -1),), 1), ((), 1)):
+            with pytest.raises(ValueError, match="not a clause"):
+                solve(IlpProgram([p, q], [LinearConstraint(terms, bound)], []))
+        # x_q - x_p >= 0 is the clause q :- p
+        assert solve(IlpProgram([p, q], [LinearConstraint(((1, 1), (0, -1)), 0)], [(0, Fraction(1))])) == ([1, 1], 1)
 
     def test_post_checks_raise_under_python_O(self):
         # solve checks the search's answer against every constraint and the
