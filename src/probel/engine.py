@@ -237,28 +237,30 @@ def _compile(kb: KnowledgeBase, config: ReasonerConfig, cap: Optional[int] = Non
         raise EnumerationCapExceeded(len(kb.uncertain), cap)
     templates = rule_templates(kb.signature)
     units = tuple(make_atom(pred, *args) for pred, args in diagnostics.uncertain)
-    closure = saturate(templates, (make_atom(pred, *args) for pred, args in diagnostics.deterministic),
-                       domain=config.domain)
+    atoms = [make_atom(pred, *args) for pred, args in diagnostics.deterministic]
+    closure = saturate(templates, atoms, domain=config.domain)
     bad = incoherence_atoms(closure.atoms)
     if bad:
-        raise IncoherentDeterministic(_incoherent_core(kb, templates, config.domain), bad)
+        raise IncoherentDeterministic(_incoherent_core(kb.deterministic, atoms, templates, config.domain), bad)
     return _CompiledKB(units, closure)
 
 
-def _incoherent_core(kb, templates, domain) -> list:
-    """A subset of the deterministic statements that is still incoherent and
-    loses that when any one statement is dropped, by deletion filtering:
-    each statement in turn goes for good if the rest stay incoherent."""
-    core = list(kb.deterministic)
+def _incoherent_core(statements, atoms, templates, domain) -> list:
+    """A subset of the deterministic ``statements``, whose atoms are
+    ``atoms``, that is still incoherent and loses that when any one
+    statement is dropped, by deletion filtering: each statement in turn goes
+    for good if the rest stay incoherent. Every trial chases its atoms from
+    one closure of the facts."""
+    facts = Closure.of(frozenset().union(*(t.facts for t in templates)))
+    core = list(zip(statements, atoms))
     i = 0
     while i < len(core):
         trial = core[:i] + core[i + 1:]
-        atoms = [phi(ws.statement) for ws in trial]
-        if incoherence_atoms(saturate(templates, atoms, domain=domain).atoms):
+        if incoherence_atoms(extend_closure(CALCULUS, facts, (atom for _, atom in trial), domain).atoms):
             core = trial
         else:
             i += 1
-    return core
+    return [ws for ws, _ in core]
 
 
 def _statements(atoms) -> tuple:

@@ -3,10 +3,18 @@ predicates.
 
 Each rule is compiled into join plans (``_Plan``), one with each stored
 body pattern first. A plan's first run generates its *join kernel*
-(``_kernel``), one Python function: a nested loop per body pattern over
-the index list it probes, the variables as local slots, each argument's
-check or bind written out, and the eval literals, the head and the test
-that the head is new inlined. Kernels are generated lazily, never at
+(``_kernel``), one Python function that joins the other patterns in a
+planned order (_join_order), not the declared one: after the anchor comes
+any pattern whose variables are all bound, else the one that leaves the
+most of the rest fully bound, then the one with the most variables bound,
+ties going to the declared position, so a plan never depends on set or
+dict order. A pattern that binds a variable is a nested loop over the
+index list it probes, with the variables as local slots and each
+argument's check or bind written out; a fully bound pattern is one set
+membership test of the plain tuple (pred, args), which hashes and
+compares as the Atom it stands for. The eval literals and the head are
+inlined, and the head is tested for newness as such a tuple too: only a
+new head is built as an Atom. Kernels are generated lazily, never at
 import, because every fresh process pays for the ones it runs. No value
 is ever formatted into kernel source: constants reach a kernel through
 its globals, and the source holds only fixed identifiers, slot numbers
@@ -21,7 +29,9 @@ a KB adds only the facts of the body-less rules. One semi-naive pass
 (_join) runs every kernel: each plan anchored on a predicate of the delta
 binds its anchor from the delta, earlier patterns from the old atoms and
 later ones from both, and hands each grounding to ``emit`` with its rule's
-id. Two callers run passes:
+id. A fully bound pattern is looked up in the pass's known atoms, and an
+earlier one must also be missing from its delta (``fresh``), which is
+what keeps it among the old atoms. Two callers run passes:
 
 - extend_closure() is the semi-naive chase behind every deterministic
   closure: saturate() runs it over the input atoms from the closure of the
@@ -156,8 +166,8 @@ _SORT_TESTS = {
 
 class _Plan:
     """A rule's join with its ``anchor``-th stored body pattern first.
-    run(P0, X0, P1, X1, P2, X2, known, domain, emit) is the plan's kernel,
-    generated on the first call."""
+    run(P0, X0, P1, X1, P2, X2, known, fresh, domain, emit) is the plan's
+    kernel, generated on the first call."""
 
     __slots__ = ("rule", "anchor", "run")
 
@@ -178,26 +188,59 @@ def _show(pattern: PatternAtom) -> str:
     return f"{pattern.pred}({', '.join(map(show, pattern.args))})"
 
 
+def _variable(arg) -> Optional[Var]:
+    """The variable a body argument matches, the individual's under a
+    nominal, or None for a constant."""
+    var = arg.var if isinstance(arg, NomOf) else arg
+    return var if isinstance(var, Var) else None
+
+
+def _join_order(variables: list, anchor: int) -> list:
+    """The declared positions of a rule's stored body patterns, whose
+    variable names are ``variables``, in the order the kernel anchored at
+    ``anchor`` joins them. After the anchor comes any pattern whose
+    variables are all bound (a membership test), else the one that leaves
+    the most of the rest fully bound, then the one with the most variables
+    already bound; ties go to the declared position."""
+    order, bound = [anchor], set(variables[anchor])
+    rest = [j for j in range(len(variables)) if j != anchor]
+    while rest:
+        full = [j for j in rest if variables[j] <= bound]
+        j = full[0] if full else max(rest, key=lambda j: (
+            sum(variables[i] <= bound | variables[j] for i in rest if i != j), len(variables[j] & bound), -j
+        ))
+        order.append(j)
+        rest.remove(j)
+        bound |= variables[j]
+    return order
+
+
 def _kernel(rule_id: str, stored: tuple, evals: tuple, head: Optional[PatternAtom], anchor: int):
     """Generate the join kernel of a rule, joining its stored body patterns
-    with the ``anchor``-th first.
+    in the planned order (_join_order) from the ``anchor``-th.
 
     The kernel streams the rule's groundings:
     emit(rule_id, head, body atoms) for each one whose head (None for
     FALSE) is not in ``known`` and whose eval literals hold. It takes three
-    indexes, each as the pair (Pn, Xn) that _index returns, and nests one loop per
-    pattern: the anchor reads index 0, earlier patterns index 1 and later
-    ones index 2. A loop runs over the index list probed at every argument
-    whose value is known before it (the shortest, if several); its other
+    indexes, each as the pair (Pn, Xn) that _index returns, and nests one
+    loop per pattern that binds a variable: the anchor reads index 0,
+    earlier patterns index 1 (the old atoms) and later ones index 2 (all of
+    them). A loop runs over the index list probed at every argument whose
+    value is known before it (the shortest, if several); its other
     arguments bind slots, the local variables s0, s1, ... Each list is
     looked up as soon as its key is bound, so an absent key skips every loop
     in between. A variable of the sort PREDICATE_SORTS declares for its
-    position binds untested, as every stored atom is well sorted. Constants
-    reach the kernel as its globals k0, k1, ...
+    position binds untested, as every stored atom is well sorted. A pattern
+    whose variables are all bound is no loop but one set lookup of the plain
+    tuple (pred, args), which hashes and compares as the Atom it stands for:
+    ``t in known`` after the anchor, and ``t in known and t not in fresh``,
+    the old atoms, before it. The head is tested as such a tuple too; only a
+    new head, and a tested atom passed to emit, is built as an Atom.
+    Constants reach the kernel as its globals k0, k1, ...
     """
     consts = []
     slot = {}  # variable -> the expression of its value
-    level = {}  # variable -> the step that binds it
+    level = {}  # variable -> the loop that binds it
 
     def const(value) -> str:
         consts.append(value)
@@ -212,16 +255,24 @@ def _kernel(rule_id: str, stored: tuple, evals: tuple, head: Optional[PatternAto
             return f"successor_name({slot[arg.x]}, {slot[arg.r]}, {slot[arg.b]})"
         return const(arg)
 
-    steps, lookups = [], {}  # lookups: the step after which a list's key is bound -> [(name, lookup)]
-    for k, j in enumerate(sorted(range(len(stored)), key=lambda i: i != anchor)):
+    steps, lookups = [], {}  # lookups: the loop after which a list's key is bound -> [(name, lookup)]
+    members, tested = {}, set()  # the loop after which a pattern is fully bound -> [its membership test]
+    variables = [{var.name for var in map(_variable, args) if var} for _, args in stored]
+    for j in _join_order(variables, anchor):
         pred, args = stored[j]
         which = 0 if j == anchor else 1 if j < anchor else 2
-        bound = set(slot)
+        if j != anchor and variables[j] <= slot.keys():
+            atom = f"(a{j} := ({const(pred)}, ({', '.join(map(value, args))},)))"
+            test = f"{atom} in known" + (f" and a{j} not in fresh" if which == 1 else "")
+            members.setdefault(len(steps) - 1, []).append(test)
+            tested.add(j)
+            continue
+        k, bound = len(steps), set(slot)
         probes, reads, tests, unwraps = {}, {}, [], []
         for i, arg in enumerate(args):
-            var = arg.var if isinstance(arg, NomOf) else arg
-            if not isinstance(var, Var) or var.name in bound:
-                probes[i] = (value(arg), level[var.name] if isinstance(var, Var) else -1)
+            var = _variable(arg)
+            if var is None or var.name in bound:
+                probes[i] = (value(arg), -1 if var is None else level[var.name])
                 continue
             if var.name in slot:  # bound earlier in this step
                 reads[i] = f"v{i}"
@@ -238,36 +289,39 @@ def _kernel(rule_id: str, stored: tuple, evals: tuple, head: Optional[PatternAto
                 if PREDICATE_SORTS[pred][i] != var.sort:
                     tests.append(f"{const(_SORT_TESTS[var.sort])}({reads[i]})")
         keys = [(f"X{which}.get(({const(pred)}, {i}, {v}))", at) for i, (v, at) in probes.items()]
-        names = [f"L{k}_{n}" for n in range(len(keys) or 1)]
+        names = [f"L{j}_{n}" for n in range(len(keys) or 1)]
         for name, (lookup, at) in zip(names, keys or [(f"P{which}.get({const(pred)})", -1)]):
             lookups.setdefault(at, []).append((name, lookup))
         if len(keys) > 1:  # the loop takes the shortest list: check every probed position
             reads.update((i, f"v{i}") for i in probes)
             tests[:0] = [f"v{i} == {v}" for i, (v, _) in probes.items()]
-        steps.append([names, reads, tests, unwraps, len(args)])
+        steps.append([names, reads, tests, unwraps, j])
         for name, local, _ in unwraps:
             slot[name] = local
 
-    lines = ["def join(P0, X0, P1, X1, P2, X2, known, domain, emit):"]
+    lines = ["def join(P0, X0, P1, X1, P2, X2, known, fresh, domain, emit):"]
     pad = "    "
     for k in range(-1, len(steps)):
         if k >= 0:
-            names, reads, tests, unwraps, arity = steps[k]
+            names, reads, tests, unwraps, j = steps[k]
             loop = names[0] if len(names) == 1 else (
                 f"{names[0]} if len({names[0]}) <= len({names[1]}) else {names[1]}" if len(names) == 2
                 else f"min({', '.join(names)}, key=len)"
             )
-            lines.append(f"{pad}for a{k} in {loop}:")
+            lines.append(f"{pad}for a{j} in {loop}:")
             pad += "    "
             if len(reads) == 1:
                 (i, name), = reads.items()
-                lines.append(f"{pad}{name} = a{k}.args[{i}]")
+                lines.append(f"{pad}{name} = a{j}.args[{i}]")
             elif reads:
-                lines.append(f"{pad}{', '.join(reads.get(i, '_') for i in range(arity))} = a{k}.args")
+                lines.append(f"{pad}{', '.join(reads.get(i, '_') for i in range(len(stored[j].args)))} = a{j}.args")
             if tests:
                 lines.append(f"{pad}if {' and '.join(tests)}:")
                 pad += "    "
             lines.extend(f"{pad}{local} = {individual}" for _, local, individual in unwraps)
+            if k in members:
+                lines.append(f"{pad}if {' and '.join(members[k])}:")
+                pad += "    "
         ready = lookups.get(k, [])
         if len(ready) == 1 and steps[k + 1][0] == [ready[0][0]]:  # the next loop's only list: loop over it
             steps[k + 1][0] = [f"{ready[0][1][:-1]}, ())"]
@@ -277,7 +331,7 @@ def _kernel(rule_id: str, stored: tuple, evals: tuple, head: Optional[PatternAto
     tests = [f"eval_op({', '.join(map(value, p.args))}, domain)" for p in evals]
     if head is not None:
         pred, args = const(head.pred), ", ".join(map(value, head.args))
-        atom = f"new(Atom, ({pred}, ({args},)))"  # Atom(...) without its Python-level __new__
+        atom = f"({pred}, ({args},))"
         if head.pred == "inst":  # make_atom turns inst(x, {a}) into ninst(x, a)
             atom = f"make_atom({pred}, {args}) if {value(head.args[1])}.__class__ is Nominal else {atom}"
         lines.append(f"{pad}h = {atom}")
@@ -285,7 +339,9 @@ def _kernel(rule_id: str, stored: tuple, evals: tuple, head: Optional[PatternAto
     if tests:
         lines.append(f"{pad}if {' and '.join(tests)}:")
         pad += "    "
-    lines.append(f"{pad}emit({const(rule_id)}, {'h' if head else 'None'}, ({''.join(f'a{k}, ' for k in range(len(stored)))}))")
+    # an Atom is built without its Python-level __new__, and only for an emitted grounding
+    body = "".join(f"new(Atom, a{j}), " if j in tested else f"a{j}, " for j in range(len(stored)))
+    lines.append(f"{pad}emit({const(rule_id)}, {'new(Atom, h)' if head else 'None'}, ({body}))")
     name = f"<join kernel {rule_id}: {_show(head) if head else 'FALSE'} :- {', '.join(map(_show, stored + evals))}; anchor {anchor}>"
     namespace = {f"k{i}": c for i, c in enumerate(consts)}
     namespace.update(new=tuple.__new__, Atom=Atom, Nominal=Nominal, make_atom=make_atom, eval_op=eval_op, successor_name=successor_name)
@@ -367,14 +423,16 @@ def plan_table(templates: Sequence[ClauseTemplate]) -> dict:
 CALCULUS = plan_table(RULES)
 
 
-def _join(plans: dict, delta: tuple, old: tuple, index: tuple, known, domain: str, emit) -> None:
+def _join(plans: dict, delta: tuple, old: tuple, index: tuple, known, fresh, domain: str, emit) -> None:
     """The one semi-naive pass: run each plan anchored on a predicate of
     ``delta``. The anchor binds from the delta, earlier body positions from
     ``old`` and later ones from ``index``, the two together, so each
-    grounding with a body atom in the delta is emitted exactly once."""
+    grounding with a body atom in the delta is emitted exactly once.
+    ``known`` is the set of the atoms ``index`` indexes and ``fresh`` that of
+    the delta's, which the membership tests of fully bound patterns read."""
     for pred in delta[0]:
         for plan in plans.get(pred, ()):
-            plan.run(*delta, *old, *index, known, domain, emit)
+            plan.run(*delta, *old, *index, known, fresh, domain, emit)
 
 
 def find_violated(
@@ -403,7 +461,8 @@ def find_violated(
     """
     if not base.atoms <= current:
         base = _EMPTY
-    delta = _index(current - base.atoms)
+    fresh = current - base.atoms
+    delta = _index(fresh)
     index = _merge(base.index, delta)
     found = set()
 
@@ -411,7 +470,7 @@ def find_violated(
         positive = frozenset() if head is None else frozenset((head,))
         found.add(ViolatedClause(positive, frozenset(body), rule_id))
 
-    _join(plans, delta, base.index, index, current, domain, emit)
+    _join(plans, delta, base.index, index, current, fresh, domain, emit)
 
     result = Violations(sorted(found, key=ViolatedClause.sort_key))
     result.closure = Closure(current, index)
@@ -442,7 +501,7 @@ def extend_closure(
         delta_idx = _index(delta)
         cur_idx = _merge(old_idx, delta_idx)
         heads = set()
-        _join(plans, delta_idx, old_idx, cur_idx, current, domain, lambda _, head, __: heads.add(head))
+        _join(plans, delta_idx, old_idx, cur_idx, current, delta, domain, lambda _, head, __: heads.add(head))
         heads.discard(None)
         # the old atoms of the next pass are this pass's current ones
         old_idx = cur_idx

@@ -6,7 +6,9 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from probel import engine, ilp
 from probel.engine import (
@@ -28,6 +30,7 @@ from probel.model import (
     Gci,
     INFINITE,
     KnowledgeBase,
+    Nominal,
     WeightedStatement,
     axiom_names,
     make_signature,
@@ -37,6 +40,7 @@ from probel.randgen import random_kb
 from probel.translate import Atom, atom_sort_key, phi, phi_inverse, rule_templates
 
 from oracles import naive_find_violated, naive_saturate
+from strategies import SIG, data_statements, fine_data_somes, individuals, normal_statements, plain_concepts
 
 
 class TestWeightedAgeExample:
@@ -180,6 +184,51 @@ class TestEdgeCases:
         classified = classify_deterministic(toddler_kb)
         assert Gci(And(("Toddler", "Adult")), BOT) in classified
         assert Gci("Toddler", "Person") not in classified
+
+
+# statements that together, and not alone, put a concept under BOT: a name
+# under two nominals, which the unique-name clause parts; a name under both
+# sides of a conjunction under BOT; and the same through a datatype
+# restriction that the other one contains, in one domain or in both
+_conflicts = st.one_of(
+    st.builds(lambda c, x, y: [Gci(c, Nominal(x)), Gci(c, Nominal(y))], plain_concepts, individuals, individuals),
+    st.builds(lambda c, d, e: [Gci(And((d, e)), BOT), Gci(c, d), Gci(c, e)], plain_concepts, plain_concepts, plain_concepts),
+    st.builds(lambda c, d, inner, outer: [Gci(c, inner), Gci(outer, d), Gci(And((c, d)), BOT)],
+              plain_concepts, plain_concepts, fine_data_somes, fine_data_somes),
+)
+
+
+def test_the_incoherent_core_is_minimal():
+    # deletion filtering over drawn incoherent deterministic parts, in both
+    # domains: the reported core keeps the statement order, is incoherent
+    # alone and turns coherent without any one of its statements
+    templates = rule_templates(SIG)
+    cores = {"real": 0, "integer": 0}
+
+    def incoherent(statements, domain):
+        return bool(incoherence_atoms(saturate(templates, [phi(s) for s in statements], domain=domain).atoms))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+    @given(st.lists(normal_statements, max_size=8), st.lists(data_statements, max_size=2), _conflicts,
+           st.sampled_from(("real", "integer")), st.randoms(use_true_random=False))
+    def draw(statements, data, conflict, domain, rng):
+        # no statement incoherent alone, so that every core takes deletions
+        statements = [s for s in dict.fromkeys(statements + data + conflict) if not incoherent([s], domain)]
+        rng.shuffle(statements)
+        assume(incoherent(statements, domain))
+        kb = KnowledgeBase(SIG, tuple(WeightedStatement(s, INFINITE) for s in statements), ())
+        with pytest.raises(IncoherentDeterministic) as err:
+            classify_deterministic(kb, ReasonerConfig(domain=domain))
+        core = [ws.statement for ws in err.value.core]
+        assert core == [s for s in statements if s in core]
+        assert incoherent(core, domain)
+        assert len(core) >= 2
+        assert not any(incoherent(core[:i] + core[i + 1:], domain) for i in range(len(core)))
+        cores[domain] += 1
+
+    draw()
+    assert all(count >= 5 for count in cores.values()), cores
 
 
 class TestEngineOracleAgreement:

@@ -1,4 +1,5 @@
 import copy
+import dis
 import gc
 import itertools
 import random
@@ -14,6 +15,11 @@ from probel.grounding import (
     CALCULUS,
     Closure,
     ViolatedClause,
+    _index,
+    _join,
+    _join_order,
+    _kernel,
+    _merge,
     eval_op,
     extend_closure,
     find_violated,
@@ -24,6 +30,7 @@ from probel.grounding import (
 from probel.model import (
     BOT,
     OPERATORS,
+    And,
     ConceptAssertion,
     DataSome,
     Exists,
@@ -31,6 +38,8 @@ from probel.model import (
     Gci,
     Nominal,
     Restriction,
+    RoleAssertion,
+    RoleInclusion,
     TOP,
     make_signature,
 )
@@ -547,3 +556,131 @@ def test_every_kernel_matches_the_naive_oracles(domain):
             base = extend_closure(plans, Closure.of(frozenset()), current - {atom}, domain=domain)
             fast = extend_closure(plans, base, (atom,), domain=domain).atoms
             assert fast == closure, (template.id, atom)
+
+
+@pytest.mark.parametrize("domain", ("real", "integer"))
+def test_one_pass_emits_each_grounding_once(domain):
+    # every non-empty split of a grounding's body atoms into delta and old
+    # atoms, the distractors among the old ones: one pass emits it exactly
+    # once, whatever order each plan joins in. A pattern before the anchor
+    # that read all the atoms, not the old ones, would emit it once per
+    # delta atom it holds; find_violated and extend_closure collect
+    # groundings into sets, so only this count shows that
+    for template, _, body, distractors in _kernel_cases(domain):
+        plans = plan_table([template])
+        known = frozenset(body) | distractors
+        for mask in range(1, 2 ** len(body)):
+            fresh = frozenset(atom for i, atom in enumerate(body) if mask >> i & 1)
+            old, delta = _index(known - fresh), _index(fresh)
+            emitted = []
+            _join(plans, delta, old, _merge(old, delta), known, fresh, domain,
+                  lambda rule_id, head, atoms: emitted.append((rule_id, head, frozenset(atoms))))
+            groundings = Counter(emitted)
+            assert sum(n for (_, _, atoms), n in groundings.items() if atoms == frozenset(body)) == 1, (template.id, fresh)
+            assert max(groundings.values()) == 1, (template.id, fresh)
+            assert all(atoms & fresh for _, _, atoms in emitted), (template.id, fresh)
+        emitted = []
+        everything = _index(known)
+        _join(plans, _index(()), everything, everything, known, frozenset(), domain, lambda *g: emitted.append(g))
+        assert not emitted, template.id
+
+
+def _pattern_variables(pattern) -> set:
+    return {
+        var.name
+        for var in (arg.var if isinstance(arg, NomOf) else arg for arg in pattern.args)
+        if isinstance(var, Var)
+    }
+
+
+def test_kernels_format_no_value_and_loop_only_to_bind():
+    # no value is formatted into a kernel's source: its code holds only
+    # None, slot numbers, argument positions and the empty default of a
+    # lookup. A pattern whose variables are all bound before its turn is a
+    # set lookup, so there is one loop per pattern that binds a variable
+    kernels = 0
+    for plans in CALCULUS.values():
+        for plan in plans:
+            stored = plan.rule[1]
+            kernel = _kernel(*plan.rule, plan.anchor)
+            consts = kernel.__code__.co_consts
+            assert all(c is None or type(c) is int or c == () for c in consts), (kernel, consts)
+            variables = [_pattern_variables(pattern) for pattern in stored]
+            order = _join_order(variables, plan.anchor)
+            assert order[0] == plan.anchor and sorted(order) == list(range(len(stored)))
+            bound, binding = set(), 0
+            for j in order:
+                binding += not variables[j] <= bound
+                bound |= variables[j]
+            loops = sum(instruction.opname == "FOR_ITER" for instruction in dis.get_instructions(kernel))
+            assert loops == binding, kernel
+            kernels += 1
+    assert kernels == sum(len(p.body) - sum(q.pred == "eval" for q in p.body) for p in rule_templates(make_signature()) if p.body)
+
+
+_DEEP_SIG = make_signature(
+    concepts=[f"C{i}" for i in range(12)],
+    roles=("r", "s"),
+    features=("f",),
+    individuals=[f"i{i}" for i in range(6)],
+)
+
+
+def _deep_statements(rng: random.Random, count: int = 80) -> list:
+    """``count`` distinct normal statements over _DEEP_SIG, mostly concept
+    inclusions, conjunctions, existentials and assertions as in
+    classify-deep, with nominals, data restrictions on halves next to the
+    integers, feature values and role inclusions among them."""
+    concepts, individuals = sorted(_DEEP_SIG.concepts - {TOP, BOT}), sorted(_DEEP_SIG.individuals)
+    roles, features = sorted(_DEEP_SIG.roles), sorted(_DEEP_SIG.features)
+
+    def concept():
+        return Nominal(rng.choice(individuals)) if rng.random() < 0.03 else rng.choice(concepts)
+
+    def value():
+        return Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+
+    def some():
+        return DataSome(rng.choice(features), Restriction(rng.choice(OPERATORS), value()))
+
+    forms = {
+        lambda: Gci(concept(), concept()): 30,
+        lambda: Gci(And((concept(), concept())), concept()): 12,
+        lambda: Gci(concept(), Exists(rng.choice(roles), concept())): 10,
+        lambda: Gci(Exists(rng.choice(roles), concept()), concept()): 10,
+        lambda: Gci(concept(), some()): 5,
+        lambda: Gci(some(), concept()): 5,
+        lambda: Gci(And((concept(), concept())), some()): 2,
+        lambda: RoleInclusion((rng.choice(roles),), rng.choice(roles)): 2,
+        lambda: RoleInclusion((rng.choice(roles), rng.choice(roles)), rng.choice(roles)): 2,
+        lambda: ConceptAssertion(rng.choice(concepts), rng.choice(individuals)): 12,
+        lambda: RoleAssertion(rng.choice(roles), rng.choice(individuals), rng.choice(individuals)): 6,
+        lambda: FeatureAssertion(rng.choice(features), rng.choice(individuals), value()): 6,
+    }
+    statements = {}
+    while len(statements) < count:
+        statements.setdefault(rng.choices(list(forms), weights=list(forms.values()))[0](), None)
+    return list(statements)
+
+
+def test_the_chase_of_deep_kbs_is_independent_of_order_and_split():
+    # KBs of classify-deep's size, far beyond the naive oracle: in either
+    # domain, the chase of all the statements equals the chase of them
+    # reversed and the extension of the chase of a prefix with the rest, at
+    # several splits, so the planned kernels meet many passes and delta
+    # shapes. The integers close one of the KBs differently from the reals
+    templates = rule_templates(_DEEP_SIG)
+    differ = []
+    for seed in range(3):
+        atoms = [phi(s) for s in _deep_statements(random.Random(seed))]
+        closures = []
+        for domain in ("real", "integer"):
+            closure = saturate(templates, atoms, domain=domain).atoms
+            assert len(closure) > 500
+            assert saturate(templates, atoms[::-1], domain=domain).atoms == closure, (seed, domain)
+            for split in (1, 20, 40, 60, 79):
+                base = saturate(templates, atoms[:split], domain=domain)
+                assert extend_closure(CALCULUS, base, atoms[split:], domain=domain).atoms == closure, (seed, domain, split)
+            closures.append(closure)
+        differ.append(closures[0] != closures[1])
+    assert any(differ)
