@@ -210,10 +210,10 @@ def largest_component(program) -> int:
             v = parent[v]
         return v
 
-    for constraint in program.constraints:
-        first = find(constraint.terms[0][0])
-        for v, _ in constraint.terms[1:]:
-            parent[find(v)] = first
+    for clause in program.constraints:
+        first, *rest = map(find, clause.positive + clause.negative)
+        for root in rest:
+            parent[root] = first
     return max(Counter(map(find, range(len(parent)))).values(), default=0)
 
 

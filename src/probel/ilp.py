@@ -1,8 +1,8 @@
 """Exact 0/1 integer linear programming for clause constraints.
 
-A violated hard clause translates into one ``>=`` constraint over its
-atoms' variables, and an uncertain statement's weight is an objective entry
-on its atom's variable: the objective is the sum of the weights of the true
+A violated hard clause translates into one ``Clause`` over its atoms'
+variables, and an uncertain statement's weight is an objective entry on
+its atom's variable: the objective is the sum of the weights of the true
 atoms. The internal solver maximizes it exactly and deterministically:
 
 - The weights are scaled to integers by the least common multiple of
@@ -48,18 +48,14 @@ class Infeasible(Exception):
     """No assignment satisfies the hard constraints."""
 
 
-class LinearConstraint(NamedTuple):
-    """sum(coefficient * variable) >= bound, a clause: coefficients +1 or
-    -1 on one or more distinct variables, bound 1 - (the -1s).
-    translate_clause makes clauses only, and ``solve`` raises ValueError on
-    any other constraint."""
+class Clause(NamedTuple):
+    """At least one of the ``positive`` variables is 1 or one of the
+    ``negative`` ones is 0. The search takes any clause, a variable repeated
+    on one side or on both included, and the empty clause makes the program
+    infeasible; translate_clause makes every clause in the package."""
 
-    terms: tuple  # ((variable, integer coefficient), ...)
-    bound: int
-
-    def render(self, names: Sequence[str]) -> str:
-        parts = " ".join(f"{'+' if c >= 0 else '-'}{abs(c)} {names[v]}" for v, c in self.terms)
-        return f"{parts} >= {self.bound}"
+    positive: tuple  # (variable, ...)
+    negative: tuple
 
 
 _OP_TOKENS = {"<": "lt", "<=": "le", "=": "eq", ">=": "ge", ">": "gt"}
@@ -80,7 +76,7 @@ def atom_token(atom: Atom) -> str:
 
 
 class IlpProgram:
-    """Binary variables, linear constraints and a maximization objective.
+    """Binary variables, clause constraints and a maximization objective.
 
     Variables are integers in declaration order: ``variables[i]`` is the
     atom of variable i. Each objective entry ``(i, weight)`` adds its
@@ -94,7 +90,7 @@ class IlpProgram:
 
     def __init__(self, variables=None, constraints=None, objective=None):
         self.variables: List[Atom] = [] if variables is None else variables
-        self.constraints: List[LinearConstraint] = [] if constraints is None else constraints
+        self.constraints: List[Clause] = [] if constraints is None else constraints
         self.objective: List[Tuple[int, Fraction]] = [] if objective is None else objective
         self._atom_vars: Dict[Atom, int] = {atom: v for v, atom in enumerate(self.variables)}
         self._search: Optional[_Search] = None
@@ -127,23 +123,22 @@ class IlpProgram:
 def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozenset()) -> list:
     """Add one violated hard clause to the program; return the constraints made.
 
-    The clause becomes one constraint, at least one literal true. A
-    tautology, an atom on both sides, holds in every world: it makes no
-    constraint and declares no variable. Atoms fixed true in every world,
-    those of the deterministic part's closure, which holds the facts of the
-    body-less rules (F1, F2, UNA), are substituted out: a positive literal
-    over one satisfies the clause outright, and a negated literal over one
-    can never help and is omitted from the sum. A clause left with no
-    literal raises ``Infeasible``.
+    The clause becomes one ``Clause`` over its atoms' variables, each side
+    in atom order, the positive atoms declared first. A tautology, an atom
+    on both sides, holds in every world: it makes no constraint and declares
+    no variable. Atoms fixed true in every world, those of the deterministic
+    part's closure, which holds the facts of the body-less rules (F1, F2,
+    UNA), are substituted out: a positive literal over one satisfies the
+    clause outright, and a negated literal over one can never help and is
+    omitted. A clause left with no literal raises ``Infeasible``.
     """
     if not (clause.positive.isdisjoint(fixed_true) and clause.positive.isdisjoint(clause.negative)):
         return []
     neg = [atom for atom in clause.negative if atom not in fixed_true]
     if not clause.positive and not neg:
         raise Infeasible()
-    terms = [(program.atom_var(a), 1) for a in sorted(clause.positive, key=atom_sort_key)]
-    terms += [(program.atom_var(a), -1) for a in sorted(neg, key=atom_sort_key)]
-    made = LinearConstraint(tuple(terms), 1 - len(neg))
+    positive = tuple(program.atom_var(a) for a in sorted(clause.positive, key=atom_sort_key))
+    made = Clause(positive, tuple(program.atom_var(a) for a in sorted(neg, key=atom_sort_key)))
     program.constraints.append(made)
     return [made]
 
@@ -155,10 +150,10 @@ def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozen
 class _Search:
     """Branch and bound with counter-based propagation over one growing 0/1 program.
 
-    Each constraint is a clause of literals ``(var, good)``, true when var
-    is good; its slack is the number of its literals not yet false, minus
-    one. ``occ[value][var]`` lists the constraints whose slack drops by one
-    when var takes value.
+    A clause's slack is the number of its literals not yet false, minus
+    one: a positive literal is false when its variable is 0, a negative one
+    when it is 1. ``occ[value][var]`` lists the constraints whose slack
+    drops by one when var takes value, once per literal it falsifies.
     ``ub`` is the scaled value of the variables set to 1 plus the free
     positive weight of the component being solved.
 
@@ -176,7 +171,7 @@ class _Search:
         self.scale = 1
         self.weight: List[int] = []
         self.loss: Tuple[List[int], List[int]] = ([], [])  # loss[value][var]: how much ub drops
-        self.literals: List[list] = []  # per constraint: (var, good value)
+        self.clauses: Sequence[Clause] = ()  # the program's constraints
         self.slack: List[int] = []
         self.occ: Tuple[List[list], List[list]] = ([], [])
         self.value: List[int] = []  # -1 free, else 0 or 1
@@ -199,7 +194,7 @@ class _Search:
             i = parent[i]
         return i
 
-    def update(self, variables: Sequence[Atom], constraints: Sequence[LinearConstraint],
+    def update(self, variables: Sequence[Atom], constraints: Sequence[Clause],
                objective: Sequence[Tuple[int, Fraction]]) -> _Search:
         """Take in the variables, objective entries and constraints appended since the last call."""
         value, weight, loss, occ = self.value, self.weight, self.loss, self.occ
@@ -228,17 +223,18 @@ class _Search:
             loss[0][i], loss[1][i] = max(weight[i], 0), max(-weight[i], 0)
             dirty.add(find(i))
         self.entries = len(objective)
-        for j in range(len(self.literals), len(constraints)):
-            con = constraints[j]
-            if not _is_clause(con):  # its signs alone would read as another constraint
-                raise ValueError(f"constraint {j} is not a clause: {con!r}")
-            literals = [(i, int(c > 0)) for i, c in con.terms]
-            self.literals.append(literals)
-            for i, good in literals:
-                occ[1 - good][i].append(j)
+        self.clauses = constraints
+        for j in range(len(self.slack), len(constraints)):
+            positive, negative = constraints[j]
+            if not positive and not negative:  # left untaken, so every later solve raises too
+                raise Infeasible()
+            for i in positive:
+                occ[0][i].append(j)
+            for i in negative:
+                occ[1][i].append(j)
             # the slack against the current values, which undoing restores exactly
-            self.slack.append(sum(value[i] != 1 - good for i, good in literals) - 1)
-            roots = {find(i) for i, _ in literals}
+            self.slack.append(sum(value[i] != 0 for i in positive) + sum(value[i] != 1 for i in negative) - 1)
+            roots = {find(i) for i in positive + negative}
             root = roots.pop()
             for other in roots:  # merge the smaller lists into the larger
                 if len(members[root]) < len(members[other]):
@@ -273,9 +269,14 @@ class _Search:
 
     def _force(self, j: int):
         """Set the free literal of constraint j, whose slack is 0, if any."""
-        for k, good in self.literals[j]:
-            if self.value[k] < 0:
-                self._assign(k, good)
+        value = self.value
+        positive, negative = self.clauses[j]
+        for k in positive:
+            if value[k] < 0:
+                self._assign(k, 1)
+        for k in negative:
+            if value[k] < 0:
+                self._assign(k, 0)
 
     def _propagate(self) -> bool:
         """Propagate the unprocessed trail entries; False on a conflict."""
@@ -485,26 +486,16 @@ def solve(program: IlpProgram) -> Tuple[List[int], Fraction]:
     return assignment, optimum
 
 
-def _is_clause(con: LinearConstraint) -> bool:
-    """Coefficients +1 or -1 on one or more distinct variables, and bound
-    1 - (the -1s); translate_clause raises Infeasible for the empty clause."""
-    negative = 0
-    for _, c in con.terms:
-        if c == -1:
-            negative += 1
-        elif c != 1:
-            return False
-    return con.bound == 1 - negative and 0 < len(con.terms) == len({v for v, _ in con.terms})
-
-
-def _holds(con: LinearConstraint, assignment: Sequence[int]) -> bool:
-    return sum(c * assignment[v] for v, c in con.terms) >= con.bound
+def _holds(clause: Clause, assignment: Sequence[int]) -> bool:
+    return any(assignment[v] for v in clause.positive) or not all(assignment[v] for v in clause.negative)
 
 
 def dump(program: IlpProgram) -> str:
     """Serialize to the textual LP format, byte-stable across runs. Variables
     are named here alone, in declared order: ``x_`` and the atom's token,
-    plus ``_`` while distinct atoms mangle alike."""
+    plus ``_`` while distinct atoms mangle alike. A clause is written as its
+    linear form: +1 on each positive variable, -1 on each negative one,
+    ``>=`` 1 minus the number of negative ones."""
     names, taken = [], set()
     for atom in program.variables:
         name = "x_" + atom_token(atom)
@@ -516,8 +507,9 @@ def dump(program: IlpProgram) -> str:
     for var, weight in program.objective:
         lines.append(f"  {format_value(weight)} {names[var]}")
     lines.append("CONSTRAINTS")
-    for con in program.constraints:
-        lines.append("  " + con.render(names))
+    for positive, negative in program.constraints:
+        terms = [f"+1 {names[v]}" for v in positive] + [f"-1 {names[v]}" for v in negative]
+        lines.append(f"  {' '.join(terms)} >= {1 - len(negative)}")
     lines.append("BINARY")
     for name in names:
         lines.append(f"  {name}")

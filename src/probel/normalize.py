@@ -183,6 +183,26 @@ def _flatten(concept: Concept) -> Concept:
     return concept
 
 
+def _empty_conjunction(concept: Concept) -> bool:
+    if isinstance(concept, And):
+        return not concept.parts or any(map(_empty_conjunction, concept.parts))
+    return isinstance(concept, Exists) and _empty_conjunction(concept.filler)
+
+
+def _check_shape(axiom: Axiom) -> Optional[str]:
+    """What leaves an API-built axiom without a rewriting: a role chain or a
+    conjunction with no part. The parser builds neither."""
+    if isinstance(axiom, RoleInclusion):
+        return None if axiom.chain else "empty role chain"
+    if isinstance(axiom, (Gci, Equiv)):
+        concepts = axiom.left, axiom.right
+    elif isinstance(axiom, ConceptAssertion):
+        concepts = (axiom.concept,)
+    else:
+        return None
+    return "empty conjunction" if any(map(_empty_conjunction, concepts)) else None
+
+
 def _check_names(axiom: Axiom, sig: Signature) -> Optional[str]:
     pools = {
         "concept": sig.concepts,
@@ -204,14 +224,14 @@ def normalize(
 ) -> NormalizeResult:
     """Rewrite weighted axioms into normal statements over an extended
     signature. Already-normal axioms pass through unchanged; equivalences
-    contribute their weight to both directions. An axiom with a name the
-    signature lacks, or holds with another sort, is left out with a
-    diagnostic.
+    contribute their weight to both directions. An axiom with an empty role
+    chain or conjunction, or with a name the signature lacks or holds with
+    another sort, is left out with a diagnostic.
     """
     diagnostics = []
     known = []
     for index, (axiom, weight) in enumerate(axioms):
-        problem = _check_names(axiom, sig)
+        problem = _check_shape(axiom) or _check_names(axiom, sig)
         if problem is not None:
             diagnostics.append(Diagnostic("input", index, problem))
         else:

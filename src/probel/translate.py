@@ -75,9 +75,11 @@ def atom_sort_key(atom: Atom) -> tuple:
     return (pred, *args)
 
 
-# Argument sorts per predicate, used for validation and by the grounding
-# machinery ("C" concept ref, "I" individual, "R" role, "F" feature,
-# "O" operator, "V" value; rinst is checked structurally).
+# Argument sorts per predicate ("C" concept ref, "I" individual, "R" role,
+# "F" feature, "O" operator, "V" value). In the package only the grounding
+# kernels read it: a variable in a position of its own sort binds untested.
+# The last two positions of rinst hold a role and an individual or a
+# feature and a value, so a variable there is always sort-tested.
 PREDICATE_SORTS = {
     "sub": ("C", "C"),
     "subNom": ("C", "I"),

@@ -216,11 +216,14 @@ def enumerate_optima(program):
     for i in range(n):
         cols[:, i] = (rows >> i) & 1
     feasible = np.ones(1 << n, dtype=bool)
-    for con in program.constraints:
-        lhs = np.zeros(1 << n, dtype=np.int64)
-        for var, coef in con.terms:
-            lhs += coef * cols[:, var].astype(np.int64)
-        feasible &= lhs >= con.bound
+    for positive, negative in program.constraints:
+        # a clause holds where some positive variable is 1 or some negative one is 0
+        holds = np.zeros(1 << n, dtype=bool)
+        for var in positive:
+            holds |= cols[:, var] == 1
+        for var in negative:
+            holds |= cols[:, var] == 0
+        feasible &= holds
     if not feasible.any():
         return None
 

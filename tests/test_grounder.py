@@ -254,6 +254,46 @@ class TestNaiveOracleEquivalence:
             self._compare_domain(kb, closure, "integer")
 
 
+_HALVES = tuple(Fraction(v, 2) for v in range(-1, 6))  # -1/2 .. 5/2
+
+
+def _data_atoms(rng: random.Random) -> list:
+    """The atoms of a drawn KB over concepts A and B, feature f and
+    individual a: one or two f SOME (o, v) SUBCLASSOF C, one or two f(a, v)
+    with v not an integer, at most one C SUBCLASSOF f SOME (o, v), and at
+    most one concept assertion or inclusion of names. Restriction values
+    run over -1/2 .. 5/2."""
+    def restriction():
+        return Restriction(rng.choice(OPERATORS), rng.choice(_HALVES))
+
+    statements = [Gci(DataSome("f", restriction()), rng.choice("AB")) for _ in range(rng.randint(1, 2))]
+    statements += [FeatureAssertion("f", "a", rng.choice(_HALVES[::2])) for _ in range(rng.randint(1, 2))]
+    statements += [Gci(rng.choice("AB"), DataSome("f", restriction())) for _ in range(rng.randint(0, 1))]
+    statements += [rng.choice((ConceptAssertion(rng.choice("AB"), "a"), Gci(rng.choice("AB"), rng.choice("AB"))))
+                   for _ in range(rng.randint(0, 1))]
+    return [phi(statement) for statement in statements]
+
+
+def test_integer_snapping_on_non_integer_values():
+    # random_kb draws integer values only, so its KBs seldom close
+    # differently over the integers (where (=, 1/2) is empty and (>, 1/2)
+    # is (>=, 1)); at least a third of these do
+    sig = make_signature(concepts=("A", "B"), features=("f",), individuals=("a",))
+    templates = rule_templates(sig)
+    rng = random.Random(3)
+    count, differ = 18, 0
+    for _ in range(count):
+        atoms = _data_atoms(rng)
+        closure = saturate(templates, atoms, domain="integer").atoms
+        differ += closure != saturate(templates, atoms, domain="real").atoms
+        _assert_naive_closure(closure, templates, atoms, sig, "integer")
+        partial = frozenset(rng.sample(sorted(closure, key=str), len(closure) // 2))
+        for current in (frozenset(atoms), partial):
+            fast = set(find_violated(CALCULUS, current, domain="integer"))
+            assert fast == naive_find_violated(templates, current, sig, domain="integer")
+    assert differ >= count / 3, differ
+
+
 def _assert_naive_closure(closure, templates, atoms, sig, domain):
     """``closure`` is the naive fixpoint of ``atoms``, and incoherence_atoms
     finds in it the body atoms of the naive COH clauses."""

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import json
 import math
 import os
 import random
@@ -11,9 +13,9 @@ import pytest
 
 from probel.grounding import ViolatedClause
 from probel.ilp import (
+    Clause,
     IlpProgram,
     Infeasible,
-    LinearConstraint,
     _Search,
     dump,
     solve,
@@ -42,7 +44,7 @@ class TestTranslateClause:
     def test_single_literal_hard_clause(self):
         program = IlpProgram()
         made = translate_clause(clause(["p"], []), program, frozenset())
-        assert made == [LinearConstraint(((program.atom_var(atom("p")), 1),), 1)]
+        assert made == [Clause((program.atom_var(atom("p")),), ())]
 
     def test_a_tautology_makes_nothing(self):
         # an atom on both sides holds in every world: no constraint, and no
@@ -62,14 +64,14 @@ class TestTranslateClause:
         weigh(program, atom("q"), Fraction(-1, 2))
         (made,) = translate_clause(clause(["q"], ["e", "p"]), program, fixed)
         x_q, x_p = program.atom_var(atom("q")), program.atom_var(atom("p"))
-        assert made == LinearConstraint(((x_q, 1), (x_p, -1)), 0)
+        assert made == Clause((x_q,), (x_p,))
         assert program.variables == [atom("q"), atom("p")]
         assert (x_q, x_p) == (0, 1)
         assert program.objective == [(0, Fraction(-1, 2))]
         assert translate_clause(clause(["e"], ["r"]), program, fixed) == []
         (made,) = translate_clause(clause(["s", "r"], ["q", "t"]), program, fixed)
         assert program.variables[2:] == [atom("r"), atom("s"), atom("t")]
-        assert made == LinearConstraint(((2, 1), (3, 1), (0, -1), (4, -1)), -1)
+        assert made == Clause((2, 3), (0, 4))
         assert len(program.constraints) == 2
 
     def test_evidence_fixed_atoms_are_omitted(self):
@@ -77,9 +79,8 @@ class TestTranslateClause:
         fixed = frozenset((atom("e"),))
         made = translate_clause(clause(["p"], ["e", "q"]), program, fixed)
         (constraint,) = made
-        assert atom("e") not in {program.variables[v] for v, _ in constraint.terms}
         assert atom("e") not in program.variables
-        assert constraint.bound == 1 - 1  # one remaining negated literal
+        assert constraint == Clause((0,), (1,))  # one remaining negated literal
 
     def test_hard_conflict(self):
         program = IlpProgram()
@@ -141,19 +142,22 @@ class TestSolve:
         assert assignment[x_a] == 0
         assert assignment[x_b] == 1
 
-    def test_a_constraint_that_is_not_a_clause_is_refused(self):
-        # x_p + x_q >= 2 reads, by its signs alone, as the clause p or q;
-        # the search must not take it in as that clause
-        p, q = atom("p"), atom("q")
-        program = IlpProgram([p, q], [LinearConstraint(((0, 1), (1, 1)), 2)], [(0, Fraction(1)), (1, Fraction(-1))])
-        with pytest.raises(ValueError, match=r"constraint 0 is not a clause: LinearConstraint\(terms=\(\(0, 1\), \(1, 1\)\), bound=2\)"):
-            solve(program)
-        # a coefficient of 2, a repeated variable, a wrong bound, no term
-        for terms, bound in ((((0, 2),), 1), (((0, 1), (0, -1)), 0), (((0, -1),), 1), ((), 1)):
-            with pytest.raises(ValueError, match="not a clause"):
-                solve(IlpProgram([p, q], [LinearConstraint(terms, bound)], []))
-        # x_q - x_p >= 0 is the clause q :- p
-        assert solve(IlpProgram([p, q], [LinearConstraint(((1, 1), (0, -1)), 0)], [(0, Fraction(1))])) == ([1, 1], 1)
+    def test_a_hand_built_clause(self):
+        # q :- p, with p worth 1
+        program = IlpProgram([atom("p"), atom("q")], [Clause((1,), (0,))], [(0, Fraction(1))])
+        assert solve(program) == ([1, 1], 1)
+
+    def test_a_hand_built_empty_clause_is_infeasible(self):
+        # translate_clause raises Infeasible rather than make one; appended
+        # after a solve, and solved again, it stays infeasible
+        program = IlpProgram([atom("p")], [Clause((0,), ())], [(0, Fraction(1))])
+        assert solve(program) == ([1], 1)
+        program.constraints.append(Clause((), ()))
+        for _ in range(2):
+            with pytest.raises(Infeasible):
+                solve(program)
+        with pytest.raises(Infeasible):
+            solve(IlpProgram([], [Clause((), ())], []))
 
     def test_post_checks_raise_under_python_O(self):
         # solve checks the search's answer against every constraint and the
@@ -282,8 +286,8 @@ def _disjoint_union(first: IlpProgram, second: IlpProgram) -> IlpProgram:
     new = {kv: i for i, kv in enumerate(order)}
     return IlpProgram(
         variables=[parts[k].variables[v] for k, v in order],
-        constraints=[LinearConstraint(tuple((new[k, v], c) for v, c in con.terms), con.bound)
-                     for k, p in enumerate(parts) for con in p.constraints],
+        constraints=[Clause(*(tuple(new[k, v] for v in side) for side in clause))
+                     for k, p in enumerate(parts) for clause in p.constraints],
         objective=[(new[k, v], w) for k, p in enumerate(parts) for v, w in p.objective],
     )
 
@@ -377,6 +381,36 @@ def test_matches_enumeration_on_adversarial_programs():
         assert expected is not None and got[1] == expected[1] and got[0] == expected[0], round_
 
 
+def test_hand_built_clauses_that_repeat_a_variable_match_enumeration():
+    # translate_clause never repeats a variable, but the search is exact on
+    # any clause with a literal: a variable repeated on one side falsifies
+    # each of its literals, and one on both sides makes a tautology. Each
+    # program gains its clauses one at a time, solved after each, so the
+    # carry takes them in too, until one makes the program infeasible
+    rng = random.Random(1000)
+    seen = dict.fromkeys(("one side", "both sides", "infeasible", "solved"), 0)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        objective = [(rng.randrange(n), Fraction(rng.randint(-10, 10), 10)) for _ in range(rng.randint(0, n))]
+        program = IlpProgram([atom(f"v{i}") for i in range(n)], [], objective)
+        for _ in range(rng.randint(1, 8)):
+            literals = [rng.randrange(n) for _ in range(rng.randint(1, 4))]
+            split = rng.randint(0, len(literals))
+            positive, negative = tuple(literals[:split]), tuple(literals[split:])
+            program.constraints.append(Clause(positive, negative))
+            seen["one side"] += len(set(positive)) < len(positive) or len(set(negative)) < len(negative)
+            seen["both sides"] += not set(positive).isdisjoint(negative)
+            expected = enumerate_solve(program)
+            if expected is None:
+                with pytest.raises(Infeasible):
+                    solve(program)
+                seen["infeasible"] += 1
+                break
+            assert solve(program) == solve(_copy(program)) == expected
+            seen["solved"] += 1
+    assert all(count >= 50 for count in seen.values()), seen
+
+
 def test_value_invariant_under_constraint_reordering():
     rng = random.Random(7)
     for _ in range(10):
@@ -416,11 +450,24 @@ def test_a_program_built_from_lists_knows_its_atoms():
 def _components(program: IlpProgram) -> dict:
     """Each variable's connected component, as a shared set of variables."""
     component = {v: {v} for v in range(len(program.variables))}
-    for con in program.constraints:
-        merged = set().union(*(component[v] for v, _ in con.terms))
+    for clause in program.constraints:
+        merged = set().union(*(component[v] for v in clause.positive + clause.negative))
         for v in merged:
             component[v] = merged
     return component
+
+
+def test_the_ladder_reads_the_largest_component_from_the_clauses():
+    # scripts/ladder.py reports the largest component of each rung's ILP;
+    # clauses over {0, 1, 2} and {3, 4}, and variable 5 in none
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    clauses = [Clause((0,), (1,)), Clause((), (2, 1)), Clause((3, 4), ()), Clause((4,), (4,))]
+    program = IlpProgram([atom(f"v{i}") for i in range(6)], clauses, [])
+    assert ladder.largest_component(program) == 3
+    assert ladder.largest_component(IlpProgram()) == 0
 
 
 def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
@@ -431,8 +478,7 @@ def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
     # last assignment extended to the new variables), which may fall back to
     # a search; a positive weight or one on an old variable is never carried.
     # A tautology makes no constraint and declares no variable, and every
-    # constraint made is a clause, which the search relies on: coefficients
-    # +1 or -1 on distinct variables, bound 1 - (the number of -1 terms)
+    # clause made is over distinct variables
     carries = []
     carry = _Search._carry
 
@@ -477,10 +523,8 @@ def test_incremental_solve_matches_a_fresh_solve(monkeypatch):
                 assert made == [] and len(program.variables) == len(before)
                 seen["tautology"] += 1
             for con in made:
-                variables = [v for v, _ in con.terms]
+                variables = con.positive + con.negative
                 assert len(set(variables)) == len(variables), con
-                assert all(c in (1, -1) for _, c in con.terms), con
-                assert con.bound == 1 - sum(c == -1 for _, c in con.terms), con
                 seen["joined"] += len({id(before[v]) for v in variables if v in before}) > 1
             try:
                 expected = solve(_copy(program))
@@ -662,7 +706,91 @@ class TestDump:
         assert outputs[0].splitlines()[0] == repr([self.NAMED, self.NOMINAL])
         assert "+1 x_sub_C_nom_a +1 x_sub_C_nom_a_ >= 1" in outputs[0]
 
-    def test_every_returned_assignment_checks_numerically(self):
+    # the last program map_inference solves, over the example KBs and random
+    # KBs in both domains: the clause text and the variable declaration
+    # order, which drives the tie-break, stay as they are under any hash seed
+    CONVERGED = (
+        "import hashlib, json, random, sys\n"
+        "from pathlib import Path\n"
+        "import probel.ilp\n"
+        "from probel.engine import ReasonerConfig, map_inference\n"
+        "from probel.kbformat import parse_kb\n"
+        "from probel.randgen import random_kb\n"
+        "def converged(kb, domain):\n"
+        "    dumps, solve = [], probel.ilp.solve\n"
+        "    def wrapped(program):\n"
+        "        dumps.append(probel.ilp.dump(program))\n"
+        "        return solve(program)\n"
+        "    probel.ilp.solve = wrapped\n"
+        "    try:\n"
+        "        map_inference(kb, ReasonerConfig(domain))\n"
+        "    finally:\n"
+        "        probel.ilp.solve = solve\n"
+        "    return dumps[-1]\n"
+        "out = {}\n"
+        "for name in ('toddler.kb', 'two_year_old.kb'):\n"
+        "    kb = parse_kb((Path(sys.argv[1]) / name).read_text()).kb\n"
+        "    out[name] = [converged(kb, domain) for domain in ('real', 'integer')]\n"
+        "rng, digest, clauses = random.Random(30), hashlib.sha256(), 0\n"
+        "for _ in range(30):\n"
+        "    kb = random_kb(rng)\n"
+        "    for domain in ('real', 'integer'):\n"
+        "        text = converged(kb, domain)\n"
+        "        clauses += text.count(' >= ')\n"
+        "        digest.update(text.encode())\n"
+        "out['random'] = [clauses, digest.hexdigest()]\n"
+        "print(json.dumps(out))\n"
+    )
+    TODDLER = (
+        "OBJECTIVE\n"
+        "  0.8 x_rsupEx_Toddler_age_le_3\n"
+        "  0.7 x_rsubEx_age_le_3_Person\n"
+        "  0.1 x_sub_Toddler_Adult\n"
+        "  0.7 x_rinst_john_age_2\n"
+        "CONSTRAINTS\n"
+        "  +1 x_sub_Toddler_BOT -1 x_sub_Toddler_Adult >= 0\n"
+        "  +1 x_sub_Toddler_Person -1 x_rsubEx_age_le_3_Person -1 x_rsupEx_Toddler_age_le_3 >= -1\n"
+        "  +1 x_inst_john_Person -1 x_rinst_john_age_2 -1 x_rsubEx_age_le_3_Person >= -1\n"
+        "  +1 x_inst_john_TOP -1 x_inst_john_Person >= 0\n"
+        "  +1 x_inst_john_TOP -1 x_inst_john_Person >= 0\n"
+        "  -1 x_sub_Toddler_BOT >= 0\n"
+        "BINARY\n"
+        "  x_rsupEx_Toddler_age_le_3\n"
+        "  x_rsubEx_age_le_3_Person\n"
+        "  x_sub_Toddler_Adult\n"
+        "  x_rinst_john_age_2\n"
+        "  x_sub_Toddler_BOT\n"
+        "  x_sub_Toddler_Person\n"
+        "  x_inst_john_Person\n"
+        "  x_inst_john_TOP\n"
+    )
+    TWO_YEAR_OLD = (
+        "OBJECTIVE\n"
+        "  0.7 x_rsupEx_TwoYearOld_age_eq_2\n"
+        "  0.8 x_rsubEx_age_le_3_Toddler\n"
+        "CONSTRAINTS\n"
+        "  +1 x_sub_TwoYearOld_Toddler -1 x_rsubEx_age_le_3_Toddler -1 x_rsupEx_TwoYearOld_age_eq_2 >= -1\n"
+        "BINARY\n"
+        "  x_rsupEx_TwoYearOld_age_eq_2\n"
+        "  x_rsubEx_age_le_3_Toddler\n"
+        "  x_sub_TwoYearOld_Toddler\n"
+    )
+
+    def test_converged_programs_are_pinned_under_any_hash_seed(self):
+        root = Path(__file__).resolve().parents[1]
+        outputs = [
+            json.loads(subprocess.run(
+                [sys.executable, "-c", self.CONVERGED, str(root / "kbs")], capture_output=True, text=True,
+                check=True, env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(root / "src")},
+            ).stdout)
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["toddler.kb"] == [self.TODDLER] * 2
+        assert outputs[0]["two_year_old.kb"] == [self.TWO_YEAR_OLD] * 2
+        assert outputs[0]["random"] == [134, "2be21dd48074005093c401e0deffdb1ec5477c79cd561dbb6f524fdfdf0fde91"]
+
+    def test_every_returned_assignment_satisfies_every_clause(self):
         rng = random.Random(31)
         for _ in range(10):
             program = _random_program(rng)
@@ -670,5 +798,5 @@ class TestDump:
                 assignment, _ = solve(program)
             except Infeasible:
                 continue
-            for con in program.constraints:
-                assert sum(c * assignment[v] for v, c in con.terms) >= con.bound
+            for positive, negative in program.constraints:
+                assert any(assignment[v] for v in positive) or not all(assignment[v] for v in negative)

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from probel.grounding import incoherence_atoms, saturate
 from probel.model import (
     And,
     ConceptAssertion,
     DataSome,
+    Diagnostic,
     Equiv,
     Exists,
     FeatureAssertion,
@@ -95,6 +98,46 @@ def test_unknown_name_is_rejected_with_symbol():
     result = normalize([(Gci("A", "Mystery"), INFINITE)], sig)
     assert result.kb.deterministic == () and result.kb.uncertain == ()
     assert any("Mystery" in d.reason for d in result.diagnostics)
+
+
+SHAPE_SIG = make_signature(concepts=("A", "B"), roles=("r", "s"), individuals=("a",))
+EMPTY = And(())
+
+
+@pytest.mark.parametrize("weight", [Fraction(1, 2), INFINITE], ids=["uncertain", "deterministic"])
+@pytest.mark.parametrize("axiom, reason", [
+    (RoleInclusion((), "r"), "empty role chain"),
+    (Gci(EMPTY, "A"), "empty conjunction"),
+    (Equiv(EMPTY, "A"), "empty conjunction"),
+    (Gci("A", EMPTY), "empty conjunction"),
+    (ConceptAssertion(EMPTY, "a"), "empty conjunction"),
+    (Gci("A", Exists("r", EMPTY)), "empty conjunction"),
+], ids=["chain", "gci-left", "equiv-left", "gci-right", "assertion", "nested"])
+def test_an_axiom_with_an_empty_part_is_left_out(axiom, reason, weight):
+    # only the API can build these: each used to raise IndexError, or to
+    # become a statement over a fresh name nothing defines
+    result = normalize([(axiom, weight)], SHAPE_SIG)
+    assert result.diagnostics == [Diagnostic("input", 0, reason)]
+    assert result.kb.deterministic == result.kb.uncertain == ()
+    assert result.name_map == {}
+
+
+def test_well_formed_axioms_normalize_beside_malformed_ones():
+    axioms = [
+        (RoleInclusion((), "r"), Fraction(1, 2)),
+        (Gci("A", And(("B", Exists("r", "A")))), Fraction(1, 4)),
+        (Gci(EMPTY, "A"), INFINITE),
+        (Gci("A", "Mystery"), INFINITE),
+        (RoleInclusion(("r", "s", "r"), "s"), INFINITE),
+        (ConceptAssertion(EMPTY, "a"), Fraction(1, 3)),
+    ]
+    result = normalize(axioms, SHAPE_SIG)
+    assert [(d.index, d.reason) for d in result.diagnostics] == [
+        (0, "empty role chain"), (2, "empty conjunction"), (3, "unknown concept 'Mystery'"), (5, "empty conjunction"),
+    ]
+    well_formed = normalize([axioms[1], axioms[4]], SHAPE_SIG)
+    assert well_formed.diagnostics == []
+    assert (result.kb, result.name_map) == (well_formed.kb, well_formed.name_map)
 
 
 def test_fresh_names_avoid_existing_signature_names():
