@@ -4,9 +4,11 @@
 For each generated KB the cutting-plane engine's objective is compared
 exactly against the maximum score of the exhaustive world enumeration, and
 the closure of the selected statements is checked against the argmax worlds,
-both in the value domain given by ``--domain`` (real by default). The MAP
-world must also be the closure of the deterministic statements and the
-selected positive-weight ones (the minimal-model lemma).
+both in the value domain given by ``--domain`` (real by default). Among
+the argmax worlds the MAP world must be the one whose vector of entailed
+uncertain statements, in statement order with false before true, is
+smallest (the tie-break). It must also be the closure of the deterministic
+statements and the selected positive-weight ones (the minimal-model lemma).
 """
 import argparse
 import random
@@ -32,7 +34,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     started = time.perf_counter()
     engine_time = oracle_time = 0.0
-    worlds_total = 0
+    worlds_total = tied = 0
     for i in range(args.count):
         kb = random_kb(rng, max_uncertain=args.max_uncertain)
         t0 = time.perf_counter()
@@ -51,9 +53,15 @@ def main() -> int:
         templates = rule_templates(kb.signature)
         atoms = [phi(ws.statement) for ws in kb.deterministic + result.selected]
         closure = saturate(templates, atoms, domain=args.domain).atoms
-        if closure not in {w.atoms for w in dist.worlds if w.score == best}:
+        top = [w for w in dist.worlds if w.score == best]
+        if closure not in {w.atoms for w in top}:
             print(f"CLOSURE MISMATCH at KB {i}")
             return 1
+        units = [phi(ws.statement) for ws in kb.uncertain]
+        if min(top, key=lambda w: [a in w.atoms for a in units]).atoms != result.atoms:
+            print(f"TIE-BREAK MISMATCH at KB {i}")
+            return 1
+        tied += len(top) > 1
         atoms = [phi(ws.statement) for ws in kb.deterministic]
         atoms += [phi(ws.statement) for ws in result.selected if ws.weight > 0]
         if saturate(templates, atoms, domain=args.domain).atoms != result.atoms:
@@ -63,7 +71,7 @@ def main() -> int:
     elapsed = time.perf_counter() - started
     print(
         f"{args.count} KBs agree exactly "
-        f"({worlds_total} coherent worlds enumerated); "
+        f"({worlds_total} coherent worlds enumerated, {tied} KBs with tied optima); "
         f"engine {engine_time:.2f}s, oracle {oracle_time:.2f}s, total {elapsed:.2f}s"
     )
     return 0

@@ -29,11 +29,12 @@ tree's ``src``, under a per-row wall-clock limit. A row records:
   reference machine speed: divided by the slowdown of reference loops
   timed just before and after it (see ``speed.py``);
 - for ``solve``, the exact objective and the cutting-plane rounds of the
-  MAP result, and ``ilp_variables`` and ``ilp_constraints``: the size of
-  the MAP's ILP at its last solve (with ``--explain``, of the MAP run
-  before the flips), and ``ilp_largest_component``: the variables of the
-  largest connected component of that ILP's constraint graph, in which two
-  variables meet when one constraint holds both;
+  MAP result, and ``ilp_variables`` and ``ilp_constraints`` (its distinct
+  clauses): the size of the MAP's ILP at its last solve (with
+  ``--explain``, of the MAP run before the flips), and
+  ``ilp_largest_component``: the variables of the largest connected
+  component of that ILP's constraint graph, in which two variables meet
+  when one constraint holds both;
 - for ``solve``, the search's phases over the whole CLI call (with
   ``--explain``, the flips included): ``optimum_s``, the CPU seconds of the
   branch-and-bound passes that find a component's optimum;

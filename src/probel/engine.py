@@ -8,14 +8,14 @@ the calculus's one plan table, ``grounding.CALCULUS``. Every world holds
 that compiled closure, the facts among its atoms, so they are substituted
 out of the ILP. MAP inference (``_cutting_planes``) then repeats one round:
 solve the program, ground only the clauses its world violates and translate
-the new ones, then put the weight of each uncertain statement it violates
+them, then put the weight of each uncertain statement it violates
 for the first time straight onto its atom's variable (``_weigh``). It stops
 when neither is new. Each round's grounding is one pass over what its world
 adds to a base closure, or over all of it where the world has dropped an
 atom of the base. Round 0's base is the compiled closure, which falsifies
 no grounding; from an empty program its world is that closure too, so it
 only weighs. Round t's base is round t-1's world, whose violated clauses
-were all reported then and are already added. The final world is the most
+were all reported then and now hold. The final world is the most
 probable coherent deductively closed world. Its ILP is never infeasible:
 every hard constraint comes from a rule grounding or from COH, and the
 compiled closure, which holds the facts, is closed under the rules with a
@@ -284,18 +284,18 @@ def _weigh(units, current: frozenset, fixed_true: frozenset, program: ilp.IlpPro
 def _cutting_planes(
     kb: KnowledgeBase, compiled: _CompiledKB, config: ReasonerConfig, program: ilp.IlpProgram
 ) -> MapResult:
-    """Run the cutting-plane loop from ``program``: solve it, find the new
+    """Run the cutting-plane loop from ``program``: solve it, find the
     clauses and the pending statements its world violates, and stop when
     there are none; otherwise translate the clauses, weigh the statements
-    (_weigh), and go round again.
+    (_weigh), and go round again. No clause the world violates is in the
+    program yet, as the world satisfies the program (``solve`` checks it).
 
     Every world holds the compiled closure, so its atoms are substituted
-    out of the program. Round 0 searches from the compiled closure, which
-    falsifies no grounding, and each later round from the previous round's
-    world, whose violated clauses are all in ``added``: so every round's
-    fresh clauses are those of a full join."""
+    out of the program. Each round's pass misses no violated clause: round
+    0 searches from the compiled closure, which falsifies no grounding, and
+    each later round from the previous round's world, whose violated
+    clauses now hold."""
     fixed_true = compiled.closure.atoms
-    added = set()
     base = compiled.closure
     pending = list(zip(compiled.units, (ws.weight for ws in kb.uncertain)))
     iterations = 0
@@ -304,12 +304,10 @@ def _cutting_planes(
         current = fixed_true | program.true_atoms(assignment)
         violated = find_violated(CALCULUS, current, config.domain, base)
         base = violated.closure
-        fresh = [g for g in violated if g not in added]
-        for clause in fresh:
-            added.add(clause)
+        for clause in violated:
             ilp.translate_clause(clause, program, fixed_true)
         left = _weigh(pending, current, fixed_true, program)
-        if not fresh and len(left) == len(pending):
+        if not violated and len(left) == len(pending):
             break
         pending = left
         iterations += 1
@@ -492,8 +490,8 @@ def explain_selection(kb: KnowledgeBase, result: MapResult, config: ReasonerConf
         atoms = frozenset((atom,))
         force = ViolatedClause(frozenset() if selected else atoms, atoms if selected else frozenset(), "FORCE")
         program = ilp.IlpProgram()
+        ilp.translate_clause(force, program, compiled.closure.atoms)
         try:
-            ilp.translate_clause(force, program, compiled.closure.atoms)
             delta = result.objective - _cutting_planes(kb, compiled, config, program).objective
         except ilp.Infeasible:
             delta = None

@@ -5,22 +5,22 @@ Each rule is compiled into join plans (``_Plan``), one with each stored
 body pattern first. A plan's first run generates its *join kernel*
 (``_kernel``), one Python function that joins the other patterns in a
 planned order (_join_order), not the declared one: after the anchor comes
-any pattern whose variables are all bound, else the one that leaves the
-most of the rest fully bound, then the one with the most variables bound,
-ties going to the declared position, so a plan never depends on set or
-dict order. A pattern that binds a variable is a nested loop over the
-index list it probes, with the variables as local slots and each
-argument's check or bind written out; a fully bound pattern is one set
-membership test of the plain tuple (pred, args), which hashes and
-compares as the Atom it stands for. The eval literals and the head are
-inlined, and the head is tested for newness as such a tuple too: only a
-new head is built as an Atom. Kernels are generated lazily, never at
-import, because every fresh process pays for the ones it runs. No value
-is ever formatted into kernel source: constants reach a kernel through
-its globals, and the source holds only fixed identifiers, slot numbers
-and argument positions. Only rules with a body are joined: the body-less
-ones (F1, F2, UNA) come ground from rule_templates, as each template's
-``facts``.
+any pattern whose variables are all bound, else, among those that share a
+bound variable if any does, the one that leaves the most of the rest fully
+bound, then the one with the most variables bound, ties going to the
+declared position, so a plan never depends on set or dict order. A pattern
+that binds a variable is a nested loop over the index list it probes, with
+the variables as local slots and each argument's check or bind written
+out; a fully bound pattern is one set membership test of the plain tuple
+(pred, args), which hashes and compares as the Atom it stands for. The
+eval literals and the head are inlined, and the head is tested for newness
+as such a tuple too: only a new head is built as an Atom. Kernels are
+generated lazily, never at import, because every fresh process pays for
+the ones it runs. No value is ever formatted into kernel source: constants
+reach a kernel through its globals, and the source holds only fixed
+identifiers, slot numbers and argument positions. Only rules with a body
+are joined: the body-less ones (F1, F2, UNA) come ground from
+rule_templates, as each template's ``facts``.
 
 The calculus has one plan table (plan_table), ``CALCULUS``, built at
 import from translate.RULES and shared by every KB: it holds the plans of
@@ -44,8 +44,8 @@ what keeps it among the old atoms. Two callers run passes:
   grounding the base falsifies too may be skipped; if the assignment has
   left the base, all of it is the delta. The loop's base is the compiled
   deterministic closure, which falsifies no grounding, in round 0, and the
-  previous round's assignment after that; a clause it skips was reported
-  by the round that searched the base, so it is never fresh.
+  previous round's assignment after that, whose violated clauses every
+  later assignment satisfies, so a pass misses none.
 
 A pass indexes only its delta and merges that into the old atoms' index
 (_merge), copying the two dicts and concatenating only the lists the
@@ -198,15 +198,15 @@ def _variable(arg) -> Optional[Var]:
 def _join_order(variables: list, anchor: int) -> list:
     """The declared positions of a rule's stored body patterns, whose
     variable names are ``variables``, in the order the kernel anchored at
-    ``anchor`` joins them. After the anchor comes any pattern whose
-    variables are all bound (a membership test), else the one that leaves
-    the most of the rest fully bound, then the one with the most variables
-    already bound; ties go to the declared position."""
+    ``anchor`` joins them. After the anchor comes any fully bound pattern
+    (a membership test), else, of those sharing a bound variable if any do,
+    the one that leaves the most of the rest fully bound, then the one with
+    the most variables bound; ties go to the declared position."""
     order, bound = [anchor], set(variables[anchor])
     rest = [j for j in range(len(variables)) if j != anchor]
     while rest:
         full = [j for j in rest if variables[j] <= bound]
-        j = full[0] if full else max(rest, key=lambda j: (
+        j = full[0] if full else max([j for j in rest if variables[j] & bound] or rest, key=lambda j: (
             sum(variables[i] <= bound | variables[j] for i in rest if i != j), len(variables[j] & bound), -j
         ))
         order.append(j)

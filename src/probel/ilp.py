@@ -93,6 +93,7 @@ class IlpProgram:
         self.constraints: List[Clause] = [] if constraints is None else constraints
         self.objective: List[Tuple[int, Fraction]] = [] if objective is None else objective
         self._atom_vars: Dict[Atom, int] = {atom: v for v, atom in enumerate(self.variables)}
+        self._clauses = set(self.constraints)  # what translate_clause appends to
         self._search: Optional[_Search] = None
 
     def _state(self) -> tuple:
@@ -124,21 +125,22 @@ def translate_clause(clause, program: IlpProgram, fixed_true: frozenset = frozen
     """Add one violated hard clause to the program; return the constraints made.
 
     The clause becomes one ``Clause`` over its atoms' variables, each side
-    in atom order, the positive atoms declared first. A tautology, an atom
-    on both sides, holds in every world: it makes no constraint and declares
-    no variable. Atoms fixed true in every world, those of the deterministic
-    part's closure, which holds the facts of the body-less rules (F1, F2,
-    UNA), are substituted out: a positive literal over one satisfies the
-    clause outright, and a negated literal over one can never help and is
-    omitted. A clause left with no literal raises ``Infeasible``.
+    in atom order, the positive atoms declared first, once the atoms fixed
+    true in every world (the deterministic part's closure, the facts of the
+    body-less rules F1, F2 and UNA among them) are substituted out: a
+    negated literal over one is omitted, and a positive one satisfies the
+    clause. A clause so satisfied, a tautology, or one equal to a constraint
+    the program holds makes nothing and declares no variable; one left with
+    no literal is the empty ``Clause``, which ``solve`` finds infeasible.
     """
     if not (clause.positive.isdisjoint(fixed_true) and clause.positive.isdisjoint(clause.negative)):
         return []
     neg = [atom for atom in clause.negative if atom not in fixed_true]
-    if not clause.positive and not neg:
-        raise Infeasible()
     positive = tuple(program.atom_var(a) for a in sorted(clause.positive, key=atom_sort_key))
     made = Clause(positive, tuple(program.atom_var(a) for a in sorted(neg, key=atom_sort_key)))
+    if made in program._clauses:
+        return []
+    program._clauses.add(made)
     program.constraints.append(made)
     return [made]
 

@@ -147,13 +147,10 @@ def _random_program(rng):
             weight = Fraction(rng.randint(1, 20), 10)
         else:
             weight = Fraction(-rng.randint(1, 20), 10)
-        try:
-            if weight is INFINITE:
-                translate_clause(ViolatedClause(pos, neg, "F3"), program, frozenset())
-            else:  # a weight goes on one atom's variable
-                program.objective.append((program.atom_var(chosen[0]), weight))
-        except Infeasible:
-            continue
+        if weight is INFINITE:
+            translate_clause(ViolatedClause(pos, neg, "F3"), program, frozenset())
+        else:  # a weight goes on one atom's variable
+            program.objective.append((program.atom_var(chosen[0]), weight))
         if len(program.variables) >= 15:
             break
     return program

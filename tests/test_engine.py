@@ -245,6 +245,25 @@ class TestEngineOracleAgreement:
             closure = saturate(templates, atoms).atoms
             assert closure in {w.atoms for w in dist.worlds if w.score == best}
 
+    @pytest.mark.parametrize("domain", ["real", "integer"])
+    def test_a_tie_goes_to_the_smallest_entailed_statement_vector(self, domain):
+        # among the oracle's top-score worlds, MAP returns the one whose
+        # vector of entailed uncertain statements, in statement order with
+        # false before true, is smallest
+        config = ReasonerConfig(domain=domain)
+        rng = random.Random(1)
+        tied = 0
+        for _ in range(50):
+            kb = random_kb(rng, max_uncertain=10)
+            result = map_inference(kb, config)
+            worlds = brute_force_distribution(kb, config).worlds
+            top = [w for w in worlds if w.score == result.objective]
+            units = [phi(ws.statement) for ws in kb.uncertain]
+            first = min(top, key=lambda w: [a in w.atoms for a in units])
+            assert result.atoms == first.atoms, kb
+            tied += len(top) > 1
+        assert tied >= 10, tied
+
     def test_statement_order_does_not_change_the_optimum(self):
         # the declared-order tie-break follows the statement order, so a
         # reversed KB may pick another world among equal optima: the
@@ -477,6 +496,37 @@ class TestMapInvariants:
             explain_selection(kb, map_inference(kb, config), config)
         assert set(declared) == {0, 1}, declared
         assert sum(declared.values()) >= 1500, declared
+
+    @pytest.mark.parametrize("domain", ["real", "integer"])
+    def test_no_converged_program_holds_two_equal_clauses(self, domain, monkeypatch):
+        # two rules can translate to one clause once the fixed atoms are
+        # substituted out: F14 over sub(Person, TOP) and F22 over
+        # sub(TOP, TOP) both give +1 inst(john,TOP) -1 inst(john,Person).
+        # The program holds it once; ``repeats`` counts the translations
+        # that made nothing though no literal was fixed true or repeated
+        config = ReasonerConfig(domain=domain)
+        translate, solve = ilp.translate_clause, ilp.solve
+        programs, repeats = [], 0
+
+        def counting(clause, program, fixed_true=frozenset()):
+            nonlocal repeats
+            made = translate(clause, program, fixed_true)
+            repeats += not made and clause.positive.isdisjoint(fixed_true | clause.negative)
+            return made
+
+        monkeypatch.setattr(ilp, "translate_clause", counting)
+        monkeypatch.setattr(ilp, "solve", lambda program: programs.append(program) or solve(program))
+        rng = random.Random(37)
+        kbs = [random_kb(rng, max_uncertain=12) for _ in range(100)]
+        kbs += [parse_kb(_g_kb(random.Random(seed), 30, 50, 4)).kb for seed in range(3)]
+        clauses = 0
+        for kb in kbs:
+            programs.clear()
+            map_inference(kb, config)
+            constraints = programs[-1].constraints
+            assert len(set(constraints)) == len(constraints), kb
+            clauses += len(constraints)
+        assert clauses >= 100 and repeats >= 20, (clauses, repeats)
 
 
 def _reference_distribution(kb, domain):
@@ -827,11 +877,11 @@ class TestFactsOutOfTheIlp:
         ],
     )
     def test_forcing_a_fact_out_is_incoherent(self, text):
-        # a fact forced out leaves a hard clause with no literal, and
-        # translate_clause raises; a concept forced under BOT is infeasible
-        # only when the loop solves the program with COH's clause added. With
-        # every fact stated, the closure violates nothing, so the FORCE
-        # program must be solved before the first grounding
+        # a fact forced out leaves a hard clause with no literal, which the
+        # first solve finds infeasible; a concept forced under BOT is
+        # infeasible only when the loop solves the program with COH's clause
+        # added. With every fact stated, the closure violates nothing, so the
+        # FORCE program must be solved before the first grounding
         kb = parse_kb(text).kb
         result = map_inference(kb)
         (entry,) = explain_selection(kb, result)
@@ -839,14 +889,19 @@ class TestFactsOutOfTheIlp:
         assert entry.delta is None
 
 
-def _deterministic_g_kb() -> str:
-    """An unweighted G(40, 100, 6) KB from the benchmark's generator, which
-    imports nothing from probel: 100 deterministic statements, no BOT."""
+def _g_kb(rng: random.Random, n: int, u: int, k: int, weighted: bool = True) -> str:
+    """A G(N, U, K) KB from the benchmark's generator, which imports nothing
+    from probel."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
     spec = importlib.util.spec_from_file_location("perfbench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    return gen.g_kb(random.Random(5), 40, 100, 6, weighted=False)
+    return gen.g_kb(rng, n, u, k, weighted)
+
+
+def _deterministic_g_kb() -> str:
+    """An unweighted G(40, 100, 6) KB: 100 deterministic statements, no BOT."""
+    return _g_kb(random.Random(5), 40, 100, 6, weighted=False)
 
 
 class TestLoopFromTheClosure:
